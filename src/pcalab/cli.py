@@ -3,7 +3,7 @@
 Subcommands: simulate, density, oracle, verify, render, evolve-cylinder.
 The whole pipeline is a pure function of (argv, PCALAB_SEED): repeated
 invocations produce byte-identical output.  Exit status: 0 on success,
-1 when a verification suite fails, 2 on usage errors.
+1 when a verification suite fails, 2 on usage or input errors.
 """
 
 from __future__ import annotations
@@ -369,6 +369,9 @@ def main(argv=None) -> int:
             out = cfg.out
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an input file that cannot be read
+        print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
     try:
         if out is not None:

@@ -144,6 +144,19 @@ def _summarize(per_trial: np.ndarray) -> tuple[float, float]:
     return est, _Z95 * sd / math.sqrt(per_trial.size)
 
 
+#: Trial-chunk budget in uint64 words: a Monte Carlo batch runs
+#: ``CHUNK_WORDS // words_per_trial`` trials at a time, which keeps one
+#: step's temporaries cache-sized and bounds them whatever the trial count.
+CHUNK_WORDS = 1 << 15
+
+
+def _chunks(trials: int, words_per_trial: int):
+    """``(lo, hi)`` trial ranges of at most ``CHUNK_WORDS`` words each."""
+    size = max(1, CHUNK_WORDS // words_per_trial)
+    for lo in range(0, trials, size):
+        yield lo, min(lo + size, trials)
+
+
 def _full_plane(trials: int, n_words: int) -> np.ndarray:
     return np.full((trials, n_words), np.uint64(0xFFFFFFFFFFFFFFFF))
 
@@ -153,10 +166,13 @@ def _iid_plane(seed: int, trials_arr: np.ndarray, n_words: int, width: int,
     if p == 0.5:
         return packed.batch_cell_words(seed, trials_arr, n_words, domain)
     sites = np.arange(width, dtype=np.int64)
-    words = stream.block_bits_vec(seed, trials_arr[:, None], 0, sites[None, :],
-                                  stream.DOMAIN_UNIFORM)
-    bits = ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) < p
-    return packed.pack_bits(bits.astype(np.uint8))
+    plane = np.empty((trials_arr.size, n_words), dtype=np.uint64)
+    for lo, hi in _chunks(trials_arr.size, width):
+        words = stream.block_bits_vec(seed, trials_arr[lo:hi, None], 0,
+                                      sites[None, :], stream.DOMAIN_UNIFORM)
+        bits = ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) < p
+        plane[lo:hi] = packed.pack_bits(bits.astype(np.uint8))
+    return plane
 
 
 def _word_plane(word: str, trials: int, width: int) -> np.ndarray:
@@ -167,12 +183,33 @@ def _word_plane(word: str, trials: int, width: int) -> np.ndarray:
 
 def _run_batch(model: Model, seed: int, trials: int, width: int, steps: int,
                planes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    trials_arr = np.arange(trials, dtype=np.int64)
+    """Step ``(trials, words)`` planes ``steps`` times from site 0.
+
+    Returns each plane's valid cells ``steps .. width-1`` as uint8 of shape
+    ``(trials, width - steps)``.  Trials run in chunks, each through every
+    step before the next starts.  At step ``s`` the words wholly left of
+    the valid window (below ``s >> 6``) are neither drawn nor stepped:
+    information flows rightward only, so the valid cells never read them.
+    Every draw is a pure function of its coordinates, so the result is bit
+    for bit that of stepping every word of every trial at once.
+    """
     n_words = packed.words_for(width)
-    for s in range(steps):
-        u = packed.batch_arrow_words(seed, trials_arr, s, n_words)
-        planes = packed.step_planes(model, planes, u)
-    return tuple(packed.unpack_bits(pl, width)[:, steps:] for pl in planes)
+    out = tuple(np.empty((trials, width - steps), dtype=np.uint8)
+                for _ in planes)
+    for lo, hi in _chunks(trials, n_words):
+        trials_arr = np.arange(lo, hi, dtype=np.int64)
+        chunk = tuple(pl[lo:hi] for pl in planes)
+        base = 0  # word of the full window at column 0 of ``chunk``
+        for s in range(steps):
+            first = s >> 6
+            u = packed.batch_arrow_words(seed, trials_arr, s, n_words, first)
+            chunk = packed.step_planes(
+                model, tuple(pl[:, first - base:] for pl in chunk), u)
+            base = first
+        for dst, pl in zip(out, chunk):
+            cells = packed.unpack_bits(pl, width - 64 * base)
+            dst[lo:hi] = cells[:, steps - 64 * base:]
+    return out
 
 
 def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,

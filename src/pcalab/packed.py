@@ -139,19 +139,22 @@ def evolve_packed(model: Model, init: Configuration, stream: UpdateStream,
 
 
 def batch_arrow_words(seed: int, trials: np.ndarray, step: int,
-                      n_words: int) -> np.ndarray:
+                      n_words: int, first: int = 0) -> np.ndarray:
     """Arrow planes for a batch of trials, window anchored at site 0.
 
-    Returns shape ``(len(trials), n_words)``; bit ``c`` of word ``k`` is
-    the arrow at site ``64k + c``, identical to per-site scalar queries.
+    Returns shape ``(len(trials), n_words - first)``: column ``j`` is word
+    ``first + j``, whose bit ``c`` is the arrow at site ``64(first + j) + c``,
+    identical to per-site scalar queries.  One broadcast draw covers the
+    whole block, so each trial's ``(seed, trial, step)`` prefix is mixed
+    once rather than once per word.
     """
-    cols = [_stream.block_bits_vec(seed, trials, step, k) for k in range(n_words)]
-    return np.stack(cols, axis=-1)
+    blocks = np.arange(first, n_words, dtype=np.int64)
+    return _stream.block_bits_vec(seed, trials[:, None], step, blocks[None, :])
 
 
 def batch_cell_words(seed: int, trials: np.ndarray, n_words: int,
                      domain: int = _stream.DOMAIN_CELL) -> np.ndarray:
     """Initialization planes for a batch of trials (window at site 0)."""
-    cols = [_stream.block_bits_vec(seed, trials, 0, k, domain)
-            for k in range(n_words)]
-    return np.stack(cols, axis=-1)
+    blocks = np.arange(n_words, dtype=np.int64)
+    return _stream.block_bits_vec(seed, trials[:, None], 0, blocks[None, :],
+                                  domain)

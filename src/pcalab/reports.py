@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .density import DensityReport
@@ -11,14 +12,19 @@ CSV_HEADER = "n,exact_num,exact_den,approx,estimate,halfwidth,trials,seed"
 
 
 def row_fields(report: DensityReport) -> dict:
-    """Schema fields in column order; rationals split into integer parts."""
+    """Schema fields in column order; rationals split into integer parts.
+
+    A halfwidth that is not finite (a single trial has no spread) is
+    ``None``: JSON ``null`` and an empty CSV cell, so both stay strict.
+    """
+    hw = report.mc_halfwidth
     return {
         "n": report.n,
         "exact_num": None if report.exact is None else report.exact.numerator,
         "exact_den": None if report.exact is None else report.exact.denominator,
         "approx": report.approx,
         "estimate": report.mc_estimate,
-        "halfwidth": report.mc_halfwidth,
+        "halfwidth": hw if math.isfinite(hw) else None,
         "trials": report.trials,
         "seed": report.seed,
     }

@@ -48,6 +48,20 @@ class TestReports:
         with pytest.raises(ValueError):
             write_report([], "yaml")
 
+    def test_single_trial_reports_are_strict(self, capsys):
+        def refuse(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        status, out = run(capsys, "density", "--model", "c", "--n", "2",
+                          "--trials", "1", "--format", "json")
+        assert status == 0
+        (row,) = json.loads(out, parse_constant=refuse)
+        assert row["halfwidth"] is None
+        status, out = run(capsys, "density", "--model", "c", "--n", "2",
+                          "--trials", "1", "--format", "csv")
+        assert status == 0
+        assert out.splitlines()[1].split(",")[5] == ""
+
 
 class TestOracleCommand:
     def test_closed_form_prints_the_rational(self, capsys):
@@ -193,6 +207,14 @@ class TestEvolveCylinderCommand:
         assert status == 0
         payload = json.loads(out)
         assert payload["weights"] == {"0": "1"}
+
+    def test_missing_rule_file_is_an_input_error(self, capsys, tmp_path):
+        status = main(["evolve-cylinder", "--rule-file",
+                       str(tmp_path / "missing.txt")])
+        err = capsys.readouterr().err
+        assert status == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_lifted_word_init(self, capsys):
         status, out = run(capsys, "evolve-cylinder", "--lift", "b", "--init",

@@ -4,14 +4,18 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from pcalab import density
 from pcalab.density import (EXACT_LIMIT, WalkSpec, asymptotic_ratio,
                             check_proposition_bounds, density_log,
                             exact_density, hitting_time_oracle,
                             interface_walk_oracle, mc_density,
                             mc_pair_statistic_A)
 from pcalab.lattice import a_local
+from pcalab.packed import pack_bits, words_for
+from pcalab.stream import DOMAIN_CELL, DOMAIN_UNIFORM, block_bits_vec
 
 
 def brute_walk_stays_below_two(n):
@@ -173,6 +177,18 @@ class TestMcDensity:
         assert abs(rep_b.mc_estimate - want_b) < 4 * rep_b.mc_halfwidth
         with pytest.raises(ValueError):
             mc_density("c", "iid", 1, 100, seed=0, p=1.5)
+
+    def test_chunked_biased_init_matches_one_shot_draw(self, monkeypatch):
+        seed, trials, width, p = 17, 23, 70, 0.3
+        ids = np.arange(trials)
+        words = block_bits_vec(seed, ids[:, None], 0,
+                               np.arange(width)[None, :], DOMAIN_UNIFORM)
+        bits = ((words >> np.uint64(11)) * 2.0 ** -53) < p
+        want = pack_bits(bits.astype(np.uint8))
+        monkeypatch.setattr(density, "CHUNK_WORDS", 3 * width)
+        got = density._iid_plane(seed, ids, words_for(width), width, p,
+                                 DOMAIN_CELL)
+        assert np.array_equal(got, want)
 
     def test_determinism_and_seed_sensitivity(self):
         a = mc_density("c", "full", 3, 500, seed=5)

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import packed
+from pcalab import density, packed
 from pcalab.density import _run_batch
 from pcalab.lattice import (Configuration, Model, evolve, step_a, step_b,
                             step_c, step_d)
 from pcalab.packed import (arrow_words, config_to_planes, evolve_packed,
                            pack_bits, planes_to_config, row_words,
                            step_planes, unpack_bits, words_for)
-from pcalab.stream import UpdateRow, UpdateStream
+from pcalab.stream import (DOMAIN_COLOR, UpdateRow, UpdateStream,
+                           block_bits_vec)
 
 _SCALAR = {Model.A: step_a, Model.B: step_b, Model.C: step_c, Model.D: step_d}
 
@@ -113,3 +114,52 @@ def test_batched_trials_match_per_trial_scalar_runs():
         init = Configuration(0, tuple(int(b) for b in init_bits))
         final = evolve(Model.C, init, stream, steps).final
         assert tuple(int(b) for b in bits[trial]) == final.cells
+
+
+@pytest.mark.parametrize("first", [0, 2])
+def test_broadcast_arrow_words_equal_per_word_draws(first):
+    seed, trials, step, n_words = 77, np.arange(5, 40), 130, 5
+    words = packed.batch_arrow_words(seed, trials, step, n_words, first)
+    assert words.shape == (trials.size, n_words - first)
+    for j, k in enumerate(range(first, n_words)):
+        assert np.array_equal(words[:, j],
+                              block_bits_vec(seed, trials, step, k))
+    cells = packed.batch_cell_words(seed, trials, n_words, DOMAIN_COLOR)
+    for k in range(n_words):
+        assert np.array_equal(cells[:, k],
+                              block_bits_vec(seed, trials, 0, k, DOMAIN_COLOR))
+
+
+def _reference_batch(model, seed, trials, width, steps, planes):
+    """Every word of every trial stepped at once, one draw per word."""
+    ids = np.arange(trials)
+    n_words = words_for(width)
+    for s in range(steps):
+        u = np.stack([block_bits_vec(seed, ids, s, k) for k in range(n_words)],
+                     axis=-1)
+        planes = step_planes(model, planes, u)
+    return tuple(unpack_bits(pl, width)[:, steps:] for pl in planes)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("chunk_words", [48, None])
+def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
+                                                      monkeypatch):
+    # 130 steps trim word 0 at step 64 and word 1 at step 128, so a trim
+    # even one step early would reach the valid cells; 3 words per trial
+    seed, width, steps = 31, 139, 130
+    if chunk_words is not None:
+        monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
+    per_chunk = max(1, density.CHUNK_WORDS // words_for(width))
+    trials = 2 * per_chunk + 5 if chunk_words else per_chunk + 5
+    ids = np.arange(trials)
+    planes = (packed.batch_cell_words(seed, ids, words_for(width)),)
+    if model is Model.D:
+        planes += (packed.batch_cell_words(seed, ids, words_for(width),
+                                           DOMAIN_COLOR),)
+    got = _run_batch(model, seed, trials, width, steps, planes)
+    want = _reference_batch(model, seed, trials, width, steps, planes)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == (trials, width - steps)
+        assert np.array_equal(g, w)
