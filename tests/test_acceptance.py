@@ -80,9 +80,9 @@ def test_criterion_05_invariance_of_the_alternating_mixture():
     t0 = time.perf_counter()
     rule = model_a_rule()
     ok = all(invariance_residual(alternating_pair_measure(0, length), rule) == 0
-             for length in (2, 4, 6, 8, 10, 12))
+             for length in (2, 4, 6, 8, 10, 12, 14))
     report(5, ok, f"alternating mixture residual exactly 0 on even windows "
-                  f"<= 12 ({time.perf_counter() - t0:.2f}s)")
+                  f"<= 14 ({time.perf_counter() - t0:.2f}s)")
 
 
 def test_criterion_06_exact_one_step_pair_marginals():

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,24 @@ class TestEvolveCylinderCommand:
         assert status == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_window_past_the_cap_is_refused_at_once(self, capsys,
+                                                     monkeypatch):
+        from pcalab import cylinder
+
+        def never(mu, f):
+            raise AssertionError("a refused window was evolved")
+
+        monkeypatch.setattr(cylinder, "evolve_measure", never)
+        t0 = time.perf_counter()
+        status = main(["evolve-cylinder", "--length", "21"])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert status == 2 and captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert elapsed < 2.0
 
     def test_lifted_word_init(self, capsys):
         status, out = run(capsys, "evolve-cylinder", "--lift", "b", "--init",

@@ -1,16 +1,19 @@
 """Exact cylinder-measure evolution against brute-force enumeration."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction,
                              alternating_pair_measure, dump_rule_text,
                              evolve_measure, invariance_residual, lift_model,
                              load_rule_text, marginal, model_a_rule,
-                             pushforward, total_variation)
+                             output_window, pushforward, total_variation)
 from pcalab.lattice import a_local, b_local, c_local
 from pcalab.stream import RIGHT, UP
 
@@ -32,7 +35,91 @@ def brute_step_a(mu: CylinderMeasure) -> dict:
     return out
 
 
+def reference_evolve(mu: CylinderMeasure,
+                     f: TransitionFunction) -> CylinderMeasure:
+    """Word-by-word expansion: every support word branches into every
+    output word, one ``Fraction`` per branch."""
+    start, length = output_window(mu, f)
+    out = {}
+    for word, wgt in mu.items():
+        dists = [f.rows[tuple(word[k + v - mu.start] for v in f.neighborhood)]
+                 for k in range(start, start + length)]
+        partial = [((), wgt)]
+        for dist in dists:
+            partial = [(w + (sym,), p * pr)
+                       for w, p in partial
+                       for sym, pr in zip(f.alphabet, dist) if pr]
+        for w, p in partial:
+            out[w] = out.get(w, Fraction(0)) + p
+    base = len(f.alphabet)
+    weights = [Fraction(0)] * base ** length
+    for w, p in out.items():
+        weights[sum(f.alphabet.index(s) * base ** j
+                    for j, s in enumerate(w))] = p
+    return CylinderMeasure(f.alphabet, start, length, tuple(weights))
+
+
+def _distribution(raw):
+    """Exact probabilities proportional to ``raw`` (some entry positive)."""
+    return tuple(Fraction(v, sum(raw)) for v in raw)
+
+
+@st.composite
+def rules_and_measures(draw):
+    """A random rule and a sparse or dense rational measure it can step.
+
+    Rows take zero entries and arbitrary (non-dyadic) denominators; the
+    input window is two to six sites, one to three sites longer than the
+    neighborhood span.
+    """
+    base = draw(st.integers(1, 3))
+    alphabet = tuple("xyz"[:base])
+    hood = draw(st.sampled_from([(0,), (-1, 0), (-1, 1), (0, 2), (-2, 0, 1)]))
+    entry = st.integers(0, 6)
+    rows = {}
+    for word in itertools.product(alphabet, repeat=len(hood)):
+        raw = draw(st.lists(entry, min_size=base, max_size=base)
+                   .filter(any))
+        rows[word] = _distribution(raw)
+    length = hood[-1] - hood[0] + draw(st.integers(1, 3))
+    states = base ** length
+    if draw(st.booleans()):  # sparse: a handful of words
+        support = draw(st.sets(st.integers(0, states - 1), min_size=1,
+                               max_size=3))
+        raw = [draw(st.integers(1, 9)) if i in support else 0
+               for i in range(states)]
+    else:
+        raw = draw(st.lists(st.integers(0, 9), min_size=states,
+                            max_size=states).filter(any))
+    mu = CylinderMeasure(alphabet, draw(st.integers(-3, 3)), length,
+                         _distribution(raw))
+    return TransitionFunction(alphabet, hood, rows), mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(rules_and_measures())
+def test_sweep_equals_the_word_expansion(case):
+    f, mu = case
+    assert evolve_measure(mu, f) == reference_evolve(mu, f)
+
+
 class TestModelARule:
+    def test_derived_from_a_local_equals_the_hand_table(self):
+        hand = {
+            ("0", "0"): (HALF, HALF),
+            ("0", "1"): (Fraction(1), Fraction(0)),
+            ("1", "0"): (Fraction(0), Fraction(1)),
+            ("1", "1"): (HALF, HALF),
+        }
+        f = model_a_rule()
+        assert f == TransitionFunction(BITS, (-1, 0), hand)
+        assert dump_rule_text(f) == ("alphabet: 0 1\n"
+                                     "neighborhood: -1 0\n"
+                                     "00 : 1/2 1/2\n"
+                                     "01 : 1 0\n"
+                                     "10 : 0 1\n"
+                                     "11 : 1/2 1/2\n")
+
     def test_deterministic_rows(self):
         f = model_a_rule()
         assert f.rows[("1", "0")] == (Fraction(0), Fraction(1))
@@ -223,6 +310,20 @@ class TestLiftedModels:
                                       arrows[j], arrows[j + 1]) else "."
                          for j in range(2))
             assert out == CylinderMeasure.delta((".", "#"), 1, want)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lifted_coalescing_occupancy_is_the_closed_form(self, n):
+        # full occupancy with fair arrows on n + 1 sites; after n steps only
+        # the last site is left, and it is occupied with d(n) exactly
+        table = lift_model("c")
+        mu = occupancy_word_measure(table, 0, "#" * (n + 1))
+        for _ in range(n):
+            mu = evolve_measure(mu, table)
+        assert (mu.start, mu.length) == (n, 1)
+        occupied = mu.weight(("#u",)) + mu.weight(("#r",))
+        assert occupied == Fraction(math.comb(2 * n + 1, n), 4 ** n)
 
 
 class TestMonteCarloConsistency:
