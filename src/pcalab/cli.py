@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,23 +27,6 @@ _GLYPH_SYMBOLS = {
     Model.C: {".": EMPTY, "#": PARTICLE},
     Model.D: {".": EMPTY, "B": BLUE, "G": GREEN},
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation: one subcommand plus its parsed options."""
-
-    subcommand: str
-    model: str | None = None
-    init: str | None = None
-    width: int | None = None
-    steps: int = 0
-    trials: int = 10_000
-    seed: int = 0
-    boundary: str = "line"
-    fmt: str = "text"
-    out: str | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -89,39 +71,39 @@ def _build_init(model: Model, init: str, width: int,
     raise ValueError(f"unknown init {init!r} for model {model.value}")
 
 
-def _simulate_traj(cfg: RunConfig):
-    model = Model(cfg.model)
-    stream = UpdateStream(cfg.seed, cfg.extras.get("trial", 0))
-    width = cfg.width if cfg.width is not None else cfg.steps + 65
-    init = _build_init(model, cfg.init, width, stream)
-    return evolve(model, init, stream, cfg.steps, boundary=cfg.boundary)
+def _simulate_traj(args):
+    model = Model(args.model)
+    stream = UpdateStream(args.seed, args.trial)
+    width = args.width if args.width is not None else args.steps + 65
+    init = _build_init(model, args.init, width, stream)
+    return evolve(model, init, stream, args.steps, boundary=args.boundary)
 
 
-def _cmd_simulate(cfg: RunConfig) -> tuple[str, int]:
-    traj = _simulate_traj(cfg)
+def _cmd_simulate(args) -> tuple[str, int]:
+    traj = _simulate_traj(args)
     final = traj.final
     style = style_for(traj.model)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "model": traj.model.value,
-            "boundary": cfg.boundary,
-            "steps": cfg.steps,
-            "seed": cfg.seed,
+            "boundary": args.boundary,
+            "steps": args.steps,
+            "seed": args.seed,
             "offset": final.offset,
             "cells": "".join(style.glyph(c) for c in final.cells),
             "particles": particle_count(final),
         }
         return json.dumps(payload, indent=2) + "\n", 0
     text = "".join(style.glyph(c) for c in final.cells)
-    return (f"{text}\n# model={traj.model.value} steps={cfg.steps} "
+    return (f"{text}\n# model={traj.model.value} steps={args.steps} "
             f"offset={final.offset} particles={particle_count(final)}\n"), 0
 
 
-def _cmd_render(cfg: RunConfig) -> tuple[str, int]:
-    traj = _simulate_traj(cfg)
-    style = style_for(traj.model, show_arrows=cfg.extras.get("arrows", False))
-    highlight = cfg.extras.get("highlight_particle")
-    site = cfg.extras.get("highlight_site")
+def _cmd_render(args) -> tuple[str, int]:
+    traj = _simulate_traj(args)
+    style = style_for(traj.model, show_arrows=args.arrows)
+    highlight = args.highlight_particle
+    site = args.highlight_site
     if site is not None:
         final = traj.final
         ids = traj.id_rows[-1] if traj.id_rows else None
@@ -132,34 +114,31 @@ def _cmd_render(cfg: RunConfig) -> tuple[str, int]:
         if pid < 0:
             raise ValueError(f"no surviving particle at site {site}")
         highlight = pid
-    return render(traj, style, fmt=cfg.fmt, highlight_particle=highlight), 0
+    return render(traj, style, fmt=args.format,
+                  highlight_particle=highlight), 0
 
 
-def _cmd_density(cfg: RunConfig) -> tuple[str, int]:
-    model = Model(cfg.model)
-    n = cfg.extras["n"]
-    sites = cfg.extras["sites"]
+def _cmd_density(args) -> tuple[str, int]:
+    model = Model(args.model)
     if model is Model.A:
-        init = {"full": "ones", "alternating": "01"}.get(cfg.init, cfg.init)
+        init = {"full": "ones", "alternating": "01"}.get(args.init, args.init)
         if init.startswith("word:"):
             init = init[5:]
-        rep = density.mc_pair_statistic_A(init, n, cfg.trials, cfg.seed, sites)
-    elif model in (Model.B, Model.C):
-        rep = density.mc_density(model, cfg.init, n, cfg.trials, cfg.seed,
-                                 sites, p=cfg.extras.get("p", 0.5))
+        rep = density.mc_pair_statistic_A(init, args.n, args.trials,
+                                          args.seed, args.sites)
     else:
-        raise ValueError("density applies to models a, b, c")
-    if cfg.fmt in ("csv", "json"):
-        return reports.write_report([rep], cfg.fmt), 0
+        rep = density.mc_density(model, args.init, args.n, args.trials,
+                                 args.seed, args.sites, p=args.p)
+    if args.format in ("csv", "json"):
+        return reports.write_report([rep], args.format), 0
     exact = "?" if rep.exact is None else str(rep.exact)
     return (f"model={rep.model} init={rep.init} n={rep.n} exact={exact} "
             f"estimate={rep.mc_estimate!r} halfwidth={rep.mc_halfwidth!r} "
             f"trials={rep.trials} seed={rep.seed}\n"), 0
 
 
-def _cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
-    which = cfg.extras["which"]
-    n = cfg.extras["n"]
+def _cmd_oracle(args) -> tuple[str, int]:
+    which, n = args.which, args.n
     if which == "closed-form":
         return f"{density.exact_density(n)}\n", 0
     if which == "hitting-time":
@@ -173,22 +152,22 @@ def _cmd_oracle(cfg: RunConfig) -> tuple[str, int]:
     raise ValueError(f"unknown oracle {which!r}")
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[str, int]:
-    suite = cfg.extras["suite"]
+def _cmd_verify(args) -> tuple[str, int]:
+    suite = args.suite
     if suite == "all":
         results = verify.run_all()
     elif suite == "color-uniformity":
         results = [verify.verify_color_uniformity(
-            cfg.extras["n"], cfg.trials, cfg.seed, cfg.extras["sites"])]
+            args.n, args.trials, args.seed, args.sites)]
     elif suite == "periodic-orbit":
-        results = [verify.verify_periodic_orbit(
-            cfg.extras["width"] or 6, seed=cfg.seed)]
+        results = [verify.verify_periodic_orbit(args.width or 6,
+                                                seed=args.seed)]
     elif suite in verify.SUITES:
         results = [verify.SUITES[suite]()]
     else:
         raise ValueError(f"unknown suite {suite!r}")
     ok = all(r.passed for r in results)
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = json.dumps([r.to_dict() for r in results], indent=2) + "\n"
     else:
         lines = [f"{r.suite}: {'pass' if r.passed else 'FAIL'} "
@@ -208,7 +187,13 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
         return cylinder.alternating_pair_measure(start, args.length)
     if args.init.startswith("word:"):
         word = args.init[5:]
-        if all(len(s) == 1 for s in table.alphabet):
+        lifted = any(len(s) != 1 for s in table.alphabet)
+        # a lifted word fixes only the occupancy, the first glyph of a symbol
+        glyphs = "".join(dict.fromkeys(s[0] for s in table.alphabet))
+        if not word or any(ch not in glyphs for ch in word):
+            raise ValueError(f"custom word {word!r} uses glyphs outside "
+                             f"{glyphs!r}")
+        if not lifted:
             return cylinder.CylinderMeasure.delta(table.alphabet, start,
                                                   tuple(word))
         # symbol-arrow alphabets: fix the occupancy word, arrows uniform
@@ -327,55 +312,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_config(args) -> RunConfig:
-    extras = {}
-    for key in ("trial", "n", "sites", "p", "which", "suite", "width",
-                "arrows", "highlight_particle", "highlight_site"):
-        if hasattr(args, key):
-            extras[key] = getattr(args, key)
-    return RunConfig(
-        subcommand=args.command,
-        model=getattr(args, "model", None),
-        init=getattr(args, "init", None),
-        width=getattr(args, "width", None),
-        steps=getattr(args, "steps", 0),
-        trials=getattr(args, "trials", 10_000),
-        seed=_resolve_seed(getattr(args, "seed", None)),
-        boundary=getattr(args, "boundary", "line"),
-        fmt=getattr(args, "format", "text"),
-        out=getattr(args, "out", None),
-        extras=extras,
-    )
+_HANDLERS = {
+    "simulate": _cmd_simulate,
+    "render": _cmd_render,
+    "density": _cmd_density,
+    "oracle": _cmd_oracle,
+    "verify": _cmd_verify,
+    "evolve-cylinder": _cmd_evolve_cylinder,
+}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "evolve-cylinder":
-            args.seed = _resolve_seed(args.seed)
-            text, status = _cmd_evolve_cylinder(args)
-            out = args.out
-        else:
-            cfg = _to_config(args)
-            handler = {
-                "simulate": _cmd_simulate,
-                "render": _cmd_render,
-                "density": _cmd_density,
-                "oracle": _cmd_oracle,
-                "verify": _cmd_verify,
-            }[cfg.subcommand]
-            text, status = handler(cfg)
-            out = cfg.out
+        args.seed = _resolve_seed(args.seed)
+        text, status = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # an input file that cannot be read
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: not enough memory for this run", file=sys.stderr)
+        return 2
     try:
-        if out is not None:
-            Path(out).write_text(text, encoding="utf-8")
+        if args.out is not None:
+            Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
     except OSError as exc:

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import packed, stream
 from .lattice import Model
-from .stream import UpdateStream
 
 EXACT_LIMIT = 512
 _Z95 = 1.96  # normal quantile behind every 95% halfwidth
@@ -265,33 +264,12 @@ def _pair_exact(init: str, n: int) -> Fraction | None:
     return None
 
 
-def _scalar_pair_trial(a_rule, seed: int, trial: int, init: str, n: int,
-                       width: int) -> float:
-    st = UpdateStream(seed, trial)
-    if init == "uniform":
-        cells = [int(b) for b in st.cell_bits(0, width)]
-    elif init in ("ones", "zeros"):
-        cells = [1 if init == "ones" else 0] * width
-    else:
-        cells = [int(init[j % len(init)]) for j in range(width)]
-    offset = 0
-    for s in range(n):
-        row = st.row(s, offset, len(cells))
-        cells = [a_rule(cells[j - 1], cells[j], row.arrow(offset + j))
-                 for j in range(1, len(cells))]
-        offset += 1
-    agree = [1 if a == b else 0 for a, b in zip(cells, cells[1:])]
-    return sum(agree) / len(agree)
-
-
 def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
-                        sites_per_trial: int = 64,
-                        a_rule=None) -> DensityReport:
+                        sites_per_trial: int = 64) -> DensityReport:
     """Monte Carlo estimate of P(adjacent output cells agree) for model ``a``.
 
     ``init`` is ``"uniform"``, ``"ones"``, ``"zeros"``, or a 0/1 word tiled
-    across the window.  ``a_rule`` substitutes the local rule (scalar path;
-    used by mutation checks).
+    across the window.
     """
     if trials < 1 or sites_per_trial < 1 or n < 0:
         raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
@@ -299,23 +277,18 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
             not init or any(ch not in "01" for ch in init)):
         raise ValueError(f"unknown init {init!r}")
     width = n + sites_per_trial + 1
-
-    if a_rule is not None:
-        per_trial = np.array([_scalar_pair_trial(a_rule, seed, t, init, n, width)
-                              for t in range(trials)])
+    trials_arr = np.arange(trials, dtype=np.int64)
+    n_words = packed.words_for(width)
+    if init == "uniform":
+        plane = _iid_plane(seed, trials_arr, n_words, width, 0.5,
+                           stream.DOMAIN_CELL)
+    elif init in ("ones", "zeros"):
+        plane = (_full_plane(trials, n_words) if init == "ones"
+                 else np.zeros((trials, n_words), dtype=np.uint64))
     else:
-        trials_arr = np.arange(trials, dtype=np.int64)
-        n_words = packed.words_for(width)
-        if init == "uniform":
-            plane = _iid_plane(seed, trials_arr, n_words, width, 0.5,
-                               stream.DOMAIN_CELL)
-        elif init in ("ones", "zeros"):
-            plane = (_full_plane(trials, n_words) if init == "ones"
-                     else np.zeros((trials, n_words), dtype=np.uint64))
-        else:
-            plane = _word_plane(init, trials, width)
-        bits = _run_batch(Model.A, seed, trials, width, n, (plane,))[0]
-        per_trial = (bits[:, :-1] == bits[:, 1:]).mean(axis=1)
+        plane = _word_plane(init, trials, width)
+    bits = _run_batch(Model.A, seed, trials, width, n, (plane,))[0]
+    per_trial = (bits[:, :-1] == bits[:, 1:]).mean(axis=1)
     est, hw = _summarize(per_trial)
     exact = _pair_exact(init, n)
     return DensityReport("a", init, n, exact,
@@ -339,8 +312,7 @@ class BoundsReport:
 
 
 def check_proposition_bounds(n: int, trials: int, seed: int,
-                             sites_per_trial: int = 32,
-                             a_rule=None) -> BoundsReport:
+                             sites_per_trial: int = 32) -> BoundsReport:
     """Check that measured pair statistics sit inside their exact bounds.
 
     Every initial law must stay below the coalescing density d(n); the
@@ -353,7 +325,7 @@ def check_proposition_bounds(n: int, trials: int, seed: int,
     upper = exact_density(n)
     reports, failures = {}, []
     for init in ("uniform", "ones", "zeros"):
-        rep = mc_pair_statistic_A(init, n, trials, seed, sites_per_trial, a_rule)
+        rep = mc_pair_statistic_A(init, n, trials, seed, sites_per_trial)
         reports[init] = rep
         band = 4.0 * rep.mc_halfwidth / _Z95
         if rep.mc_estimate > float(upper) + band:

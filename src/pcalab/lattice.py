@@ -111,21 +111,25 @@ def a_local(left: int, cell: int, arrow: int) -> int:
     return cell if arrow == RIGHT else 1 - cell
 
 
+def _moves(left: int, cell: int, left_arrow: int,
+           arrow: int) -> tuple[bool, bool]:
+    """``(arrive, stay)``: the left particle hops in; this one stays put."""
+    return (left != EMPTY and left_arrow == RIGHT,
+            cell != EMPTY and arrow == UP)
+
+
 def b_local(left: int, cell: int, left_arrow: int, arrow: int) -> int:
-    arrive = left == PARTICLE and left_arrow == RIGHT
-    stay = cell == PARTICLE and arrow == UP
+    arrive, stay = _moves(left, cell, left_arrow, arrow)
     return PARTICLE if arrive != stay else EMPTY
 
 
 def c_local(left: int, cell: int, left_arrow: int, arrow: int) -> int:
-    arrive = left == PARTICLE and left_arrow == RIGHT
-    stay = cell == PARTICLE and arrow == UP
+    arrive, stay = _moves(left, cell, left_arrow, arrow)
     return PARTICLE if arrive or stay else EMPTY
 
 
 def d_local(left: int, cell: int, left_arrow: int, arrow: int) -> int:
-    arrive = left != EMPTY and left_arrow == RIGHT
-    stay = cell != EMPTY and arrow == UP
+    arrive, stay = _moves(left, cell, left_arrow, arrow)
     if arrive and stay:
         return BLUE if (left == BLUE) != (cell == BLUE) else GREEN
     if arrive:
@@ -135,66 +139,58 @@ def d_local(left: int, cell: int, left_arrow: int, arrow: int) -> int:
     return EMPTY
 
 
-def _require_step_inputs(cfg: Configuration, row: UpdateRow, model: Model) -> None:
+_LOCALS = {
+    Model.A: lambda left, cell, left_arrow, arrow: a_local(left, cell, arrow),
+    Model.B: b_local,
+    Model.C: c_local,
+    Model.D: d_local,
+}
+
+
+def _window_arrows(cfg: Configuration, row: UpdateRow) -> tuple[int, ...]:
+    if not row.covers(cfg.offset, len(cfg)):
+        raise ValueError("update row does not cover the configuration window")
+    lo = cfg.offset - row.offset
+    return row.arrows[lo:lo + len(cfg)]
+
+
+def _walk(local, cells, arrows, cycle: bool) -> tuple:
+    """``local(left, cell, left_arrow, arrow)`` over the neighbour pairs
+    ``((j - 1) % w, j)``: every site on a cycle, where index ``-1`` wraps
+    to the last site, and sites ``1 .. w-1`` on a line."""
+    return tuple(local(cells[j - 1], cells[j], arrows[j - 1], arrows[j])
+                 for j in range(0 if cycle else 1, len(cells)))
+
+
+def _step(model: Model, cfg: Configuration, row: UpdateRow,
+          cycle: bool) -> Configuration:
     _check_alphabet(cfg, model)
     if len(cfg) < 2:
         raise ValueError("stepping needs a window of at least 2 cells")
-    if not row.covers(cfg.offset, len(cfg)):
-        raise ValueError("update row does not cover the configuration window")
+    cells = _walk(_LOCALS[model], cfg.cells, _window_arrows(cfg, row), cycle)
+    return Configuration(cfg.offset + (0 if cycle else 1), cells)
 
 
 def step_a(x: Configuration, row: UpdateRow) -> Configuration:
     """One update of model ``a``; the output window loses its left site."""
-    _require_step_inputs(x, row, Model.A)
-    cells = tuple(a_local(x.cells[j - 1], x.cells[j], row.arrow(x.offset + j))
-                  for j in range(1, len(x)))
-    return Configuration(x.offset + 1, cells)
-
-
-def _step_pair(model: Model, cfg: Configuration, row: UpdateRow,
-               local) -> Configuration:
-    _require_step_inputs(cfg, row, model)
-    o = cfg.offset
-    cells = tuple(local(cfg.cells[j - 1], cfg.cells[j],
-                        row.arrow(o + j - 1), row.arrow(o + j))
-                  for j in range(1, len(cfg)))
-    return Configuration(o + 1, cells)
+    return _step(Model.A, x, row, False)
 
 
 def step_b(y: Configuration, row: UpdateRow) -> Configuration:
-    return _step_pair(Model.B, y, row, b_local)
+    return _step(Model.B, y, row, False)
 
 
 def step_c(z: Configuration, row: UpdateRow) -> Configuration:
-    return _step_pair(Model.C, z, row, c_local)
+    return _step(Model.C, z, row, False)
 
 
 def step_d(d: Configuration, row: UpdateRow) -> Configuration:
-    return _step_pair(Model.D, d, row, d_local)
-
-
-_STEPPERS = {Model.A: step_a, Model.B: step_b, Model.C: step_c, Model.D: step_d}
-_LOCALS = {Model.B: b_local, Model.C: c_local, Model.D: d_local}
+    return _step(Model.D, d, row, False)
 
 
 def step_cycle(model: Model, cfg: Configuration, row: UpdateRow) -> Configuration:
     """One update with periodic boundary; the window stays put."""
-    _check_alphabet(cfg, model)
-    w = len(cfg)
-    if w < 2:
-        raise ValueError("cycle boundary needs width >= 2")
-    if not row.covers(cfg.offset, w):
-        raise ValueError("update row does not cover the configuration window")
-    o, cells = cfg.offset, cfg.cells
-    if model is Model.A:
-        new = tuple(a_local(cells[(j - 1) % w], cells[j], row.arrow(o + j))
-                    for j in range(w))
-    else:
-        local = _LOCALS[model]
-        new = tuple(local(cells[(j - 1) % w], cells[j],
-                          row.arrow(o + (j - 1) % w), row.arrow(o + j))
-                    for j in range(w))
-    return Configuration(o, new)
+    return _step(Model(model), cfg, row, True)
 
 
 def phi(x: Configuration) -> Configuration:
@@ -264,28 +260,25 @@ def _initial_ids(cfg: Configuration) -> tuple[tuple[int, ...], int]:
     return tuple(ids), nxt
 
 
-def _advance_ids(model: Model, cfg: Configuration, ids: tuple[int, ...],
-                 row: UpdateRow, step_index: int, next_id: int,
-                 events: list[MergeEvent], cycle: bool):
-    o, w = cfg.offset, len(cfg)
-    out = []
-    indices = range(w) if cycle else range(1, w)
-    for j in indices:
-        left = (j - 1) % w if cycle else j - 1
-        arrive = cfg.cells[left] != EMPTY and row.arrow(o + left) == RIGHT
-        stay = cfg.cells[j] != EMPTY and row.arrow(o + j) == UP
+def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: UpdateRow,
+                 step_index: int, next_id: int, events: list[MergeEvent],
+                 cycle: bool):
+    """Particle ids one step on: a particle that hops in or stays keeps its
+    id; a collision logs a :class:`MergeEvent` and takes the next fresh id."""
+    def local(left, here, left_arrow, arrow):
+        nonlocal next_id
+        (left_cell, left_id, _), (cell, cell_id, site) = left, here
+        arrive, stay = _moves(left_cell, cell, left_arrow, arrow)
         if arrive and stay:
-            ev = MergeEvent(step_index, o + j, ids[left], ids[j], next_id)
-            events.append(ev)
-            out.append(next_id)
+            events.append(MergeEvent(step_index, site, left_id, cell_id,
+                                     next_id))
             next_id += 1
-        elif arrive:
-            out.append(ids[left])
-        elif stay:
-            out.append(ids[j])
-        else:
-            out.append(-1)
-    return tuple(out), next_id
+            return next_id - 1
+        return left_id if arrive else cell_id if stay else -1
+
+    sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
+    out = _walk(local, sites, _window_arrows(cfg, row), cycle)
+    return out, next_id
 
 
 def evolve_with_rows(model: Model, init: Configuration, rows, *,
@@ -313,12 +306,9 @@ def evolve_with_rows(model: Model, init: Configuration, rows, *,
         traj.leaf_count = next_id
     cur = init
     for n, row in enumerate(rows):
-        if boundary == "cycle":
-            new = step_cycle(model, cur, row)
-        else:
-            new = _STEPPERS[model](cur, row)
+        new = _step(model, cur, row, boundary == "cycle")
         if track:
-            ids, next_id = _advance_ids(model, cur, ids, row, n + 1, next_id,
+            ids, next_id = _advance_ids(cur, ids, row, n + 1, next_id,
                                         traj.events, boundary == "cycle")
             traj.id_rows.append(ids)
         traj.configs.append(new)

@@ -151,6 +151,9 @@ def verify_color_uniformity(n: int = 3, trials: int = 100_000,
     density is half the occupancy density, both within 4 standard errors.
 
     ``batch_fn`` substitutes the trial runner (mutation checks)."""
+    if trials < 2:
+        raise ValueError("color uniformity needs trials >= 2 for a "
+                         "standard error")
     runner = batch_fn or density.color_density_batch
     occ, blue = runner(n, trials, seed, sites_per_trial)
     cells = occ.shape[1]

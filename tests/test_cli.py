@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcalab import verify
+from pcalab import density, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.reports import CSV_HEADER, to_csv, to_json, write_report
@@ -17,6 +17,12 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out
+
+
+def assert_one_error_line(status, captured):
+    assert status == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 class TestReports:
@@ -108,6 +114,13 @@ class TestVerifyCommand:
         assert json.loads(out)[0]["suite"] == "color-uniformity"
 
 
+    def test_single_color_trial_is_an_input_error(self, capsys):
+        status = main(["verify", "--suite", "color-uniformity", "--trials",
+                       "1"])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+
+
 class TestDensityCommand:
     def test_csv_row_with_exact_value(self, capsys):
         status, out = run(capsys, "density", "--model", "c", "--init", "full",
@@ -150,6 +163,17 @@ class TestDensityCommand:
         assert status == 0
         row = json.loads(out)[0]
         assert (row["exact_num"], row["exact_den"]) == (3, 8)
+
+
+    def test_memory_error_is_an_input_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(density, "mc_density", exhausted)
+        status = main(["density", "--model", "c", "--n", "3", "--trials",
+                       "1000000000000"])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
 
 
 class TestSimulateAndRender:
@@ -240,6 +264,17 @@ class TestEvolveCylinderCommand:
                           "word:##", "--steps", "1")
         assert status == 0
         assert "window start=1 length=1" in out
+
+
+    @pytest.mark.parametrize("argv", [
+        ["--init", "word:0123"],
+        ["--lift", "c", "--init", "word:xy"],
+    ])
+    def test_bad_word_is_named(self, capsys, argv):
+        status = main(["evolve-cylinder", *argv])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert repr(argv[-1][5:]) in captured.err
 
 
 class TestDeterminism:

@@ -1,0 +1,140 @@
+"""Property test of the CLI's exit-code and output contract over its argv
+grammar: every invocation exits 0, 1 (only a failed verify suite) or 2,
+never shows a traceback, prints strict JSON under ``--format json`` and
+prints the same bytes when repeated."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcalab.cli import main
+
+SMALL = st.integers(-2, 40)
+SEEDS = st.integers(-3, 2 ** 64)
+
+
+def _word(glyphs):
+    return st.text(st.sampled_from(glyphs), max_size=5).map("word:".__add__)
+
+
+def _options(draw, pairs):
+    """Argv words for each ``(flag, strategy)`` pair the draw keeps."""
+    argv = []
+    for flag, values in pairs:
+        if draw(st.booleans()):
+            value = draw(values)
+            argv += [flag] if value is True else [flag, str(value)]
+    return argv
+
+
+@st.composite
+def simulate_or_render(draw):
+    command = draw(st.sampled_from(["simulate", "render"]))
+    model = draw(st.sampled_from("abcd"))
+    inits = st.one_of(
+        st.sampled_from(["full", "ones", "zeros", "alternating", "uniform",
+                         "blue", "typo"]),
+        _word("01.#BGx"))
+    pairs = [("--init", inits), ("--width", SMALL), ("--steps", SMALL),
+             ("--trial", st.integers(-2, 5)),
+             ("--boundary", st.sampled_from(["line", "cycle"])),
+             ("--seed", SEEDS)]
+    if command == "render":
+        pairs += [("--arrows", st.just(True)),
+                  ("--highlight-particle", SMALL),
+                  ("--highlight-site", SMALL),
+                  ("--format", st.sampled_from(["text", "svg"]))]
+    else:
+        pairs += [("--format", st.sampled_from(["text", "json"]))]
+    return [command, "--model", model] + _options(draw, pairs)
+
+
+@st.composite
+def density_argv(draw):
+    model = draw(st.sampled_from("abc"))
+    inits = st.one_of(
+        st.sampled_from(["full", "iid", "uniform", "ones", "zeros",
+                         "alternating", "typo"]),
+        _word("01x"), st.text(st.sampled_from("01"), max_size=4))
+    pairs = [("--init", inits), ("--sites", SMALL), ("--seed", SEEDS),
+             ("--p", st.sampled_from([0.0, 0.3, 0.5, 1.0, 1.5, -0.1])),
+             ("--format", st.sampled_from(["text", "csv", "json"]))]
+    return (["density", "--model", model,
+             "--n", str(draw(st.integers(-1, 6))),
+             "--trials", str(draw(st.integers(-1, 50)))]
+            + _options(draw, pairs))
+
+
+@st.composite
+def oracle_argv(draw):
+    which = draw(st.sampled_from(["closed-form", "hitting-time",
+                                  "interface-walk", "log-density",
+                                  "asymptotic-ratio"]))
+    return ["oracle", "--which", which, "--n",
+            str(draw(st.integers(-1, 6)))]
+
+
+@st.composite
+def verify_argv(draw):
+    suite = draw(st.sampled_from(
+        ["all", "commutation", "domination", "monotonicity", "projection",
+         "periodic-orbit", "color-uniformity"]))
+    pairs = [("--width", SMALL), ("--n", st.integers(-1, 6)),
+             ("--sites", SMALL), ("--seed", SEEDS),
+             ("--format", st.sampled_from(["json", "text"]))]
+    return (["verify", "--suite", suite,
+             "--trials", str(draw(st.integers(-1, 50)))]
+            + _options(draw, pairs))
+
+
+@st.composite
+def evolve_cylinder_argv(draw):
+    rule = draw(st.sampled_from([[], ["--model", "a"], ["--lift", "b"],
+                                 ["--lift", "c"]]))
+    inits = st.one_of(
+        st.sampled_from(["uniform", "alternating-mix", "typo"]),
+        _word("01.#x"))
+    marginals = st.tuples(st.integers(-2, 6), st.integers(-1, 6)).map(
+        lambda t: f"{t[0]}:{t[1]}") | st.sampled_from(["3", "a:b"])
+    pairs = [("--start", st.integers(-3, 3)),
+             ("--length", st.integers(-1, 6)), ("--init", inits),
+             ("--steps", st.integers(-1, 6)), ("--residual", st.just(True)),
+             ("--marginal", marginals), ("--seed", SEEDS),
+             ("--format", st.sampled_from(["text", "json"]))]
+    return ["evolve-cylinder"] + rule + _options(draw, pairs)
+
+
+ARGV = st.one_of(simulate_or_render(), density_argv(), oracle_argv(),
+                 verify_argv(), evolve_cylinder_argv())
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            status = exc.code
+    return status, out.getvalue(), err.getvalue()
+
+
+def _refuse(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ARGV)
+def test_argv_grammar_keeps_the_exit_and_output_contract(argv):
+    status, out, err = _run(argv)
+    assert status in (0, 1, 2), (argv, status, err)
+    assert status != 1 or argv[0] == "verify", (argv, err)
+    assert "Traceback" not in err
+    if status == 2:
+        assert out == ""
+        assert err.count("\n") >= 1
+    if status != 2 and "json" in argv:
+        json.loads(out, parse_constant=_refuse)
+    assert _run(argv) == (status, out, err)

@@ -7,15 +7,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pcalab import density
+from pcalab import density, packed
 from pcalab.density import (EXACT_LIMIT, WalkSpec, asymptotic_ratio,
                             check_proposition_bounds, density_log,
                             exact_density, hitting_time_oracle,
                             interface_walk_oracle, mc_density,
                             mc_pair_statistic_A)
-from pcalab.lattice import a_local
+from pcalab.lattice import Configuration, Model, evolve
 from pcalab.packed import pack_bits, words_for
-from pcalab.stream import DOMAIN_CELL, DOMAIN_UNIFORM, block_bits_vec
+from pcalab.stream import (DOMAIN_CELL, DOMAIN_UNIFORM, UpdateStream,
+                           block_bits_vec)
 
 
 def brute_walk_stays_below_two(n):
@@ -226,12 +227,25 @@ class TestPairStatistic:
         assert rep.exact is None
         assert 0.0 <= rep.mc_estimate <= 1.0
 
-    def test_scalar_override_matches_packed_rule(self):
-        fast = mc_pair_statistic_A("uniform", 2, 300, seed=25,
-                                   sites_per_trial=16)
-        slow = mc_pair_statistic_A("uniform", 2, 300, seed=25,
-                                   sites_per_trial=16, a_rule=a_local)
-        assert fast.mc_estimate == pytest.approx(slow.mc_estimate, abs=1e-12)
+    @pytest.mark.parametrize("init", ["uniform", "ones", "zeros", "0110"])
+    def test_packed_estimate_equals_the_scalar_reference(self, init):
+        n, trials, seed, sites = 2, 300, 25, 16
+        width = n + sites + 1
+        per_trial = []
+        for t in range(trials):
+            st = UpdateStream(seed, t)
+            if init == "uniform":
+                cfg = Configuration.random_bits(st, width)
+            elif init in ("ones", "zeros"):
+                cfg = Configuration.filled(int(init == "ones"), width)
+            else:
+                cfg = Configuration(0, tuple(int(init[j % len(init)])
+                                             for j in range(width)))
+            cells = evolve(Model.A, cfg, st, n).final.cells
+            agree = [a == b for a, b in zip(cells, cells[1:])]
+            per_trial.append(sum(agree) / len(agree))
+        fast = mc_pair_statistic_A(init, n, trials, seed, sites_per_trial=sites)
+        assert fast.mc_estimate == float(np.mean(per_trial))
 
 
 class TestPropositionBounds:
@@ -242,16 +256,18 @@ class TestPropositionBounds:
         assert report.lower == exact_density(n - 1) / 2
         assert report.upper == exact_density(n)
 
-    def test_broken_kernel_is_detected(self):
-        def broken(left, cell, arrow):
-            if (left, cell) == (1, 0):
-                return 0
-            return a_local(left, cell, arrow)
+    def test_broken_kernel_is_detected(self, monkeypatch):
+        kernel_a = packed.kernel_a
 
+        def broken(x, u):  # (left, cell) = (1, 0) now yields 0
+            return kernel_a(x, u) & ~(packed.from_left(x) & ~x)
+
+        monkeypatch.setattr(packed, "kernel_a", broken)
         report = check_proposition_bounds(3, 1200, seed=32,
-                                          sites_per_trial=24, a_rule=broken)
+                                          sites_per_trial=24)
         assert not report.verdict
-        assert report.failures
+        assert [f.split(":")[0] for f in report.failures] == \
+            ["uniform", "ones", "zeros"]
 
 
 def test_meta_calibration_over_many_seeds():
