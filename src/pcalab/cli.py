@@ -16,18 +16,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import cylinder, density, reports, verify
-from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration, Model,
-                      evolve, particle_count)
+from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, evolve,
+                      particle_count)
 from .render import render, style_for
 from .stream import DOMAIN_COLOR, UpdateStream
-
-_GLYPH_SYMBOLS = {
-    Model.A: {"0": 0, "1": 1},
-    Model.B: {".": EMPTY, "#": PARTICLE},
-    Model.C: {".": EMPTY, "#": PARTICLE},
-    Model.D: {".": EMPTY, "B": BLUE, "G": GREEN},
-}
-
 
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
@@ -61,7 +53,7 @@ def _build_init(model: Model, init: str, width: int,
     if init == "blue" and model is Model.D:
         return Configuration.filled(BLUE, width)
     if init.startswith("word:"):
-        glyphs = _GLYPH_SYMBOLS[model]
+        glyphs = {g: s for s, g in style_for(model).glyphs.items()}
         word = init[5:]
         if not word or any(ch not in glyphs for ch in word):
             raise ValueError(f"custom word {word!r} uses glyphs outside "

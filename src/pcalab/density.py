@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from . import packed, stream
 from .lattice import Model
 
 EXACT_LIMIT = 512
+LOG_LIMIT = 10 ** 7  # density_log sums one log per factor, linear in n
 _Z95 = 1.96  # normal quantile behind every 95% halfwidth
 
 
@@ -47,8 +49,8 @@ def density_log(n: int) -> float:
     rounding, so the result stays within 1e-12 relative of the exact value
     throughout the exact regime and remains accurate far beyond it.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not 0 <= n <= LOG_LIMIT:
+        raise ValueError(f"n={n} outside [0, {LOG_LIMIT}] for density_log")
     return math.exp(math.fsum(
         math.log((n + 1 + k) / (4.0 * k)) for k in range(1, n + 1)))
 
@@ -174,41 +176,66 @@ def _iid_plane(seed: int, trials_arr: np.ndarray, n_words: int, width: int,
     return plane
 
 
-def _word_plane(word: str, trials: int, width: int) -> np.ndarray:
-    bits = np.array([int(ch) for ch in word], dtype=np.uint8)
-    tiled = np.tile(bits, width // len(bits) + 1)[:width]
-    return np.broadcast_to(packed.pack_bits(tiled), (trials, packed.words_for(width))).copy()
+def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
+               n: int, init: Callable[..., tuple[np.ndarray, ...]],
+               stat: Callable[..., np.ndarray]) -> np.ndarray:
+    """Run ``trials`` Monte Carlo trials of ``model`` for ``n`` steps and
+    return the concatenated per-trial rows of ``stat``.
 
-
-def _run_batch(model: Model, seed: int, trials: int, width: int, steps: int,
-               planes: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-    """Step ``(trials, words)`` planes ``steps`` times from site 0.
-
-    Returns each plane's valid cells ``steps .. width-1`` as uint8 of shape
-    ``(trials, width - steps)``.  Trials run in chunks, each through every
-    step before the next starts.  At step ``s`` the words wholly left of
-    the valid window (below ``s >> 6``) are neither drawn nor stepped:
-    information flows rightward only, so the valid cells never read them.
-    Every draw is a pure function of its coordinates, so the result is bit
-    for bit that of stepping every word of every trial at once.
+    A trial is a window anchored at site 0 and ``n + sites_per_trial + 1``
+    cells wide, so that its cells ``n ..`` stay valid for ``n`` steps.
+    Trials run in chunks of at most ``CHUNK_WORDS`` words.  Each chunk is
+    built by ``init(ids, n_words, width)``, which returns the model's
+    ``(len(ids), n_words)`` planes for the trial ids ``ids``; it is then
+    stepped, and ``stat`` reduces its valid cells (one uint8 array of shape
+    ``(len(ids), sites_per_trial + 1)`` per plane) to one row per trial
+    before the next chunk starts, so only those rows grow with ``trials``.
+    At step ``s`` the words wholly left of the valid window (below
+    ``s >> 6``) are neither drawn nor stepped: information flows rightward
+    only, so the valid cells never read them.  Every draw is a pure function
+    of its coordinates, so the result is bit for bit that of stepping every
+    word of every trial at once.
     """
+    if trials < 1 or sites_per_trial < 1 or n < 0:
+        raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
+    width = n + sites_per_trial + 1
     n_words = packed.words_for(width)
-    out = tuple(np.empty((trials, width - steps), dtype=np.uint8)
-                for _ in planes)
+    rows = []
     for lo, hi in _chunks(trials, n_words):
-        trials_arr = np.arange(lo, hi, dtype=np.int64)
-        chunk = tuple(pl[lo:hi] for pl in planes)
-        base = 0  # word of the full window at column 0 of ``chunk``
-        for s in range(steps):
+        ids = np.arange(lo, hi, dtype=np.int64)
+        planes = init(ids, n_words, width)
+        base = 0  # word of the full window at column 0 of ``planes``
+        for s in range(n):
             first = s >> 6
-            u = packed.batch_arrow_words(seed, trials_arr, s, n_words, first)
-            chunk = packed.step_planes(
-                model, tuple(pl[:, first - base:] for pl in chunk), u)
+            u = packed.batch_arrow_words(seed, ids, s, n_words, first)
+            planes = packed.step_planes(
+                model, tuple(pl[:, first - base:] for pl in planes), u)
             base = first
-        for dst, pl in zip(out, chunk):
-            cells = packed.unpack_bits(pl, width - 64 * base)
-            dst[lo:hi] = cells[:, steps - 64 * base:]
-    return out
+        rows.append(stat(*(packed.unpack_bits(pl, width - 64 * base)
+                           [:, n - 64 * base:] for pl in planes)))
+    return np.concatenate(rows)
+
+
+#: ``(model, init) -> (lag, divisor)``: the estimate's exact value is
+#: ``d(n - lag) / divisor``, and 1 at ``n < lag``.
+_EXACT = {("c", "full"): (0, 1), ("b", "full"): (1, 2),
+          ("b", "iid(0.5)"): (0, 2), ("a", "uniform"): (0, 2),
+          ("a", "ones"): (1, 2), ("a", "zeros"): (1, 2)}
+
+
+def _report(model: str, init: str, n: int, per_trial: np.ndarray,
+            seed: int, sites_per_trial: int) -> DensityReport:
+    est, hw = _summarize(per_trial)
+    exact: Fraction | None = None
+    if (model, init) in _EXACT:
+        lag, divisor = _EXACT[model, init]
+        if n < lag:
+            exact = Fraction(1)
+        elif n - lag <= EXACT_LIMIT:
+            exact = exact_density(n - lag) / divisor
+    return DensityReport(model, init, n, exact,
+                         None if exact is None else float(exact),
+                         est, hw, per_trial.size, sites_per_trial, seed)
 
 
 def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
@@ -223,45 +250,21 @@ def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
     model = Model(model)
     if model not in (Model.B, Model.C):
         raise ValueError("density estimation applies to models b and c")
-    if trials < 1 or sites_per_trial < 1 or n < 0:
-        raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("occupancy probability must lie in [0, 1]")
-    width = n + sites_per_trial + 1
-    trials_arr = np.arange(trials, dtype=np.int64)
-    n_words = packed.words_for(width)
     if init == "full":
-        planes = (_full_plane(trials, n_words),)
+        def planes(ids, n_words, width):
+            return (_full_plane(ids.size, n_words),)
     elif init == "iid":
-        planes = (_iid_plane(seed, trials_arr, n_words, width, p,
-                             stream.DOMAIN_CELL),)
+        def planes(ids, n_words, width):
+            return (_iid_plane(seed, ids, n_words, width, p,
+                               stream.DOMAIN_CELL),)
     else:
         raise ValueError(f"unknown init {init!r}")
-    bits = _run_batch(model, seed, trials, width, n, planes)[0]
-    est, hw = _summarize(bits.mean(axis=1))
-
-    exact: Fraction | None = None
-    if init == "full":
-        if model is Model.C:
-            exact = exact_density(n) if n <= EXACT_LIMIT else None
-        else:
-            exact = Fraction(1) if n == 0 else (
-                exact_density(n - 1) / 2 if n - 1 <= EXACT_LIMIT else None)
-    elif init == "iid" and p == 0.5 and model is Model.B:
-        exact = exact_density(n) / 2 if n <= EXACT_LIMIT else None
-    return DensityReport(model.value, init if init == "full" else f"iid({p})",
-                         n, exact, None if exact is None else float(exact),
-                         est, hw, trials, sites_per_trial, seed)
-
-
-def _pair_exact(init: str, n: int) -> Fraction | None:
-    if init == "uniform":
-        return exact_density(n) / 2 if n <= EXACT_LIMIT else None
-    if init in ("ones", "zeros"):
-        if n == 0:
-            return Fraction(1)
-        return exact_density(n - 1) / 2 if n - 1 <= EXACT_LIMIT else None
-    return None
+    per_trial = _run_batch(model, seed, trials, sites_per_trial, n, planes,
+                           lambda cells: cells.mean(axis=1))
+    return _report(model.value, init if init == "full" else f"iid({p})", n,
+                   per_trial, seed, sites_per_trial)
 
 
 def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
@@ -271,29 +274,22 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
     ``init`` is ``"uniform"``, ``"ones"``, ``"zeros"``, or a 0/1 word tiled
     across the window.
     """
-    if trials < 1 or sites_per_trial < 1 or n < 0:
-        raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
-    if init not in ("uniform", "ones", "zeros") and (
-            not init or any(ch not in "01" for ch in init)):
-        raise ValueError(f"unknown init {init!r}")
-    width = n + sites_per_trial + 1
-    trials_arr = np.arange(trials, dtype=np.int64)
-    n_words = packed.words_for(width)
+    word = {"ones": "1", "zeros": "0"}.get(init, init)
     if init == "uniform":
-        plane = _iid_plane(seed, trials_arr, n_words, width, 0.5,
-                           stream.DOMAIN_CELL)
-    elif init in ("ones", "zeros"):
-        plane = (_full_plane(trials, n_words) if init == "ones"
-                 else np.zeros((trials, n_words), dtype=np.uint64))
+        def planes(ids, n_words, width):
+            return (packed.batch_cell_words(seed, ids, n_words),)
+    elif word and all(ch in "01" for ch in word):
+        bits = np.array([int(ch) for ch in word], dtype=np.uint8)
+
+        def planes(ids, n_words, width):
+            row = packed.pack_bits(np.resize(bits, width))
+            return (np.broadcast_to(row, (ids.size, n_words)),)
     else:
-        plane = _word_plane(init, trials, width)
-    bits = _run_batch(Model.A, seed, trials, width, n, (plane,))[0]
-    per_trial = (bits[:, :-1] == bits[:, 1:]).mean(axis=1)
-    est, hw = _summarize(per_trial)
-    exact = _pair_exact(init, n)
-    return DensityReport("a", init, n, exact,
-                         None if exact is None else float(exact),
-                         est, hw, trials, sites_per_trial, seed)
+        raise ValueError(f"unknown init {init!r}")
+    per_trial = _run_batch(
+        Model.A, seed, trials, sites_per_trial, n, planes,
+        lambda cells: (cells[:, :-1] == cells[:, 1:]).mean(axis=1))
+    return _report("a", init, n, per_trial, seed, sites_per_trial)
 
 
 @dataclass(frozen=True)
@@ -342,14 +338,15 @@ def check_proposition_bounds(n: int, trials: int, seed: int,
 def color_density_batch(n: int, trials: int, seed: int,
                         sites_per_trial: int = 64
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Final occupancy and blue bits for the colored model from full
-    occupancy with i.i.d. fair colors; shape (trials, valid cells)."""
-    if trials < 1 or sites_per_trial < 1 or n < 0:
-        raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
-    width = n + sites_per_trial + 1
-    trials_arr = np.arange(trials, dtype=np.int64)
-    n_words = packed.words_for(width)
-    occ = _full_plane(trials, n_words)
-    blue = packed.batch_cell_words(seed, trials_arr, n_words,
-                                   stream.DOMAIN_COLOR)
-    return _run_batch(Model.D, seed, trials, width, n, (occ, blue))
+    """Per-trial occupied and blue counts over the ``sites_per_trial + 1``
+    valid cells of the colored model, from full occupancy with i.i.d. fair
+    colors."""
+    def planes(ids, n_words, width):
+        return (_full_plane(ids.size, n_words),
+                packed.batch_cell_words(seed, ids, n_words,
+                                        stream.DOMAIN_COLOR))
+
+    counts = _run_batch(Model.D, seed, trials, sites_per_trial, n, planes,
+                        lambda occ, blue: np.stack(
+                            (occ.sum(axis=1), blue.sum(axis=1)), axis=-1))
+    return counts[:, 0], counts[:, 1]

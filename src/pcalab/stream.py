@@ -104,12 +104,6 @@ def bits_range(seed: int, trial: int, step: int, start: int, count: int,
     return bits[:count]
 
 
-def uniform01(seed: int, trial: int, site: int) -> float:
-    """Deterministic uniform draw in [0, 1) with 53-bit resolution."""
-    word = block_bits(seed, trial, 0, site, DOMAIN_UNIFORM)
-    return (word >> 11) * 2.0 ** -53
-
-
 @dataclass(frozen=True)
 class UpdateRow:
     """One time-step of arrows over a contiguous site window."""

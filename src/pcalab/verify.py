@@ -150,29 +150,34 @@ def verify_color_uniformity(n: int = 3, trials: int = 100_000,
     stay fair: the blue fraction among occupied sites is 1/2 and the blue
     density is half the occupancy density, both within 4 standard errors.
 
-    ``batch_fn`` substitutes the trial runner (mutation checks)."""
-    if trials < 2:
-        raise ValueError("color uniformity needs trials >= 2 for a "
-                         "standard error")
+    A run that cannot form a standard error (fewer than two trials keep a
+    particle, or no band varies between trials) raises ``ValueError``.
+    ``batch_fn`` substitutes the per-trial (occupied, blue) counts
+    (mutation checks)."""
+    half_density = float(density.exact_density(n)) / 2.0
     runner = batch_fn or density.color_density_batch
-    occ, blue = runner(n, trials, seed, sites_per_trial)
-    cells = occ.shape[1]
-    occ_counts = occ.sum(axis=1)
-    blue_counts = blue.sum(axis=1)
+    occ_counts, blue_counts = runner(n, trials, seed, sites_per_trial)
     live = occ_counts > 0
-    cond = blue_counts[live] / occ_counts[live]
+    if np.count_nonzero(live) < 2:
+        raise ValueError("color uniformity needs at least two trials that "
+                         "keep a particle for a standard error")
+    bands = (("blue fraction among occupied",
+              blue_counts[live] / occ_counts[live], 0.5),
+             ("blue density", blue_counts / (sites_per_trial + 1),
+              half_density))
+    ses = [float(values.std(ddof=1)) / np.sqrt(values.size)
+           for _, values, _ in bands]
+    # one band without spread beside one with it is a finding, not a
+    # degenerate run: a runner that paints every merge blue gives exactly that
+    if not any(ses):
+        raise ValueError("color uniformity needs a spread between trials "
+                         "for a standard error; every band has none")
     report = CaseReport("color-uniformity")
-
-    def band_check(name: str, values: np.ndarray, target: float) -> None:
+    for (name, values, target), se in zip(bands, ses):
         est = float(values.mean())
-        se = float(values.std(ddof=1)) / np.sqrt(values.size)
         ok = abs(est - target) <= 4.0 * se
         report.record(f"{name}: {est:.5f} vs {target:.5f} (se {se:.2e})",
                       True, bool(ok))
-
-    band_check("blue fraction among occupied", cond, 0.5)
-    band_check("blue density", blue_counts / cells,
-               float(density.exact_density(n)) / 2.0)
     return report
 
 

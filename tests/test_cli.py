@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,17 @@ class TestOracleCommand:
         status, _ = run(capsys, "oracle", "--which", "closed-form", "--n", "600")
         assert status == 2
 
+    @pytest.mark.parametrize("which", ["log-density", "asymptotic-ratio"])
+    def test_log_density_past_its_limit_is_refused_at_once(self, capsys,
+                                                           which):
+        t0 = time.perf_counter()
+        status = main(["oracle", "--which", which, "--n", "10000001"])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert "10000000" in captured.err
+        assert elapsed < 2.0
+
 
 class TestVerifyCommand:
     def test_all_runs_five_suites(self, capsys):
@@ -119,6 +131,20 @@ class TestVerifyCommand:
                        "1"])
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
+
+    @pytest.mark.parametrize("seed", ["1", "5"])
+    def test_run_without_a_standard_error_is_an_input_error(self, capsys,
+                                                            seed):
+        # seed 1 keeps a particle in one trial only; seed 5 keeps one in
+        # each, with equal blue fractions and equal blue densities
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main(["verify", "--suite", "color-uniformity",
+                           "--trials", "2", "--n", "6", "--sites", "1",
+                           "--seed", seed])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert "RuntimeWarning" not in captured.err
 
 
 class TestDensityCommand:

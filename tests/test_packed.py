@@ -106,8 +106,12 @@ def test_light_cone_determinism_under_widening(model):
 
 def test_batched_trials_match_per_trial_scalar_runs():
     seed, trials, width, steps = 424, 6, 70, 9
-    plane = packed.batch_cell_words(seed, np.arange(trials), words_for(width))
-    bits = _run_batch(Model.C, seed, trials, width, steps, (plane,))[0]
+
+    def planes(ids, n_words, w):
+        return (packed.batch_cell_words(seed, ids, n_words),)
+
+    bits = _run_batch(Model.C, seed, trials, width - steps - 1, steps,
+                      planes, lambda cells: cells)
     for trial in range(trials):
         stream = UpdateStream(seed, trial)
         init_bits = stream.cell_bits(0, width)
@@ -152,14 +156,46 @@ def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
         monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
     per_chunk = max(1, density.CHUNK_WORDS // words_for(width))
     trials = 2 * per_chunk + 5 if chunk_words else per_chunk + 5
-    ids = np.arange(trials)
-    planes = (packed.batch_cell_words(seed, ids, words_for(width)),)
-    if model is Model.D:
-        planes += (packed.batch_cell_words(seed, ids, words_for(width),
-                                           DOMAIN_COLOR),)
-    got = _run_batch(model, seed, trials, width, steps, planes)
-    want = _reference_batch(model, seed, trials, width, steps, planes)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.shape == (trials, width - steps)
-        assert np.array_equal(g, w)
+
+    def init(ids, n_words, w):
+        planes = (packed.batch_cell_words(seed, ids, n_words),)
+        if model is Model.D:
+            planes += (packed.batch_cell_words(seed, ids, n_words,
+                                               DOMAIN_COLOR),)
+        return planes
+
+    got = _run_batch(model, seed, trials, width - steps - 1, steps, init,
+                     lambda *cells: np.stack(cells, axis=1))
+    want = _reference_batch(model, seed, trials, width, steps,
+                            init(np.arange(trials), words_for(width), width))
+    assert got.shape == (trials, len(want), width - steps)
+    for j, w in enumerate(want):
+        assert np.array_equal(got[:, j], w)
+
+
+def test_each_chunk_is_built_and_reduced_alone(monkeypatch):
+    # no steps, so a trial's valid cells are its init cells: the init
+    # writes each trial id into its first 8 cells and the stat reads it back
+    trials, sites, chunk_words = 23, 150, 8
+    monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
+    per_chunk = chunk_words // words_for(sites + 1)
+    built, reduced = [], []
+
+    def planes(ids, n_words, width):
+        built.append(ids.copy())
+        cells = np.zeros((ids.size, width), dtype=np.uint8)
+        cells[:, :8] = (ids[:, None] >> np.arange(8)) & 1
+        return (pack_bits(cells),)
+
+    def stat(cells):
+        ids = (cells[:, :8].astype(np.int64) << np.arange(8)).sum(axis=1)
+        reduced.append(ids)
+        return ids
+
+    got = _run_batch(Model.C, 5, trials, sites, 0, planes, stat)
+    assert len(built) == len(reduced) == -(-trials // per_chunk)
+    for b, r in zip(built, reduced):
+        assert 1 <= b.size <= per_chunk
+        assert np.array_equal(b, r)
+    assert np.array_equal(np.concatenate(built), np.arange(trials))
+    assert np.array_equal(got, np.arange(trials))

@@ -104,12 +104,20 @@ class TestColorUniformity:
         from pcalab.density import color_density_batch
 
         def paint_everything_blue(n, trials, seed, sites):
-            occ, _ = color_density_batch(n, trials, seed, sites)
-            return occ, occ
+            occupied, _ = color_density_batch(n, trials, seed, sites)
+            return occupied, occupied
 
         report = verify_color_uniformity(3, trials=4000, seed=8,
                                          batch_fn=paint_everything_blue)
         assert not report.passed
+
+    def test_n_past_the_exact_regime_is_refused_before_any_trial(self):
+        def never(n, trials, seed, sites):
+            raise AssertionError("a refused run was simulated")
+
+        with pytest.raises(ValueError, match="exact regime"):
+            verify_color_uniformity(600, trials=1000, seed=0,
+                                    batch_fn=never)
 
 
 def test_run_all_is_the_five_deterministic_suites():
