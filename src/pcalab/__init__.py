@@ -15,8 +15,7 @@ from .density import (BoundsReport, DensityReport, WalkSpec, asymptotic_ratio,
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                       MergeEvent, MergeForest, Model, Trajectory, evolve,
                       evolve_with_rows, particle_count, phi, pi_b, pi_c,
-                      step_a, step_b, step_c, step_cycle, step_d,
-                      trace_merges)
+                      step_a, step_b, step_c, step_d, trace_merges)
 from .packed import evolve_packed
 from .render import DiagramStyle, render, style_for
 from .stream import RIGHT, UP, UpdateRow, UpdateStream

@@ -159,7 +159,7 @@ def _chunks(trials: int, words_per_trial: int):
 
 
 def _full_plane(trials: int, n_words: int) -> np.ndarray:
-    return np.full((trials, n_words), np.uint64(0xFFFFFFFFFFFFFFFF))
+    return np.full((n_words, trials), np.uint64(0xFFFFFFFFFFFFFFFF))
 
 
 def _iid_plane(seed: int, trials_arr: np.ndarray, n_words: int, width: int,
@@ -167,12 +167,12 @@ def _iid_plane(seed: int, trials_arr: np.ndarray, n_words: int, width: int,
     if p == 0.5:
         return packed.batch_cell_words(seed, trials_arr, n_words, domain)
     sites = np.arange(width, dtype=np.int64)
-    plane = np.empty((trials_arr.size, n_words), dtype=np.uint64)
+    plane = np.empty((n_words, trials_arr.size), dtype=np.uint64)
     for lo, hi in _chunks(trials_arr.size, width):
         words = stream.block_bits_vec(seed, trials_arr[lo:hi, None], 0,
                                       sites[None, :], stream.DOMAIN_UNIFORM)
         bits = ((words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53) < p
-        plane[lo:hi] = packed.pack_bits(bits.astype(np.uint8))
+        plane[:, lo:hi] = packed.pack_bits(bits.astype(np.uint8)).T
     return plane
 
 
@@ -185,13 +185,15 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
     A trial is a window anchored at site 0 and ``n + sites_per_trial + 1``
     cells wide, so that its cells ``n ..`` stay valid for ``n`` steps.
     Trials run in chunks of at most ``CHUNK_WORDS`` words.  Each chunk is
-    built by ``init(ids, n_words, width)``, which returns the model's
-    ``(len(ids), n_words)`` planes for the trial ids ``ids``; it is then
+    built by ``init(ids, n_words, width)``, which returns the model's planes
+    for the trial ids ``ids``, word-major: shape ``(n_words, len(ids))``,
+    row ``k`` holding word ``k`` of every trial.  The chunk is then
     stepped, and ``stat`` reduces its valid cells (one uint8 array of shape
     ``(len(ids), sites_per_trial + 1)`` per plane) to one row per trial
     before the next chunk starts, so only those rows grow with ``trials``.
     At step ``s`` the words wholly left of the valid window (below
-    ``s >> 6``) are neither drawn nor stepped: information flows rightward
+    ``s >> 6``) are neither drawn nor stepped: they are leading rows, so the
+    trimmed planes stay contiguous views, and information flows rightward
     only, so the valid cells never read them.  Every draw is a pure function
     of its coordinates, so the result is bit for bit that of stepping every
     word of every trial at once.
@@ -209,9 +211,9 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
             first = s >> 6
             u = packed.batch_arrow_words(seed, ids, s, n_words, first)
             planes = packed.step_planes(
-                model, tuple(pl[:, first - base:] for pl in planes), u)
+                model, tuple(pl[first - base:] for pl in planes), u)
             base = first
-        rows.append(stat(*(packed.unpack_bits(pl, width - 64 * base)
+        rows.append(stat(*(packed.unpack_bits(pl.T, width - 64 * base)
                            [:, n - 64 * base:] for pl in planes)))
     return np.concatenate(rows)
 
@@ -283,7 +285,7 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
 
         def planes(ids, n_words, width):
             row = packed.pack_bits(np.resize(bits, width))
-            return (np.broadcast_to(row, (ids.size, n_words)),)
+            return (np.broadcast_to(row[:, None], (n_words, ids.size)),)
     else:
         raise ValueError(f"unknown init {init!r}")
     per_trial = _run_batch(

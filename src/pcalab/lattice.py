@@ -188,9 +188,16 @@ def step_d(d: Configuration, row: UpdateRow) -> Configuration:
     return _step(Model.D, d, row, False)
 
 
-def step_cycle(model: Model, cfg: Configuration, row: UpdateRow) -> Configuration:
-    """One update with periodic boundary; the window stays put."""
-    return _step(Model(model), cfg, row, True)
+def pair_cell(a: int, b: int) -> int:
+    return PARTICLE if a == b else EMPTY
+
+
+def blue_cell(c: int) -> int:
+    return PARTICLE if c == BLUE else EMPTY
+
+
+def occupied_cell(c: int) -> int:
+    return PARTICLE if c != EMPTY else EMPTY
 
 
 def phi(x: Configuration) -> Configuration:
@@ -199,23 +206,19 @@ def phi(x: Configuration) -> Configuration:
     _check_alphabet(x, Model.A)
     if len(x) < 2:
         raise ValueError("pair map needs a window of at least 2 cells")
-    cells = tuple(PARTICLE if a == b else EMPTY
-                  for a, b in zip(x.cells, x.cells[1:]))
-    return Configuration(x.offset, cells)
+    return Configuration(x.offset, tuple(map(pair_cell, x.cells, x.cells[1:])))
 
 
 def pi_b(d: Configuration) -> Configuration:
     """Keep only blue particles."""
     _check_alphabet(d, Model.D)
-    return Configuration(d.offset,
-                         tuple(PARTICLE if c == BLUE else EMPTY for c in d.cells))
+    return Configuration(d.offset, tuple(map(blue_cell, d.cells)))
 
 
 def pi_c(d: Configuration) -> Configuration:
     """Keep particles of either color."""
     _check_alphabet(d, Model.D)
-    return Configuration(d.offset,
-                         tuple(PARTICLE if c != EMPTY else EMPTY for c in d.cells))
+    return Configuration(d.offset, tuple(map(occupied_cell, d.cells)))
 
 
 @dataclass(frozen=True)

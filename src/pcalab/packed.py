@@ -1,10 +1,11 @@
 """Word-parallel bit-plane kernels.
 
 Cells pack 64 per uint64 word, least significant bit first: cell ``c``
-lives in word ``c >> 6`` at bit ``c & 63``.  Kernels act on the last axis
-of a word array and broadcast over leading axes, so the same code steps a
-single window (shape ``(K,)``) or a whole batch of Monte Carlo trials
-(shape ``(T, K)``).
+lives in word ``c >> 6`` at bit ``c & 63``.  Kernels act on the first axis
+of a word array and broadcast over trailing axes, so the same code steps a
+single window (shape ``(K,)``) or a whole batch of Monte Carlo trials laid
+out word-major (shape ``(K, T)``): each word row holds one word of every
+trial, so the draws and shifts of a step run on rows ``T`` long.
 
 Information flows rightward only (cell ``i`` reads ``i-1`` and ``i``), so
 the garbage that accumulates below the shrinking valid window never
@@ -49,7 +50,7 @@ def unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
 def from_left(words: np.ndarray) -> np.ndarray:
     """Plane whose cell ``c`` holds input cell ``c - 1`` (zero shifted in)."""
     out = words << _ONE
-    out[..., 1:] |= words[..., :-1] >> _S63
+    out[1:] |= words[:-1] >> _S63
     return out
 
 
@@ -142,19 +143,20 @@ def batch_arrow_words(seed: int, trials: np.ndarray, step: int,
                       n_words: int, first: int = 0) -> np.ndarray:
     """Arrow planes for a batch of trials, window anchored at site 0.
 
-    Returns shape ``(len(trials), n_words - first)``: column ``j`` is word
-    ``first + j``, whose bit ``c`` is the arrow at site ``64(first + j) + c``,
-    identical to per-site scalar queries.  One broadcast draw covers the
-    whole block, so each trial's ``(seed, trial, step)`` prefix is mixed
-    once rather than once per word.
+    Returns a C-contiguous array of shape ``(n_words - first, len(trials))``:
+    row ``j`` is word ``first + j`` of every trial, whose bit ``c`` is the
+    arrow at site ``64(first + j) + c``, identical to per-site scalar
+    queries.  One broadcast draw covers the whole block, so each trial's
+    ``(seed, trial, step)`` prefix is mixed once rather than once per word.
     """
     blocks = np.arange(first, n_words, dtype=np.int64)
-    return _stream.block_bits_vec(seed, trials[:, None], step, blocks[None, :])
+    return _stream.block_bits_vec(seed, trials[None, :], step, blocks[:, None])
 
 
 def batch_cell_words(seed: int, trials: np.ndarray, n_words: int,
                      domain: int = _stream.DOMAIN_CELL) -> np.ndarray:
-    """Initialization planes for a batch of trials (window at site 0)."""
+    """Initialization planes for a batch of trials (window at site 0):
+    shape ``(n_words, len(trials))``, row ``k`` is word ``k`` of each trial."""
     blocks = np.arange(n_words, dtype=np.int64)
-    return _stream.block_bits_vec(seed, trials[:, None], 0, blocks[None, :],
+    return _stream.block_bits_vec(seed, trials[None, :], 0, blocks[:, None],
                                   domain)

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import density
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration, a_local,
-                      b_local, c_local, d_local)
+                      b_local, blue_cell, c_local, d_local, occupied_cell,
+                      pair_cell)
 from .stream import RIGHT, UP, bits_range
 
 ARROWS = (UP, RIGHT)
@@ -47,10 +48,6 @@ class CaseReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def _pair(a: int, b: int) -> int:
-    return PARTICLE if a == b else EMPTY
-
-
 def verify_commutation(a_rule: Callable = a_local,
                        b_rule: Callable = b_local) -> CaseReport:
     """Binary triples commute with the pair map: applying the keep/switch
@@ -59,8 +56,8 @@ def verify_commutation(a_rule: Callable = a_local,
     report = CaseReport("commutation")
     for x2, x1, x0 in itertools.product((0, 1), repeat=3):
         for u1, u0 in itertools.product(ARROWS, repeat=2):
-            upper = _pair(a_rule(x2, x1, u1), a_rule(x1, x0, u0))
-            lower = b_rule(_pair(x2, x1), _pair(x1, x0), u1, u0)
+            upper = pair_cell(a_rule(x2, x1, u1), a_rule(x1, x0, u0))
+            lower = b_rule(pair_cell(x2, x1), pair_cell(x1, x0), u1, u0)
             report.record(f"x={x2}{x1}{x0} u={u1}{u0}", upper, lower)
     return report
 
@@ -94,10 +91,6 @@ def verify_monotonicity(rule: Callable = c_local) -> CaseReport:
     return report
 
 
-_PROJ_B = {EMPTY: EMPTY, BLUE: PARTICLE, GREEN: EMPTY}
-_PROJ_C = {EMPTY: EMPTY, BLUE: PARTICLE, GREEN: PARTICLE}
-
-
 def verify_projection(d_rule: Callable = d_local,
                       b_rule: Callable = b_local,
                       c_rule: Callable = c_local) -> CaseReport:
@@ -108,10 +101,10 @@ def verify_projection(d_rule: Callable = d_local,
     for left, cell in itertools.product((EMPTY, BLUE, GREEN), repeat=2):
         for ul, u in itertools.product(ARROWS, repeat=2):
             d_out = d_rule(left, cell, ul, u)
-            want_b = b_rule(_PROJ_B[left], _PROJ_B[cell], ul, u)
-            want_c = c_rule(_PROJ_C[left], _PROJ_C[cell], ul, u)
-            report.record(f"d={left}{cell} u={ul}{u}",
-                          (want_b, want_c), (_PROJ_B[d_out], _PROJ_C[d_out]))
+            want_b = b_rule(blue_cell(left), blue_cell(cell), ul, u)
+            want_c = c_rule(occupied_cell(left), occupied_cell(cell), ul, u)
+            report.record(f"d={left}{cell} u={ul}{u}", (want_b, want_c),
+                          (blue_cell(d_out), occupied_cell(d_out)))
     return report
 
 

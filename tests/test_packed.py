@@ -124,14 +124,38 @@ def test_batched_trials_match_per_trial_scalar_runs():
 def test_broadcast_arrow_words_equal_per_word_draws(first):
     seed, trials, step, n_words = 77, np.arange(5, 40), 130, 5
     words = packed.batch_arrow_words(seed, trials, step, n_words, first)
-    assert words.shape == (trials.size, n_words - first)
+    assert words.shape == (n_words - first, trials.size)
+    assert words.flags.c_contiguous
     for j, k in enumerate(range(first, n_words)):
-        assert np.array_equal(words[:, j],
+        assert np.array_equal(words[j],
                               block_bits_vec(seed, trials, step, k))
     cells = packed.batch_cell_words(seed, trials, n_words, DOMAIN_COLOR)
+    assert cells.shape == (n_words, trials.size)
     for k in range(n_words):
-        assert np.array_equal(cells[:, k],
+        assert np.array_equal(cells[k],
                               block_bits_vec(seed, trials, 0, k, DOMAIN_COLOR))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Model)), st.integers(1, 6), st.integers(1, 9),
+       st.data())
+def test_word_major_batch_steps_each_column_as_one_window(model, n_words,
+                                                          trials, data):
+    def plane():
+        words = data.draw(st.lists(st.integers(0, 2 ** 64 - 1),
+                                   min_size=n_words * trials,
+                                   max_size=n_words * trials))
+        return np.array(words, dtype=np.uint64).reshape(n_words, trials)
+
+    planes = tuple(plane() for _ in range(2 if model is Model.D else 1))
+    u = plane()
+    batch = step_planes(model, planes, u)
+    for t in range(trials):
+        column = step_planes(model, tuple(np.ascontiguousarray(pl[:, t])
+                                          for pl in planes),
+                             np.ascontiguousarray(u[:, t]))
+        for got, want in zip(batch, column):
+            assert np.array_equal(got[:, t], want)
 
 
 def _reference_batch(model, seed, trials, width, steps, planes):
@@ -140,17 +164,18 @@ def _reference_batch(model, seed, trials, width, steps, planes):
     n_words = words_for(width)
     for s in range(steps):
         u = np.stack([block_bits_vec(seed, ids, s, k) for k in range(n_words)],
-                     axis=-1)
+                     axis=0)
         planes = step_planes(model, planes, u)
-    return tuple(unpack_bits(pl, width)[:, steps:] for pl in planes)
+    return tuple(unpack_bits(pl.T, width)[:, steps:] for pl in planes)
 
 
 @pytest.mark.parametrize("model", list(Model))
-@pytest.mark.parametrize("chunk_words", [48, None])
+@pytest.mark.parametrize("chunk_words", [3, 48, None])
 def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
                                                       monkeypatch):
     # 130 steps trim word 0 at step 64 and word 1 at step 128, so a trim
-    # even one step early would reach the valid cells; 3 words per trial
+    # even one step early would reach the valid cells; 3 words per trial,
+    # so chunk_words=3 runs one trial per chunk, on (words, 1) planes
     seed, width, steps = 31, 139, 130
     if chunk_words is not None:
         monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
@@ -185,7 +210,7 @@ def test_each_chunk_is_built_and_reduced_alone(monkeypatch):
         built.append(ids.copy())
         cells = np.zeros((ids.size, width), dtype=np.uint8)
         cells[:, :8] = (ids[:, None] >> np.arange(8)) & 1
-        return (pack_bits(cells),)
+        return (pack_bits(cells).T,)
 
     def stat(cells):
         ids = (cells[:, :8].astype(np.int64) << np.arange(8)).sum(axis=1)
