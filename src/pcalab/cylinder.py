@@ -7,10 +7,10 @@ a measure on window K into a measure on the sub-window K' of sites whose
 whole neighborhood lies inside K (for neighborhood {-1, 0}: K minus its
 left endpoint).
 
-Everything in this module is exact: weights are ``fractions.Fraction``
-and no floating point appears.  ``evolve_measure`` works on integer
-numerators over one common denominator and builds a ``Fraction`` only once
-per output word.
+Everything in this module is exact and no floating point appears: a
+measure is integer numerators over one common denominator, on ``int64``
+wherever that denominator bounds every value, and a ``Fraction`` is built
+only where a weight is read out.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .lattice import a_local, b_local, c_local
 from .stream import RIGHT, UP
 
 #: Largest number of words a window may span (2**20 matches a length-20
-#: binary window).  Evolving the uniform binary measure at the cap
-#: (``evolve-cylinder --length 20``) takes about 16 s and 210 MB peak RSS on
-#: a 2-vCPU Xeon VM, and each further site doubles both, so larger
-#: windows are refused before any weight is built.
+#: binary window).  ``evolve-cylinder --model a --init uniform --length 20``
+#: takes 3.2 s and 134 MB peak RSS on a 2-vCPU Xeon VM: 0.15 s to build and
+#: evolve the measure, about 3 s to print its 2**19 lines.  Each further site
+#: doubles both, so larger windows are refused before any weight is built.
 STATE_CAP = 2 ** 20
 
 
@@ -89,9 +89,6 @@ class TransitionFunction:
             if any(p < 0 for p in probs) or sum(probs) != 1:
                 raise ValueError(f"row {word!r} is not a probability vector")
 
-    def distribution(self, word: tuple) -> tuple[Fraction, ...]:
-        return self.rows[word]
-
 
 def model_a_rule() -> TransitionFunction:
     """The binary keep/switch rule on neighborhood {-1, 0}.
@@ -135,69 +132,102 @@ def lift_model(which: str) -> TransitionFunction:
     return TransitionFunction(alphabet, (-1, 0), rows)
 
 
-@dataclass(frozen=True)
+def _integers(ratios) -> tuple[list[int], int]:
+    """Integer numerators of ``ratios`` over their least common denominator."""
+    ratios = [Fraction(r) for r in ratios]
+    den = math.lcm(*(r.denominator for r in ratios))
+    return [r.numerator * (den // r.denominator) for r in ratios], den
+
+
+def _dtype(bound: int):
+    """``int64`` for values that stay at most ``bound``, if it fits."""
+    return np.int64 if bound < 2 ** 63 else object
+
+
 class CylinderMeasure:
     """Exact distribution over the words of a contiguous site window.
 
-    ``weights[i]`` is the probability of the word whose mixed-radix code is
-    ``i``: the symbol at site ``start + j`` contributes its alphabet index
-    times ``len(alphabet)**j``.
+    ``numerators[i] / den`` is the probability of the word whose
+    mixed-radix code is ``i``: the symbol at site ``start + j`` contributes
+    its alphabet index times ``len(alphabet)**j``.  Both are reduced by
+    their gcd, so equal measures compare equal; the numerators are
+    ``int64`` if ``den`` fits, Python integers otherwise.  ``weights`` are
+    rationals, or integer numerators over ``den`` when it is given.
     """
 
-    alphabet: tuple
-    start: int
-    length: int
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        states = _check_cap(self.alphabet, self.length)
-        if len(self.weights) != states:
+    def __init__(self, alphabet: tuple, start: int, length: int, weights,
+                 den: int | None = None):
+        states = _check_cap(alphabet, length)
+        if den is None:
+            weights, den = _integers(weights)
+        # numpy would read a list with an int past 2**63 as float64
+        num = (weights if isinstance(weights, np.ndarray)
+               else np.array(weights, dtype=object))
+        if num.shape != (states,):
             raise ValueError("weight vector has wrong length")
-        if any(w < 0 for w in self.weights) or sum(self.weights) != 1:
+        exact = int(num.max()) * states < 2 ** 63  # an int64 sum cannot wrap
+        if (den < 1 or num.min() < 0
+                or num.sum(dtype=None if exact else object) != den):
             raise ValueError("weights must be nonnegative and sum to 1")
+        g = math.gcd(int(np.gcd.reduce(num)), den)
+        self.alphabet, self.start, self.length = alphabet, start, length
+        self.den = den // g
+        self.numerators = (num // g).astype(_dtype(self.den))
+        self.numerators.flags.writeable = False
+
+    def __eq__(self, other):
+        return (isinstance(other, CylinderMeasure)
+                and (self.alphabet, self.start, self.length, self.den)
+                == (other.alphabet, other.start, other.length, other.den)
+                and np.array_equal(self.numerators, other.numerators))
+
+    def __repr__(self) -> str:
+        return (f"CylinderMeasure({self.alphabet!r}, {self.start}, "
+                f"{self.length}, {self.numerators.tolist()}, {self.den})")
 
     @property
     def end(self) -> int:
         return self.start + self.length
 
-    def encode(self, word: tuple) -> int:
-        if len(word) != self.length:
-            raise ValueError("word length does not match the window")
-        return _encode(self.alphabet, word)
-
-    def decode(self, idx: int) -> tuple:
-        return _decode(self.alphabet, self.length, idx)
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """Every word's probability, in code order."""
+        return tuple(Fraction(v, self.den) for v in self.numerators.tolist())
 
     def weight(self, word: tuple) -> Fraction:
-        return self.weights[self.encode(word)]
+        if len(word) != self.length:
+            raise ValueError("word length does not match the window")
+        idx = _encode(self.alphabet, word)
+        return Fraction(int(self.numerators[idx]), self.den)
 
     def items(self):
         """Yield (word, weight) over the support."""
-        for idx, w in enumerate(self.weights):
-            if w:
-                yield self.decode(idx), w
+        for idx, v in enumerate(self.numerators.tolist()):
+            if v:
+                yield (_decode(self.alphabet, self.length, idx),
+                       Fraction(v, self.den))
 
     @staticmethod
     def delta(alphabet: tuple, start: int, word) -> "CylinderMeasure":
         word = tuple(word)
-        _check_cap(alphabet, len(word))
-        idx = _encode(alphabet, word)
-        return CylinderMeasure(alphabet, start, len(word),
-                               _one_hot(len(alphabet) ** len(word), idx))
+        num = np.zeros(_check_cap(alphabet, len(word)), dtype=np.int64)
+        num[_encode(alphabet, word)] = 1
+        return CylinderMeasure(alphabet, start, len(word), num, 1)
 
     @staticmethod
     def product(alphabet: tuple, start: int, site_dists) -> "CylinderMeasure":
         """Independent sites; ``site_dists[j]`` aligns with ``alphabet``."""
-        site_dists = list(site_dists)
-        _check_cap(alphabet, len(site_dists))
-        weights = [Fraction(1)]
-        for dist in site_dists:
-            if len(dist) != len(alphabet) or sum(dist) != 1:
-                raise ValueError("each site distribution must align with the "
-                                 "alphabet and sum to 1")
-            weights = [w * p for p in dist for w in weights]
-        return CylinderMeasure(alphabet, start, len(site_dists),
-                               tuple(weights))
+        sites = [_integers(dist) for dist in site_dists]
+        _check_cap(alphabet, len(sites))
+        if any(len(num) != len(alphabet) or sum(num) != d for num, d in sites):
+            raise ValueError("each site distribution must align with the "
+                             "alphabet and sum to 1")
+        den = math.prod(d for _, d in sites)
+        num = np.ones(1, dtype=_dtype(den))
+        for site, _ in sites:  # site j is the (j+1)-th fastest digit
+            num = np.multiply.outer(np.array(site, dtype=num.dtype),
+                                    num).ravel()
+        return CylinderMeasure(alphabet, start, len(sites), num, den)
 
     @staticmethod
     def uniform(alphabet: tuple, start: int, length: int) -> "CylinderMeasure":
@@ -208,32 +238,24 @@ class CylinderMeasure:
     @staticmethod
     def mixture(parts) -> "CylinderMeasure":
         """Convex combination of measures on the same window."""
-        parts = list(parts)
-        first = parts[0][0]
-        weights = [Fraction(0)] * len(first.weights)
-        for mu, coeff in parts:
-            if (mu.alphabet, mu.start, mu.length) != (first.alphabet,
-                                                      first.start, first.length):
-                raise ValueError("mixture components must share the window")
-            for i, w in enumerate(mu.weights):
-                weights[i] += coeff * w
-        return CylinderMeasure(first.alphabet, first.start, first.length,
-                               tuple(weights))
-
-
-def _one_hot(size: int, hot: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1) if i == hot else Fraction(0) for i in range(size))
+        parts = [(mu, Fraction(coeff)) for mu, coeff in parts]
+        window = {(mu.alphabet, mu.start, mu.length) for mu, _ in parts}
+        if len(window) != 1:
+            raise ValueError("mixture components must share the window")
+        den = math.lcm(*(mu.den * c.denominator for mu, c in parts))
+        num = sum(mu.numerators.astype(object)
+                  * (c.numerator * (den // (mu.den * c.denominator)))
+                  for mu, c in parts)
+        return CylinderMeasure(*window.pop(), num, den)
 
 
 def alternating_pair_measure(start: int, length: int) -> CylinderMeasure:
     """The even mixture of the two alternating binary words on a window."""
-    word01 = tuple("01"[(start + j) % 2] for j in range(length))
-    word10 = tuple("01"[(start + j + 1) % 2] for j in range(length))
-    alphabet = ("0", "1")
-    return CylinderMeasure.mixture([
-        (CylinderMeasure.delta(alphabet, start, word01), Fraction(1, 2)),
-        (CylinderMeasure.delta(alphabet, start, word10), Fraction(1, 2)),
-    ])
+    return CylinderMeasure.mixture(
+        (CylinderMeasure.delta(("0", "1"), start,
+                               ["01"[(start + j + s) % 2]
+                                for j in range(length)]), Fraction(1, 2))
+        for s in (0, 1))
 
 
 def output_window(mu: CylinderMeasure,
@@ -286,43 +308,48 @@ def evolve_measure(mu: CylinderMeasure,
     base = len(f.alphabet)
     span = f.neighborhood[-1] - f.neighborhood[0]
     table, row_den = _transfer(f)
-    in_den = math.lcm(*(w.denominator for w in mu.weights))
-    state = np.array([w.numerator * (in_den // w.denominator)
-                      for w in mu.weights], dtype=object)
+    # After k sites the numerators sum to mu.den * row_den**k, and every
+    # entry is a sum of nonnegative terms, so none exceeds the final den.
+    den = mu.den * row_den ** length
+    dtype = _dtype(den)
+    table, state = table.astype(dtype), mu.numerators.astype(dtype)
     for k in range(length):
         state = np.matmul(table, state.reshape(
             base ** (mu.length - k - 1 - span), base ** span, base, base ** k))
     state = state.reshape(base ** span, base ** length).sum(axis=0)
-    den = in_den * row_den ** length
-    return CylinderMeasure(f.alphabet, start, length,
-                           tuple(Fraction(v, den) for v in state))
+    return CylinderMeasure(f.alphabet, start, length, state, den)
 
 
 def marginal(mu: CylinderMeasure, start: int, length: int) -> CylinderMeasure:
     """Sum out every site outside the contiguous sub-window."""
     if not (mu.start <= start and start + length <= mu.end and length >= 1):
         raise ValueError("marginal window must sit inside the measure window")
-    lo = start - mu.start
-    out = [Fraction(0)] * len(mu.alphabet) ** length
-    for word, w in mu.items():
-        out[_encode(mu.alphabet, word[lo:lo + length])] += w
-    return CylinderMeasure(mu.alphabet, start, length, tuple(out))
+    base, lo = len(mu.alphabet), start - mu.start
+    num = mu.numerators.reshape(base ** (mu.length - lo - length),
+                                base ** length, base ** lo).sum(axis=(0, 2))
+    return CylinderMeasure(mu.alphabet, start, length, num, mu.den)
 
 
 def pushforward(mu: CylinderMeasure, symbol_map,
                 alphabet: tuple) -> CylinderMeasure:
     """Image measure under a pointwise symbol relabeling."""
-    out = [Fraction(0)] * len(alphabet) ** mu.length
-    for word, w in mu.items():
-        out[_encode(alphabet, tuple(symbol_map(s) for s in word))] += w
-    return CylinderMeasure(alphabet, mu.start, mu.length, tuple(out))
+    out = [0] * len(alphabet) ** mu.length
+    for idx, v in enumerate(mu.numerators.tolist()):
+        if v:
+            word = _decode(mu.alphabet, mu.length, idx)
+            word = tuple(symbol_map(s) for s in word)
+            out[_encode(alphabet, word)] += v
+    return CylinderMeasure(alphabet, mu.start, mu.length, out, mu.den)
 
 
 def total_variation(mu: CylinderMeasure, nu: CylinderMeasure) -> Fraction:
     if (mu.alphabet, mu.start, mu.length) != (nu.alphabet, nu.start, nu.length):
         raise ValueError("total variation needs measures on the same window")
-    return sum((abs(a - b) for a, b in zip(mu.weights, nu.weights)),
-               Fraction(0)) / 2
+    den = math.lcm(mu.den, nu.den)
+    dtype = _dtype(2 * den)  # the absolute differences sum to at most 2 den
+    diff = (mu.numerators.astype(dtype) * (den // mu.den)
+            - nu.numerators.astype(dtype) * (den // nu.den))
+    return Fraction(int(np.abs(diff).sum()), 2 * den)
 
 
 def invariance_residual(mu: CylinderMeasure,
@@ -365,8 +392,9 @@ def load_rule_text(text: str) -> TransitionFunction:
         word = tuple(word_part.strip())
         if len(word) != len(neighborhood):
             raise ValueError(f"word {word_part.strip()!r} has wrong length")
-        probs = tuple(Fraction(t) for t in probs_part.split())
-        rows[word] = probs
+        if word in rows:
+            raise ValueError(f"word {word_part.strip()!r} is listed twice")
+        rows[word] = tuple(Fraction(t) for t in probs_part.split())
     if alphabet is None or neighborhood is None:
         raise ValueError("rule file must declare alphabet and neighborhood")
     return TransitionFunction(alphabet, neighborhood, rows)

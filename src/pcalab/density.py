@@ -14,10 +14,10 @@ four lattice models sit alongside, batched over trials on bit planes.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 
@@ -59,17 +59,15 @@ def hitting_time_oracle(n: int) -> Fraction:
     """P(a simple symmetric walk from 0 stays below 2 for 2n steps).
 
     Pure path-counting DP over positions <= 1; no closed form involved.
+    ``counts[i]`` is the number of surviving paths at position ``lo + i``,
+    where ``lo`` drops by one per step and the last entry is position 1.
     """
     _check_exact_range(n)
-    counts = {0: 1}
+    counts = [1, 0]  # positions 0 and 1
     for _ in range(2 * n):
-        nxt: dict[int, int] = defaultdict(int)
-        for pos, c in counts.items():
-            for q in (pos - 1, pos + 1):
-                if q <= 1:  # paths that reach 2 are killed
-                    nxt[q] += c
-        counts = nxt
-    return Fraction(sum(counts.values()), 4 ** n)
+        # from q - 1 (up) and from q + 1 (down); q = 2 is killed
+        counts = list(map(add, [0, 0] + counts[:-1], counts + [0]))
+    return Fraction(sum(counts), 4 ** n)
 
 
 @dataclass(frozen=True)
@@ -97,21 +95,22 @@ class WalkSpec:
 def interface_walk_oracle(n: int, spec: WalkSpec = WalkSpec()) -> Fraction:
     """Survival probability at step ``n`` of the absorbed lazy walk.
 
-    Exact DP over the reachable states; the common denominator of the
-    step law keeps all intermediate weights integral.
+    Exact DP over the positions ``barrier + 1 ..`` that the walk can reach;
+    the common denominator of the step law keeps all weights integral.
     """
     _check_exact_range(n)
     denom = math.lcm(*(w.denominator for _, w in spec.step_law))
-    moves = [(delta, int(w * denom)) for delta, w in spec.step_law]
-    weights = {spec.start: 1}
+    moves = [(delta, int(w * denom)) for delta, w in spec.step_law if w]
+    up = max(0, *(delta for delta, _ in moves))
+    weights = np.zeros(spec.start - spec.barrier, dtype=object)
+    weights[-1] = 1  # index i is position barrier + 1 + i
     for _ in range(n):
-        nxt: dict[int, int] = defaultdict(int)
-        for pos, w in weights.items():
-            for delta, m in moves:
-                if pos + delta > spec.barrier and m:
-                    nxt[pos + delta] += w * m
+        nxt = np.zeros(weights.size + up, dtype=object)
+        for delta, m in moves:  # steps onto the barrier or below die
+            src = weights[max(0, -delta):]
+            nxt[max(0, delta):max(0, delta) + src.size] += src * m
         weights = nxt
-    return Fraction(sum(weights.values()), denom ** n)
+    return Fraction(int(weights.sum()), denom ** n)
 
 
 def asymptotic_ratio(n: int) -> float:

@@ -17,8 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import stream as _stream
-from .lattice import BLUE, EMPTY, GREEN, Configuration, Model
-from .stream import UpdateRow, UpdateStream
+from .lattice import Model
 
 _ONE = np.uint64(1)
 _S63 = np.uint64(63)
@@ -77,39 +76,6 @@ def kernel_d(occ: np.ndarray, blue: np.ndarray,
     return kernel_c(occ, u), kernel_b(blue, u)
 
 
-def config_to_planes(cfg: Configuration, model: Model) -> tuple[np.ndarray, ...]:
-    cells = np.asarray(cfg.cells, dtype=np.uint8)
-    if model is Model.D:
-        return (pack_bits(cells != EMPTY), pack_bits(cells == BLUE))
-    return (pack_bits(cells),)
-
-
-def planes_to_config(planes: tuple[np.ndarray, ...], model: Model,
-                     offset: int, width: int, skip: int = 0) -> Configuration:
-    """Rebuild symbols from planes, dropping ``skip`` stale cells on the left."""
-    if model is Model.D:
-        occ = unpack_bits(planes[0], width)[skip:]
-        blue = unpack_bits(planes[1], width)[skip:]
-        cells = np.where(occ == 0, EMPTY, np.where(blue != 0, BLUE, GREEN))
-    else:
-        cells = unpack_bits(planes[0], width)[skip:]
-    return Configuration(offset + skip, tuple(int(c) for c in cells))
-
-
-def row_words(row: UpdateRow, offset: int, width: int) -> np.ndarray:
-    """Pack an explicit update row into a plane aligned with a window."""
-    if not row.covers(offset, width):
-        raise ValueError("update row does not cover the requested window")
-    start = offset - row.offset
-    return pack_bits(np.asarray(row.arrows[start:start + width], dtype=np.uint8))
-
-
-def arrow_words(stream: UpdateStream, step: int, offset: int,
-                width: int) -> np.ndarray:
-    bits = _stream.bits_range(stream.seed, stream.trial, step, offset, width)
-    return pack_bits(bits)
-
-
 def step_planes(model: Model, planes: tuple[np.ndarray, ...],
                 u: np.ndarray) -> tuple[np.ndarray, ...]:
     if model is Model.A:
@@ -119,24 +85,6 @@ def step_planes(model: Model, planes: tuple[np.ndarray, ...],
     if model is Model.C:
         return (kernel_c(planes[0], u),)
     return kernel_d(planes[0], planes[1], u)
-
-
-def evolve_packed(model: Model, init: Configuration, stream: UpdateStream,
-                  steps: int) -> Configuration:
-    """Line-boundary evolution on bit planes; returns the final window.
-
-    Agrees cell-for-cell with the scalar :func:`pcalab.lattice.evolve`.
-    """
-    model = Model(model)
-    width = len(init)
-    if width < steps + 1:
-        raise ValueError(f"window of width {width} is exhausted "
-                         f"before {steps} steps")
-    planes = config_to_planes(init, model)
-    for n in range(steps):
-        u = arrow_words(stream, n, init.offset, width)
-        planes = step_planes(model, planes, u)
-    return planes_to_config(planes, model, init.offset, width, skip=steps)
 
 
 def batch_arrow_words(seed: int, trials: np.ndarray, step: int,

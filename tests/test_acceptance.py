@@ -17,12 +17,14 @@ from pcalab.cylinder import (CylinderMeasure, alternating_pair_measure,
                              model_a_rule)
 from pcalab.lattice import (Configuration, Model, step_a, step_b, step_c,
                             step_d)
-from pcalab.packed import (config_to_planes, evolve_packed, planes_to_config,
-                           row_words, step_planes)
+from pcalab.packed import step_planes
 from pcalab.stream import UpdateRow, UpdateStream
 from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_domination, verify_monotonicity,
                            verify_periodic_orbit, verify_projection)
+
+from packed_window import (config_to_planes, evolve_packed, planes_to_config,
+                           row_words)
 
 _Z95 = 1.96
 

@@ -267,6 +267,17 @@ class TestEvolveCylinderCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_word_listed_twice_is_named(self, capsys, tmp_path):
+        path = tmp_path / "dup.txt"
+        path.write_text("alphabet: 0 1\nneighborhood: -1 0\n"
+                        "00 : 1/2 1/2\n01 : 1 0\n10 : 0 1\n"
+                        "11 : 1/2 1/2\n11 : 1 0\n", encoding="utf-8")
+        status = main(["evolve-cylinder", "--rule-file", str(path),
+                       "--init", "uniform", "--length", "3"])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert "'11'" in captured.err
+
     def test_window_past_the_cap_is_refused_at_once(self, capsys,
                                                      monkeypatch):
         from pcalab import cylinder

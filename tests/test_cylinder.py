@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcalab import density
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction,
                              alternating_pair_measure, dump_rule_text,
                              evolve_measure, invariance_residual, lift_model,
                              load_rule_text, marginal, model_a_rule,
                              output_window, pushforward, total_variation)
+from pcalab.density import exact_density
 from pcalab.lattice import a_local, b_local, c_local
 from pcalab.stream import RIGHT, UP
 
@@ -100,6 +102,57 @@ def rules_and_measures(draw):
 @given(rules_and_measures())
 def test_sweep_equals_the_word_expansion(case):
     f, mu = case
+    assert evolve_measure(mu, f) == reference_evolve(mu, f)
+
+
+#: Prime row denominators: two distinct ones put the rows' common
+#: denominator near 2**61, so a 3-4 site sweep leaves the int64 range.
+_PRIMES = (2 ** 31 - 1, 1_000_000_007, 2 ** 61 - 1)
+
+
+def _row_den(f: TransitionFunction) -> int:
+    return math.lcm(*(p.denominator for row in f.rows.values() for p in row))
+
+
+@st.composite
+def large_denominator_rules(draw):
+    """A binary rule on neighborhood {-1, 0} with prime row denominators
+    (the first two distinct) and a measure on a 3- or 4-site window."""
+    primes = list(_PRIMES[:2]) + [draw(st.sampled_from(_PRIMES))
+                                  for _ in range(2)]
+    rows = {}
+    for word, p in zip(itertools.product("xy", repeat=2), primes):
+        k = draw(st.integers(1, p - 1))
+        rows[word] = (Fraction(k, p), Fraction(p - k, p))
+    length = draw(st.integers(3, 4))
+    raw = draw(st.lists(st.integers(0, 9), min_size=2 ** length,
+                        max_size=2 ** length).filter(any))
+    mu = CylinderMeasure(("x", "y"), 0, length, _distribution(raw))
+    return TransitionFunction(("x", "y"), (-1, 0), rows), mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_denominator_rules())
+def test_sweep_past_int64_equals_the_word_expansion(case):
+    f, mu = case
+    assert mu.den * _row_den(f) ** (mu.length - 1) >= 2 ** 63
+    assert evolve_measure(mu, f) == reference_evolve(mu, f)
+
+
+@pytest.mark.parametrize("words", [("xyx", "yyy"), ("xxy", "yxy"),
+                                   ("xyx", "yyy", "xxy", "yxy")])
+def test_sweep_on_either_side_of_the_int64_bound(words):
+    # 2 * (2**31 - 1)**2 = 2**63 - 2**33 + 2: the sweep runs on int64 with
+    # numerators just inside its range; 4 * (2**31 - 1)**2 lies past 2**63
+    # but below 2**64, and nearly all of it lands on the output word "xx"
+    p = 2 ** 31 - 1
+    rows = {w: (Fraction(p - k, p), Fraction(k, p)) for k, w in enumerate(
+        itertools.product("xy", repeat=2), start=1)}
+    f = TransitionFunction(("x", "y"), (-1, 0), rows)
+    mu = CylinderMeasure.mixture(
+        (CylinderMeasure.delta(("x", "y"), 0, w), Fraction(1, len(words)))
+        for w in words)
+    assert 2 ** 62 < mu.den * _row_den(f) ** 2 < 2 ** 64
     assert evolve_measure(mu, f) == reference_evolve(mu, f)
 
 
@@ -326,6 +379,64 @@ class TestClosedForm:
         assert occupied == Fraction(math.comb(2 * n + 1, n), 4 ** n)
 
 
+def _evolved(table, mu, n):
+    for _ in range(n):
+        mu = evolve_measure(mu, table)
+    return mu
+
+
+def _pair_agrees(mu):
+    assert mu.length == 2
+    return mu.weight(("0", "0")) + mu.weight(("1", "1"))
+
+
+def _last_site_occupied(mu):
+    return sum((w for word, w in mu.items() if word[-1][0] == "#"),
+               Fraction(0))
+
+
+def _model_a(init):
+    def value(n):
+        mu = (CylinderMeasure.uniform(BITS, 0, n + 2) if init is None
+              else CylinderMeasure.delta(BITS, 0, init * (n + 2)))
+        return _pair_agrees(_evolved(model_a_rule(), mu, n))
+    return value
+
+
+def _lifted(which, full):
+    def value(n):
+        table = lift_model(which)
+        mu = (occupancy_word_measure(table, 0, "#" * (n + 1)) if full
+              else CylinderMeasure.uniform(table.alphabet, 0, n + 1))
+        return _last_site_occupied(_evolved(table, mu, n))
+    return value
+
+
+#: ``(model, init)`` row of ``density._EXACT`` -> (the same statistic from
+#: the cylinder engine at step n, the steps checked).  Model ``a``: the
+#: last pair of an (n+2)-site window agrees; lifted ``b``/``c``: the last
+#: site of an (n+1)-site window is occupied.  ``iid(0.5)`` with fair arrows
+#: is the uniform lifted measure.
+_ENGINE_ROWS = {
+    ("a", "uniform"): (_model_a(None), range(11)),
+    ("a", "ones"): (_model_a("1"), range(11)),
+    ("a", "zeros"): (_model_a("0"), range(11)),
+    ("b", "full"): (_lifted("b", True), range(7)),
+    ("b", "iid(0.5)"): (_lifted("b", False), range(7)),
+    ("c", "full"): (_lifted("c", True), range(9)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(density._EXACT), ids="-".join)
+def test_every_exact_density_row_is_the_dynamics(key):
+    lag, divisor = density._EXACT[key]
+    engine, steps = _ENGINE_ROWS[key]
+    for n in steps:
+        want = Fraction(1) if n < lag else exact_density(n - lag) / divisor
+        assert engine(n) == want, n
+        assert density._report(*key, n, np.zeros(2), 0, 1).exact == want, n
+
+
 class TestMonteCarloConsistency:
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_cylinder_probabilities_match_lattice_frequencies(self, steps):
@@ -392,6 +503,9 @@ class TestRuleFiles:
             load_rule_text("alphabet: ab c\nneighborhood: 0\n")
         with pytest.raises(ValueError):  # rows not total
             load_rule_text("alphabet: 0 1\nneighborhood: 0\n0 : 1 0\n")
+        with pytest.raises(ValueError, match="'1' is listed twice"):
+            load_rule_text("alphabet: 0 1\nneighborhood: 0\n0 : 1 0\n"
+                           "1 : 1/2 1/2\n1 : 0 1\n")
 
 
 class TestGuards:

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcalab import density, packed
 from pcalab.density import (EXACT_LIMIT, WalkSpec, asymptotic_ratio,
@@ -17,6 +19,8 @@ from pcalab.lattice import Configuration, Model, evolve
 from pcalab.packed import pack_bits, words_for
 from pcalab.stream import (DOMAIN_CELL, DOMAIN_UNIFORM, UpdateStream,
                            block_bits_vec)
+
+from dict_oracles import hitting_time_reference, interface_walk_reference
 
 
 def brute_walk_stays_below_two(n):
@@ -104,6 +108,25 @@ class TestInterfaceWalkOracle:
             WalkSpec(((-1, Fraction(1, 2)), (1, Fraction(1, 3))))
         with pytest.raises(ValueError):
             WalkSpec(start=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 9)),
+                min_size=1, max_size=5).filter(lambda law: any(
+                    w for _, w in law)),
+       st.integers(-4, 4), st.integers(1, 5), st.integers(0, 40))
+def test_dense_oracles_equal_the_dict_references(law, barrier, gap, n):
+    total = sum(w for _, w in law)
+    spec = WalkSpec(tuple((delta, Fraction(w, total)) for delta, w in law),
+                    barrier + gap, barrier)
+    assert interface_walk_oracle(n, spec) == interface_walk_reference(n, spec)
+    assert hitting_time_oracle(n) == hitting_time_reference(n)
+
+
+@pytest.mark.parametrize("n", [65, EXACT_LIMIT])
+def test_dense_oracles_equal_the_dict_references_at_large_n(n):
+    assert hitting_time_oracle(n) == hitting_time_reference(n)
+    assert interface_walk_oracle(n) == interface_walk_reference(n)
 
 
 def test_triple_oracle_identity():

@@ -9,11 +9,12 @@ from pcalab import density, packed
 from pcalab.density import _run_batch
 from pcalab.lattice import (Configuration, Model, evolve, step_a, step_b,
                             step_c, step_d)
-from pcalab.packed import (arrow_words, config_to_planes, evolve_packed,
-                           pack_bits, planes_to_config, row_words,
-                           step_planes, unpack_bits, words_for)
+from pcalab.packed import pack_bits, step_planes, unpack_bits, words_for
 from pcalab.stream import (DOMAIN_COLOR, UpdateRow, UpdateStream,
                            block_bits_vec)
+
+from packed_window import (arrow_words, config_to_planes, evolve_packed,
+                           planes_to_config, row_words)
 
 _SCALAR = {Model.A: step_a, Model.B: step_b, Model.C: step_c, Model.D: step_d}
 
