@@ -6,7 +6,7 @@ field of fair up/right arrows."""
 from .cylinder import (CylinderMeasure, TransitionFunction,
                        alternating_pair_measure, evolve_measure,
                        invariance_residual, lift_model, load_rule_file,
-                       load_rule_text, marginal, model_a_rule, pushforward,
+                       load_rule_text, marginal, model_a_rule,
                        total_variation)
 from .density import (BoundsReport, DensityReport, WalkSpec, asymptotic_ratio,
                       check_proposition_bounds, density_log, exact_density,

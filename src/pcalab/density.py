@@ -108,7 +108,8 @@ def interface_walk_oracle(n: int, spec: WalkSpec = WalkSpec()) -> Fraction:
         nxt = np.zeros(weights.size + up, dtype=object)
         for delta, m in moves:  # steps onto the barrier or below die
             src = weights[max(0, -delta):]
-            nxt[max(0, delta):max(0, delta) + src.size] += src * m
+            nxt[max(0, delta):max(0, delta) + src.size] += (
+                src if m == 1 else src * m)
         weights = nxt
     return Fraction(int(weights.sum()), denom ** n)
 

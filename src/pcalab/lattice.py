@@ -93,12 +93,12 @@ class Configuration:
         """I.i.d. fair binary cells drawn from the stream's cell domain."""
         kwargs = {} if domain is None else {"domain": domain}
         bits = stream.cell_bits(offset, width, **kwargs)
-        return Configuration(offset, tuple(int(b) for b in bits))
+        return Configuration(offset, tuple(bits.tolist()))
 
 
 def _check_alphabet(cfg: Configuration, model: Model) -> None:
     limit = 3 if model is Model.D else 2
-    if any(not 0 <= c < limit for c in cfg.cells):
+    if not (0 <= min(cfg.cells) and max(cfg.cells) < limit):
         raise ValueError(f"configuration contains symbols outside the "
                          f"alphabet of model {model.value}")
 
@@ -139,12 +139,8 @@ def d_local(left: int, cell: int, left_arrow: int, arrow: int) -> int:
     return EMPTY
 
 
-_LOCALS = {
-    Model.A: lambda left, cell, left_arrow, arrow: a_local(left, cell, arrow),
-    Model.B: b_local,
-    Model.C: c_local,
-    Model.D: d_local,
-}
+_LOCALS = {Model.A: a_local, Model.B: b_local, Model.C: c_local,
+           Model.D: d_local}
 
 
 def _window_arrows(cfg: Configuration, row: UpdateRow) -> tuple[int, ...]:
@@ -154,12 +150,18 @@ def _window_arrows(cfg: Configuration, row: UpdateRow) -> tuple[int, ...]:
     return row.arrows[lo:lo + len(cfg)]
 
 
+def _pairs(seq, cycle: bool) -> tuple:
+    """``(left, here)``: the left neighbours and the sites themselves,
+    aligned, over every site of a cycle, where the first site's left
+    neighbour is the last, and over sites ``1 .. w-1`` of a line."""
+    return (seq[-1:] + seq[:-1], seq) if cycle else (seq[:-1], seq[1:])
+
+
 def _walk(local, cells, arrows, cycle: bool) -> tuple:
-    """``local(left, cell, left_arrow, arrow)`` over the neighbour pairs
-    ``((j - 1) % w, j)``: every site on a cycle, where index ``-1`` wraps
-    to the last site, and sites ``1 .. w-1`` on a line."""
-    return tuple(local(cells[j - 1], cells[j], arrows[j - 1], arrows[j])
-                 for j in range(0 if cycle else 1, len(cells)))
+    """``local(left, cell, *arrows)`` over the neighbour pairs of ``cells``;
+    ``arrows`` are sequences aligned with the sites, as :func:`_pairs`
+    gives them."""
+    return tuple(map(local, *_pairs(cells, cycle), *arrows))
 
 
 def _step(model: Model, cfg: Configuration, row: UpdateRow,
@@ -167,7 +169,10 @@ def _step(model: Model, cfg: Configuration, row: UpdateRow,
     _check_alphabet(cfg, model)
     if len(cfg) < 2:
         raise ValueError("stepping needs a window of at least 2 cells")
-    cells = _walk(_LOCALS[model], cfg.cells, _window_arrows(cfg, row), cycle)
+    left_arrows, arrows = _pairs(_window_arrows(cfg, row), cycle)
+    # model a's rule reads its own arrow only, the particle rules both
+    reads = (arrows,) if model is Model.A else (left_arrows, arrows)
+    cells = _walk(_LOCALS[model], cfg.cells, reads, cycle)
     return Configuration(cfg.offset + (0 if cycle else 1), cells)
 
 
@@ -280,7 +285,7 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: UpdateRow,
         return left_id if arrive else cell_id if stay else -1
 
     sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
-    out = _walk(local, sites, _window_arrows(cfg, row), cycle)
+    out = _walk(local, sites, _pairs(_window_arrows(cfg, row), cycle), cycle)
     return out, next_id
 
 

@@ -114,7 +114,8 @@ class UpdateRow:
     def __post_init__(self):
         if len(self.arrows) < 1:
             raise ValueError("update row must cover at least one site")
-        if any(a not in (UP, RIGHT) for a in self.arrows):
+        arrows = self.arrows  # count() tests with == in C, as ``in`` does
+        if arrows.count(UP) + arrows.count(RIGHT) != len(arrows):
             raise ValueError("arrows must be UP or RIGHT")
 
     def __len__(self) -> int:
@@ -156,7 +157,7 @@ class UpdateStream:
 
     def row(self, step: int, offset: int, width: int) -> UpdateRow:
         bits = bits_range(self.seed, self.trial, step, offset, width)
-        return UpdateRow(offset, tuple(int(b) for b in bits))
+        return UpdateRow(offset, tuple(bits.tolist()))
 
     def cell_bits(self, offset: int, width: int,
                   domain: int = DOMAIN_CELL) -> np.ndarray:

@@ -1,0 +1,33 @@
+"""Cylinder-measure helpers that only the tests use.
+
+``pushforward`` relabels the symbols of a measure word by word, and
+``dump_rule_text`` writes a transition table in the plain-text format that
+``pcalab.cylinder.load_rule_text`` reads back.
+"""
+
+from pcalab.cylinder import (CylinderMeasure, TransitionFunction, _decode,
+                             _encode)
+
+
+def pushforward(mu: CylinderMeasure, symbol_map,
+                alphabet: tuple) -> CylinderMeasure:
+    """Image measure under a pointwise symbol relabeling."""
+    out = [0] * len(alphabet) ** mu.length
+    for idx, v in enumerate(mu.numerators.tolist()):
+        if v:
+            word = _decode(mu.alphabet, mu.length, idx)
+            word = tuple(symbol_map(s) for s in word)
+            out[_encode(alphabet, word)] += v
+    return CylinderMeasure(alphabet, mu.start, mu.length, out, mu.den)
+
+
+def dump_rule_text(f: TransitionFunction) -> str:
+    """Serialize a table whose symbols are single characters."""
+    if any(not isinstance(s, str) or len(s) != 1 for s in f.alphabet):
+        raise ValueError("only single-character alphabets serialize to text")
+    lines = [f"alphabet: {' '.join(f.alphabet)}",
+             f"neighborhood: {' '.join(str(v) for v in f.neighborhood)}"]
+    for word in sorted(f.rows):
+        probs = " ".join(str(p) for p in f.rows[word])
+        lines.append(f"{''.join(word)} : {probs}")
+    return "\n".join(lines) + "\n"

@@ -249,7 +249,8 @@ class TestEvolveCylinderCommand:
         assert "residual 0" in out
 
     def test_rule_file_round_trip(self, capsys, tmp_path):
-        from pcalab.cylinder import dump_rule_text, model_a_rule
+        from cylinder_helpers import dump_rule_text
+        from pcalab.cylinder import model_a_rule
         path = tmp_path / "rule.txt"
         path.write_text(dump_rule_text(model_a_rule()), encoding="utf-8")
         status, out = run(capsys, "evolve-cylinder", "--rule-file", str(path),

@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 
 from pcalab import density
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction,
-                             alternating_pair_measure, dump_rule_text,
-                             evolve_measure, invariance_residual, lift_model,
-                             load_rule_text, marginal, model_a_rule,
-                             output_window, pushforward, total_variation)
+                             alternating_pair_measure, evolve_measure,
+                             invariance_residual, lift_model, load_rule_text,
+                             marginal, model_a_rule, output_window,
+                             total_variation)
 from pcalab.density import exact_density
 from pcalab.lattice import a_local, b_local, c_local
 from pcalab.stream import RIGHT, UP
+
+from cylinder_helpers import dump_rule_text, pushforward
 
 BITS = ("0", "1")
 HALF = Fraction(1, 2)

@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
-                            Model, a_local, b_local, c_local, d_local,
-                            evolve, evolve_with_rows, particle_count, phi,
-                            pi_b, pi_c, step_a, step_b, step_c, step_d)
+                            Model, _advance_ids, _check_alphabet,
+                            _initial_ids, _step, a_local, b_local, c_local,
+                            d_local, evolve, evolve_with_rows, particle_count,
+                            phi, pi_b, pi_c, step_a, step_b, step_c, step_d)
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
+
+import scalar_walk
 
 ARROWS = (UP, RIGHT)
 
@@ -220,3 +223,46 @@ def test_cycle_conserves_lone_particles(seed, width, steps):
     traj = evolve(Model.C, Configuration(0, tuple(cells)), UpdateStream(seed),
                   steps, boundary="cycle")
     assert all(particle_count(c) == 1 for c in traj.configs)
+
+
+@st.composite
+def model_window(draw):
+    """A model, a boundary, a window of width 2..40 and a row covering it."""
+    model = draw(st.sampled_from(list(Model)))
+    width = draw(st.integers(2, 40))
+    offset = draw(st.integers(-50, 50))
+    cells = draw(st.lists(st.sampled_from(model.alphabet), min_size=width,
+                          max_size=width))
+    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    arrows = draw(st.lists(st.sampled_from(ARROWS),
+                           min_size=before + width + after,
+                           max_size=before + width + after))
+    return (model, draw(st.booleans()), Configuration(offset, tuple(cells)),
+            UpdateRow(offset - before, tuple(arrows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_window(), st.integers(1, 100))
+def test_mapped_walk_equals_the_index_walk(case, step_index):
+    model, cycle, cfg, row = case
+    assert _step(model, cfg, row, cycle) == scalar_walk.step(model, cfg, row,
+                                                             cycle)
+    if model.tracks_merges:
+        ids, next_id = _initial_ids(cfg)
+        events = []
+        out, after = _advance_ids(cfg, ids, row, step_index, next_id, events,
+                                  cycle)
+        assert (out, after, events) == scalar_walk.advance_ids(
+            cfg, ids, row, step_index, next_id, cycle)
+
+
+@pytest.mark.parametrize("bad, error", [(2, ValueError), (-1, ValueError),
+                                        (None, TypeError), ([1], TypeError)])
+def test_symbol_checks_keep_their_error_types(bad, error):
+    with pytest.raises(ValueError):  # arrows compare by ==, never by order
+        UpdateRow(0, (UP, bad))
+    for model in Model:
+        symbol = 3 if bad == 2 and model is Model.D else bad
+        for cells in ((EMPTY, symbol), (symbol, EMPTY)):
+            with pytest.raises(error):
+                _check_alphabet(Configuration(0, cells), model)
