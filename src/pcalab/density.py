@@ -188,9 +188,10 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
     built by ``init(ids, n_words, width)``, which returns the model's planes
     for the trial ids ``ids``, word-major: shape ``(n_words, len(ids))``,
     row ``k`` holding word ``k`` of every trial.  The chunk is then
-    stepped, and ``stat`` reduces its valid cells (one uint8 array of shape
-    ``(len(ids), sites_per_trial + 1)`` per plane) to one row per trial
-    before the next chunk starts, so only those rows grow with ``trials``.
+    stepped, and ``stat(lo, hi, *planes)`` reduces the stepped planes, still
+    packed and trimmed, whose cells ``lo .. hi-1`` are each trial's valid
+    cells, to one row per trial before the next chunk starts, so only those
+    rows grow with ``trials``.
     At step ``s`` the words wholly left of the valid window (below
     ``s >> 6``) are neither drawn nor stepped: they are leading rows, so the
     trimmed planes stay contiguous views, and information flows rightward
@@ -213,8 +214,7 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
             planes = packed.step_planes(
                 model, tuple(pl[first - base:] for pl in planes), u)
             base = first
-        rows.append(stat(*(packed.unpack_bits(pl.T, width - 64 * base)
-                           [:, n - 64 * base:] for pl in planes)))
+        rows.append(stat(n - 64 * base, width - 64 * base, *planes))
     return np.concatenate(rows)
 
 
@@ -263,8 +263,9 @@ def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
                                stream.DOMAIN_CELL),)
     else:
         raise ValueError(f"unknown init {init!r}")
-    per_trial = _run_batch(model, seed, trials, sites_per_trial, n, planes,
-                           lambda cells: cells.mean(axis=1))
+    per_trial = _run_batch(
+        model, seed, trials, sites_per_trial, n, planes,
+        lambda lo, hi, x: packed.unpack_bits(x.T, hi)[:, lo:].mean(axis=1))
     return _report(model.value, init if init == "full" else f"iid({p})", n,
                    per_trial, seed, sites_per_trial)
 
@@ -288,9 +289,9 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
             return (np.broadcast_to(row[:, None], (n_words, ids.size)),)
     else:
         raise ValueError(f"unknown init {init!r}")
-    per_trial = _run_batch(
-        Model.A, seed, trials, sites_per_trial, n, planes,
-        lambda cells: (cells[:, :-1] == cells[:, 1:]).mean(axis=1))
+    per_trial = _run_batch(  # adjacent valid cells agree iff their diff is 0
+        Model.A, seed, trials, sites_per_trial, n, planes, lambda lo, hi, x:
+        (np.diff(packed.unpack_bits(x.T, hi)[:, lo:]) == 0).mean(axis=1))
     return _report("a", init, n, per_trial, seed, sites_per_trial)
 
 
@@ -349,6 +350,7 @@ def color_density_batch(n: int, trials: int, seed: int,
                                         stream.DOMAIN_COLOR))
 
     counts = _run_batch(Model.D, seed, trials, sites_per_trial, n, planes,
-                        lambda occ, blue: np.stack(
-                            (occ.sum(axis=1), blue.sum(axis=1)), axis=-1))
+                        lambda lo, hi, occ, blue: np.stack(
+                            (packed.count_cells(occ, lo, hi),
+                             packed.count_cells(blue, lo, hi)), axis=-1))
     return counts[:, 0], counts[:, 1]

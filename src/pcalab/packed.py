@@ -6,6 +6,8 @@ of a word array and broadcast over trailing axes, so the same code steps a
 single window (shape ``(K,)``) or a whole batch of Monte Carlo trials laid
 out word-major (shape ``(K, T)``): each word row holds one word of every
 trial, so the draws and shifts of a step run on rows ``T`` long.
+Monte Carlo statistics read such planes as they are: :func:`count_cells`
+counts a cell range of every trial with one popcount per word.
 
 Information flows rightward only (cell ``i`` reads ``i-1`` and ``i``), so
 the garbage that accumulates below the shrinking valid window never
@@ -21,6 +23,7 @@ from .lattice import Model
 
 _ONE = np.uint64(1)
 _S63 = np.uint64(63)
+_ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def words_for(width: int) -> int:
@@ -44,6 +47,16 @@ def unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
     raw = np.ascontiguousarray(words).view(np.uint8)
     bits = np.unpackbits(raw, axis=-1, bitorder="little")
     return bits[..., :width]
+
+
+def count_cells(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Set cells ``lo .. hi-1`` of each column of a word-major ``(K, T)``
+    plane: ``unpack_bits(words.T, hi)[:, lo:].sum(axis=1)``, as uint64."""
+    k0, k1 = lo >> 6, words_for(hi)
+    mask = np.full(k1 - k0, _ALL)
+    mask[0] &= _ALL << np.uint64(lo & 63)
+    mask[-1] &= _ALL >> np.uint64(-hi & 63)
+    return np.bitwise_count(words[k0:k1] & mask[:, None]).sum(axis=0)
 
 
 def from_left(words: np.ndarray) -> np.ndarray:

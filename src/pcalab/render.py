@@ -102,26 +102,26 @@ def render_svg(traj: Trajectory, style: DiagramStyle | None = None,
         f'<rect width="{width * CELL}" height="{height * CELL}" '
         f'fill="#ffffff"/>',
     ]
+    # each row formats its constant attribute text once per fill, not per cell
+    fills = {**style.colors, None: style.highlight_color}
     for step, cfg in enumerate(traj.configs):
-        y = step * CELL
-        for j, c in enumerate(cfg.cells):
-            x = (cfg.offset + j - base) * CELL
-            fill = (style.highlight_color
-                    if (step, cfg.offset + j) in marked else style.colors[c])
-            parts.append(f'<rect x="{x}" y="{y}" width="{CELL}" '
-                         f'height="{CELL}" fill="{fill}" '
-                         f'stroke="#cccccc" stroke-width="1"/>')
+        tail = {c: f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
+                   f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>'
+                for c, fill in fills.items()}
+        x0 = cfg.offset - base
+        parts += [f'<rect x="{(x0 + j) * CELL}'
+                  f'{tail[None if (step, cfg.offset + j) in marked else c]}'
+                  for j, c in enumerate(cfg.cells)]
     if style.show_arrows:
         for step, arrows in enumerate(traj.rows):
             y = step * CELL + CELL // 2
-            for j, a in enumerate(arrows.arrows):
-                x = (arrows.offset + j - base) * CELL + CELL // 2
-                if a == RIGHT:
-                    tip = f'{x + CELL // 3}" y2="{y - CELL // 3}'
-                else:
-                    tip = f'{x}" y2="{y - CELL // 3}'
-                parts.append(f'<line x1="{x}" y1="{y}" x2="{tip}" '
-                             f'stroke="#d04030" stroke-width="1"/>')
+            mid = f'" y1="{y}" x2="'
+            end = f'" y2="{y - CELL // 3}" stroke="#d04030" stroke-width="1"/>'
+            x0 = (arrows.offset - base) * CELL + CELL // 2
+            parts += [f'<line x1="{x}{mid}'
+                      f'{x + CELL // 3 if a == RIGHT else x}{end}'
+                      for x, a in zip(range(x0, x0 + len(arrows.arrows) * CELL,
+                                            CELL), arrows.arrows)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -27,6 +27,44 @@ def test_pack_roundtrip(bits):
     assert list(unpack_bits(words, len(bits))) == bits
 
 
+def _unpacked_counts(words, lo, hi):
+    return unpack_bits(words.T, hi)[:, lo:].sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 7), st.data())
+def test_count_cells_equals_unpacked_sum(n_words, trials, data):
+    words = np.array(data.draw(st.lists(st.integers(0, 2 ** 64 - 1),
+                                        min_size=n_words * trials,
+                                        max_size=n_words * trials)),
+                     dtype=np.uint64).reshape(n_words, trials)
+    lo = data.draw(st.integers(0, 64 * n_words - 1))
+    hi = data.draw(st.integers(lo + 1, 64 * n_words))
+    got = packed.count_cells(words, lo, hi)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, _unpacked_counts(words, lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1), (63, 64), (64, 65), (127, 128), (255, 256), (100, 101),
+    (0, 64), (64, 128), (0, 256), (63, 65), (1, 255), (65, 191),
+    (128, 256), (0, 200)])
+def test_count_cells_word_edges_and_views(lo, hi):
+    rng = np.random.default_rng(lo * 1000 + hi)
+    full = rng.integers(0, 2 ** 64, (6, 9), dtype=np.uint64)
+    ones = np.full((4, 3), np.uint64(2 ** 64 - 1))
+    for words in (full[2:], full[2:, 1:], ones):  # trimmed leading rows
+        assert np.array_equal(packed.count_cells(words, lo, hi),
+                              _unpacked_counts(words, lo, hi))
+    assert np.all(packed.count_cells(ones, lo, hi) == hi - lo)
+    # the tiled-word init at n = 0 hands over a read-only broadcast plane
+    row = pack_bits(np.resize(np.array([0, 1, 1, 0], dtype=np.uint8), 256))
+    tiled = np.broadcast_to(row[:, None], (4, 5))
+    assert not tiled.flags.writeable
+    assert np.array_equal(packed.count_cells(tiled, lo, hi),
+                          _unpacked_counts(tiled, lo, hi))
+
+
 @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 127, 128, 129])
 def test_config_roundtrip_at_word_boundaries(width):
     rng = np.random.default_rng(width)
@@ -112,7 +150,7 @@ def test_batched_trials_match_per_trial_scalar_runs():
         return (packed.batch_cell_words(seed, ids, n_words),)
 
     bits = _run_batch(Model.C, seed, trials, width - steps - 1, steps,
-                      planes, lambda cells: cells)
+                      planes, lambda lo, hi, x: unpack_bits(x.T, hi)[:, lo:])
     for trial in range(trials):
         stream = UpdateStream(seed, trial)
         init_bits = stream.cell_bits(0, width)
@@ -190,8 +228,12 @@ def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
                                                DOMAIN_COLOR),)
         return planes
 
+    def stat(lo, hi, *planes):
+        return np.stack([unpack_bits(pl.T, hi)[:, lo:] for pl in planes],
+                        axis=1)
+
     got = _run_batch(model, seed, trials, width - steps - 1, steps, init,
-                     lambda *cells: np.stack(cells, axis=1))
+                     stat)
     want = _reference_batch(model, seed, trials, width, steps,
                             init(np.arange(trials), words_for(width), width))
     assert got.shape == (trials, len(want), width - steps)
@@ -213,7 +255,9 @@ def test_each_chunk_is_built_and_reduced_alone(monkeypatch):
         cells[:, :8] = (ids[:, None] >> np.arange(8)) & 1
         return (pack_bits(cells).T,)
 
-    def stat(cells):
+    def stat(lo, hi, plane):
+        assert (lo, hi) == (0, sites + 1)
+        cells = unpack_bits(plane.T, hi)[:, lo:]
         ids = (cells[:, :8].astype(np.int64) << np.arange(8)).sum(axis=1)
         reduced.append(ids)
         return ids
