@@ -8,10 +8,9 @@ from .cylinder import (CylinderMeasure, TransitionFunction,
                        invariance_residual, lift_model, load_rule_file,
                        load_rule_text, marginal, model_a_rule,
                        total_variation)
-from .density import (BoundsReport, DensityReport, WalkSpec, asymptotic_ratio,
-                      check_proposition_bounds, density_log, exact_density,
-                      hitting_time_oracle, interface_walk_oracle, mc_density,
-                      mc_pair_statistic_A)
+from .density import (DensityReport, WalkSpec, asymptotic_ratio, density_log,
+                      exact_density, hitting_time_oracle,
+                      interface_walk_oracle, mc_density, mc_pair_statistic_A)
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                       MergeEvent, MergeForest, Model, Trajectory, evolve,
                       evolve_with_rows, particle_count, phi, pi_b, pi_c,
@@ -21,6 +20,6 @@ from .stream import RIGHT, UP, UpdateRow, UpdateStream
 from .verify import (CaseReport, run_all, verify_color_uniformity,
                      verify_commutation, verify_domination,
                      verify_monotonicity, verify_periodic_orbit,
-                     verify_projection)
+                     verify_projection, verify_proposition_bounds)
 
 __version__ = "0.1.0"

@@ -43,13 +43,12 @@ def _build_init(model: Model, init: str, width: int,
     if init == "alternating":
         return Configuration.alternating(width)
     if init == "uniform":
+        if model is not Model.D:
+            return Configuration.random_bits(stream, width)
         bits = stream.cell_bits(0, width)
-        if model is Model.D:
-            colors = stream.cell_bits(0, width, DOMAIN_COLOR)
-            return Configuration(0, tuple(
-                (BLUE if c else GREEN) if b else EMPTY
-                for b, c in zip(bits, colors)))
-        return Configuration(0, tuple(int(b) for b in bits))
+        colors = stream.cell_bits(0, width, DOMAIN_COLOR)
+        return Configuration(0, tuple((BLUE if c else GREEN) if b else EMPTY
+                                      for b, c in zip(bits, colors)))
     if init == "blue" and model is Model.D:
         return Configuration.filled(BLUE, width)
     if init.startswith("word:"):
@@ -148,16 +147,14 @@ def _cmd_verify(args) -> tuple[str, int]:
     suite = args.suite
     if suite == "all":
         results = verify.run_all()
-    elif suite == "color-uniformity":
-        results = [verify.verify_color_uniformity(
-            args.n, args.trials, args.seed, args.sites)]
+    elif suite in verify.STATISTICAL:
+        run = getattr(verify, verify.STATISTICAL[suite])
+        results = [run(args.n, args.trials, args.seed, args.sites)]
     elif suite == "periodic-orbit":
         results = [verify.verify_periodic_orbit(args.width or 6,
                                                 seed=args.seed)]
-    elif suite in verify.SUITES:
-        results = [verify.SUITES[suite]()]
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        results = [verify.SUITES[suite]()]
     ok = all(r.passed for r in results)
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in results], indent=2) + "\n"
@@ -280,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify")
     p.add_argument("--suite", default="all",
-                   choices=("all", *verify.SUITES.keys(), "color-uniformity"))
+                   choices=("all", *verify.SUITES, *verify.STATISTICAL))
     p.add_argument("--width", type=int, default=None,
                    help="cycle width for periodic-orbit")
     p.add_argument("--n", type=int, default=3)

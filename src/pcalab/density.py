@@ -26,7 +26,7 @@ from .lattice import Model
 
 EXACT_LIMIT = 512
 LOG_LIMIT = 10 ** 7  # density_log sums one log per factor, linear in n
-_Z95 = 1.96  # normal quantile behind every 95% halfwidth
+Z95 = 1.96  # normal quantile behind every 95% halfwidth
 
 
 def _check_exact_range(n: int) -> None:
@@ -142,7 +142,7 @@ def _summarize(per_trial: np.ndarray) -> tuple[float, float]:
     if per_trial.size < 2:
         return est, math.inf
     sd = float(per_trial.std(ddof=1))
-    return est, _Z95 * sd / math.sqrt(per_trial.size)
+    return est, Z95 * sd / math.sqrt(per_trial.size)
 
 
 #: Trial-chunk budget in uint64 words: a Monte Carlo batch runs
@@ -293,49 +293,6 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
         Model.A, seed, trials, sites_per_trial, n, planes, lambda lo, hi, x:
         (np.diff(packed.unpack_bits(x.T, hi)[:, lo:]) == 0).mean(axis=1))
     return _report("a", init, n, per_trial, seed, sites_per_trial)
-
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """Outcome of the two-sided density bound check for model ``a``."""
-
-    n: int
-    lower: Fraction
-    upper: Fraction
-    reports: dict[str, DensityReport]
-    failures: tuple[str, ...]
-
-    @property
-    def verdict(self) -> bool:
-        return not self.failures
-
-
-def check_proposition_bounds(n: int, trials: int, seed: int,
-                             sites_per_trial: int = 32) -> BoundsReport:
-    """Check that measured pair statistics sit inside their exact bounds.
-
-    Every initial law must stay below the coalescing density d(n); the
-    all-ones start must reach its known value d(n-1)/2.  A violation only
-    counts beyond four standard errors.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lower = exact_density(n - 1) / 2
-    upper = exact_density(n)
-    reports, failures = {}, []
-    for init in ("uniform", "ones", "zeros"):
-        rep = mc_pair_statistic_A(init, n, trials, seed, sites_per_trial)
-        reports[init] = rep
-        band = 4.0 * rep.mc_halfwidth / _Z95
-        if rep.mc_estimate > float(upper) + band:
-            failures.append(f"{init}: estimate {rep.mc_estimate:.6f} exceeds "
-                            f"upper bound {float(upper):.6f}")
-        if rep.mc_estimate < -band:
-            failures.append(f"{init}: negative estimate")
-        if init == "ones" and rep.mc_estimate < float(lower) - band:
-            failures.append(f"ones: estimate {rep.mc_estimate:.6f} misses "
-                            f"lower bound {float(lower):.6f}")
-    return BoundsReport(n, lower, upper, reports, tuple(failures))
 
 
 def color_density_batch(n: int, trials: int, seed: int,

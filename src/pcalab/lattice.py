@@ -88,17 +88,15 @@ class Configuration:
         return Configuration(offset, tuple((first + j) % 2 for j in range(width)))
 
     @staticmethod
-    def random_bits(stream: UpdateStream, width: int, offset: int = 0,
-                    domain: int | None = None) -> "Configuration":
+    def random_bits(stream: UpdateStream, width: int,
+                    offset: int = 0) -> "Configuration":
         """I.i.d. fair binary cells drawn from the stream's cell domain."""
-        kwargs = {} if domain is None else {"domain": domain}
-        bits = stream.cell_bits(offset, width, **kwargs)
+        bits = stream.cell_bits(offset, width)
         return Configuration(offset, tuple(bits.tolist()))
 
 
 def _check_alphabet(cfg: Configuration, model: Model) -> None:
-    limit = 3 if model is Model.D else 2
-    if not (0 <= min(cfg.cells) and max(cfg.cells) < limit):
+    if not (0 <= min(cfg.cells) and max(cfg.cells) < len(model.alphabet)):
         raise ValueError(f"configuration contains symbols outside the "
                          f"alphabet of model {model.value}")
 

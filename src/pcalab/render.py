@@ -14,6 +14,8 @@ from .lattice import BLUE, EMPTY, GREEN, Model, Trajectory, trace_merges
 from .stream import RIGHT
 
 CELL = 14  # pixel pitch of one lattice cell in SVG output
+HIGHLIGHT_COLOR = "#ff8c00"  # ancestry overlay fill in SVG output
+HIGHLIGHT_GLYPH = "*"  # ancestry overlay glyph in text output
 
 
 @dataclass(frozen=True)
@@ -21,8 +23,6 @@ class DiagramStyle:
     glyphs: dict
     colors: dict
     show_arrows: bool = False
-    highlight_color: str = "#ff8c00"
-    highlight_glyph: str = "*"
 
     def glyph(self, symbol: int) -> str:
         return self.glyphs[symbol]
@@ -74,7 +74,7 @@ def render_text(traj: Trajectory, style: DiagramStyle | None = None,
     for step, cfg in enumerate(traj.configs):
         pad = " " * (cfg.offset - base)
         row = "".join(
-            style.highlight_glyph if (step, cfg.offset + j) in marked
+            HIGHLIGHT_GLYPH if (step, cfg.offset + j) in marked
             else style.glyph(c)
             for j, c in enumerate(cfg.cells))
         lines.append(pad + row)
@@ -103,7 +103,7 @@ def render_svg(traj: Trajectory, style: DiagramStyle | None = None,
         f'fill="#ffffff"/>',
     ]
     # each row formats its constant attribute text once per fill, not per cell
-    fills = {**style.colors, None: style.highlight_color}
+    fills = {**style.colors, None: HIGHLIGHT_COLOR}
     for step, cfg in enumerate(traj.configs):
         tail = {c: f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
                    f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>'

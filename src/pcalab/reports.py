@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 
 from .density import DensityReport
 
@@ -47,14 +46,10 @@ def to_json(rows) -> str:
     return json.dumps([row_fields(r) for r in rows], indent=2) + "\n"
 
 
-def write_report(rows, fmt: str, path=None) -> str:
-    """Serialize reports; also write them to ``path`` when given."""
+def write_report(rows, fmt: str) -> str:
+    """Serialize reports in the ``csv`` or ``json`` schema."""
     if fmt == "csv":
-        text = to_csv(rows)
-    elif fmt == "json":
-        text = to_json(rows)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text
+        return to_csv(rows)
+    if fmt == "json":
+        return to_json(rows)
+    raise ValueError(f"unknown report format {fmt!r}")

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from pcalab.density import (asymptotic_ratio, check_proposition_bounds,
-                            exact_density, hitting_time_oracle,
-                            interface_walk_oracle, mc_density)
+from pcalab.density import (asymptotic_ratio, exact_density,
+                            hitting_time_oracle, interface_walk_oracle,
+                            mc_density)
 from pcalab.cylinder import (CylinderMeasure, alternating_pair_measure,
                              evolve_measure, invariance_residual,
                              model_a_rule)
@@ -21,7 +21,8 @@ from pcalab.packed import step_planes
 from pcalab.stream import UpdateRow, UpdateStream
 from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_domination, verify_monotonicity,
-                           verify_periodic_orbit, verify_projection)
+                           verify_periodic_orbit, verify_projection,
+                           verify_proposition_bounds)
 
 from packed_window import (config_to_planes, evolve_packed, planes_to_config,
                            row_words)
@@ -112,8 +113,8 @@ def test_criterion_08_two_sided_bounds():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 3, 5):
-        result = check_proposition_bounds(n, 100_000, seed=2)
-        ok = ok and result.verdict
+        result = verify_proposition_bounds(n, 100_000, seed=2)
+        ok = ok and result.passed
     report(8, ok, f"pair statistic inside [d(n-1)/2, d(n)] at n in 1,3,5 "
                   f"({time.perf_counter() - t0:.2f}s)")
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcalab import density, verify
+from pcalab import density, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.reports import CSV_HEADER, to_csv, to_json, write_report
@@ -125,6 +125,32 @@ class TestVerifyCommand:
         assert status == 0
         assert json.loads(out)[0]["suite"] == "color-uniformity"
 
+
+    def test_proposition_bounds_pass_at_the_defaults(self, capsys):
+        status, out = run(capsys, "verify", "--suite", "proposition-bounds")
+        assert status == 0
+        [entry] = json.loads(out)
+        assert entry["suite"] == "proposition-bounds"
+        assert (entry["cases_total"], entry["passed"]) == (7, True)
+
+    def test_broken_kernel_fails_proposition_bounds(self, capsys,
+                                                    monkeypatch):
+        kernel_a = packed.kernel_a
+
+        def broken(x, u):  # (left, cell) = (1, 0) now yields 0
+            return kernel_a(x, u) & ~(packed.from_left(x) & ~x)
+
+        monkeypatch.setattr(packed, "kernel_a", broken)
+        status, out = run(capsys, "verify", "--suite", "proposition-bounds",
+                          "--trials", "2000", "--format", "text")
+        assert status == 1
+        assert out.startswith("proposition-bounds: FAIL")
+
+    @pytest.mark.parametrize("argv", [["--trials", "1"], ["--n", "0"],
+                                      ["--n", "513"]])
+    def test_proposition_bounds_input_errors(self, capsys, argv):
+        status = main(["verify", "--suite", "proposition-bounds", *argv])
+        assert_one_error_line(status, capsys.readouterr())
 
     def test_single_color_trial_is_an_input_error(self, capsys):
         status = main(["verify", "--suite", "color-uniformity", "--trials",

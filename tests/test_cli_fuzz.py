@@ -10,6 +10,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcalab import verify
 from pcalab.cli import main
 
 SMALL = st.integers(-2, 40)
@@ -80,8 +81,7 @@ def oracle_argv(draw):
 @st.composite
 def verify_argv(draw):
     suite = draw(st.sampled_from(
-        ["all", "commutation", "domination", "monotonicity", "projection",
-         "periodic-orbit", "color-uniformity"]))
+        ["all", *verify.SUITES, *verify.STATISTICAL]))
     pairs = [("--width", SMALL), ("--n", st.integers(-1, 6)),
              ("--sites", SMALL), ("--seed", SEEDS),
              ("--format", st.sampled_from(["json", "text"]))]

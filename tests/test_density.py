@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from pcalab import density, packed
 from pcalab.density import (EXACT_LIMIT, WalkSpec, asymptotic_ratio,
-                            check_proposition_bounds, density_log,
-                            exact_density, hitting_time_oracle,
+                            density_log, exact_density, hitting_time_oracle,
                             interface_walk_oracle, mc_density,
                             mc_pair_statistic_A)
 from pcalab.lattice import Configuration, Model, evolve
 from pcalab.packed import pack_bits, words_for
 from pcalab.stream import (DOMAIN_CELL, DOMAIN_UNIFORM, UpdateStream,
                            block_bits_vec)
+from pcalab.verify import verify_proposition_bounds
 
 from dict_oracles import hitting_time_reference, interface_walk_reference
 
@@ -274,10 +274,45 @@ class TestPairStatistic:
 class TestPropositionBounds:
     @pytest.mark.parametrize("n", [1, 3])
     def test_bounds_hold(self, n):
-        report = check_proposition_bounds(n, 20_000, seed=31)
-        assert report.verdict, report.failures
-        assert report.lower == exact_density(n - 1) / 2
-        assert report.upper == exact_density(n)
+        report = verify_proposition_bounds(n, 20_000, seed=31)
+        assert report.suite == "proposition-bounds"
+        assert (report.cases_total, report.cases_passed) == (7, 7)
+        assert report.passed, report.failures
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_bounds_are_d_n_above_and_half_d_n_minus_one_below(
+            self, n, monkeypatch):
+        upper = float(exact_density(n))
+        lower = float(exact_density(n - 1) / 2)
+
+        def pinned(estimates):
+            def stub(init, n, trials, seed, sites_per_trial):
+                return density.DensityReport(
+                    "a", init, n, None, None, estimates[init], 0.0, trials,
+                    sites_per_trial, seed)
+            return stub
+
+        on_the_bounds = {"uniform": upper, "ones": lower, "zeros": 0.0}
+        monkeypatch.setattr(density, "mc_pair_statistic_A",
+                            pinned(on_the_bounds))
+        assert verify_proposition_bounds(n, 2, seed=0).passed
+        past_them = {"uniform": math.nextafter(upper, 2.0),
+                     "ones": math.nextafter(lower, -1.0),
+                     "zeros": math.nextafter(0.0, -1.0)}
+        monkeypatch.setattr(density, "mc_pair_statistic_A",
+                            pinned(past_them))
+        failed = [case for case, _, _ in
+                  verify_proposition_bounds(n, 2, seed=0).failures]
+        assert [case.split(":")[0] for case in failed] == \
+            ["uniform", "ones", "zeros"]
+        assert "upper bound" in failed[0] and "lower bound" in failed[1]
+        assert ">= 0 " in failed[2]
+
+    @pytest.mark.parametrize("n, trials", [(3, 1), (0, 100)])
+    def test_a_single_trial_or_n_below_one_is_refused(self, n, trials):
+        # one trial has no standard error: its band would be infinite
+        with pytest.raises(ValueError, match="n >= 1 and at least two"):
+            verify_proposition_bounds(n, trials, 0)
 
     def test_broken_kernel_is_detected(self, monkeypatch):
         kernel_a = packed.kernel_a
@@ -286,10 +321,10 @@ class TestPropositionBounds:
             return kernel_a(x, u) & ~(packed.from_left(x) & ~x)
 
         monkeypatch.setattr(packed, "kernel_a", broken)
-        report = check_proposition_bounds(3, 1200, seed=32,
-                                          sites_per_trial=24)
-        assert not report.verdict
-        assert [f.split(":")[0] for f in report.failures] == \
+        report = verify_proposition_bounds(3, 1200, seed=32,
+                                           sites_per_trial=24)
+        assert not report.passed
+        assert [case.split(":")[0] for case, _, _ in report.failures] == \
             ["uniform", "ones", "zeros"]
 
 

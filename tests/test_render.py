@@ -6,7 +6,7 @@ import pytest
 
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
                             evolve, evolve_with_rows)
-from pcalab.render import render, render_text, style_for
+from pcalab.render import HIGHLIGHT_COLOR, render, render_text, style_for
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 
 
@@ -44,7 +44,7 @@ def test_genealogy_overlay_marks_all_ancestors():
     assert text.count("*") == 3  # two leaves and their merged child
 
     svg = render(traj, fmt="svg", highlight_particle=2)
-    assert svg.count(style_for(Model.C).highlight_color) == 3
+    assert svg.count(HIGHLIGHT_COLOR) == 3
 
 
 def test_overlay_requires_a_merge_log():
