@@ -8,13 +8,13 @@ from .cylinder import (CylinderMeasure, TransitionFunction,
                        invariance_residual, lift_model, load_rule_file,
                        load_rule_text, marginal, model_a_rule,
                        total_variation)
-from .density import (DensityReport, WalkSpec, asymptotic_ratio, density_log,
+from .density import (DensityReport, asymptotic_ratio, density_log,
                       exact_density, hitting_time_oracle,
                       interface_walk_oracle, mc_density, mc_pair_statistic_A)
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                       MergeEvent, MergeForest, Model, Trajectory, evolve,
                       evolve_with_rows, particle_count, phi, pi_b, pi_c,
-                      step_a, step_b, step_c, step_d, trace_merges)
+                      trace_merges)
 from .render import DiagramStyle, render, style_for
 from .stream import RIGHT, UP, UpdateRow, UpdateStream
 from .verify import (CaseReport, run_all, verify_color_uniformity,

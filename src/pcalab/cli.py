@@ -151,8 +151,8 @@ def _cmd_verify(args) -> tuple[str, int]:
         run = getattr(verify, verify.STATISTICAL[suite])
         results = [run(args.n, args.trials, args.seed, args.sites)]
     elif suite == "periodic-orbit":
-        results = [verify.verify_periodic_orbit(args.width or 6,
-                                                seed=args.seed)]
+        width = args.width if args.width is not None else 6
+        results = [verify.verify_periodic_orbit(width, seed=args.seed)]
     else:
         results = [verify.SUITES[suite]()]
     ok = all(r.passed for r in results)

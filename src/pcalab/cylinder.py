@@ -238,27 +238,15 @@ class CylinderMeasure:
         return CylinderMeasure.product(alphabet, start,
                                        [(share,) * len(alphabet)] * length)
 
-    @staticmethod
-    def mixture(parts) -> "CylinderMeasure":
-        """Convex combination of measures on the same window."""
-        parts = [(mu, Fraction(coeff)) for mu, coeff in parts]
-        window = {(mu.alphabet, mu.start, mu.length) for mu, _ in parts}
-        if len(window) != 1:
-            raise ValueError("mixture components must share the window")
-        den = math.lcm(*(mu.den * c.denominator for mu, c in parts))
-        num = sum(mu.numerators.astype(object)
-                  * (c.numerator * (den // (mu.den * c.denominator)))
-                  for mu, c in parts)
-        return CylinderMeasure(*window.pop(), num, den)
-
 
 def alternating_pair_measure(start: int, length: int) -> CylinderMeasure:
     """The even mixture of the two alternating binary words on a window."""
-    return CylinderMeasure.mixture(
-        (CylinderMeasure.delta(("0", "1"), start,
-                               ["01"[(start + j + s) % 2]
-                                for j in range(length)]), Fraction(1, 2))
-        for s in (0, 1))
+    alphabet = ("0", "1")
+    num = np.zeros(_check_cap(alphabet, length), dtype=np.int64)
+    for s in (0, 1):
+        num[_encode(alphabet, ["01"[(start + j + s) % 2]
+                               for j in range(length)])] = 1
+    return CylinderMeasure(alphabet, start, length, num, 2)
 
 
 def output_window(mu: CylinderMeasure,

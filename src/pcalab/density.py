@@ -70,48 +70,23 @@ def hitting_time_oracle(n: int) -> Fraction:
     return Fraction(sum(counts), 4 ** n)
 
 
-@dataclass(frozen=True)
-class WalkSpec:
-    """A lazy +-1 walk: step law, start, and absorbing barrier.
+def interface_walk_oracle(n: int) -> Fraction:
+    """Survival probability at step ``n`` of the lazy walk that steps
+    -1, 0, +1 with probabilities 1/4, 1/2, 1/4, started at 1 and absorbed
+    at 0: the interface walk of the coalescing model.
 
-    The default is the interface walk of the coalescing model: steps
-    -1, 0, +1 with weights 1/4, 1/2, 1/4, started at 1 and killed at 0.
-    """
-
-    step_law: tuple[tuple[int, Fraction], ...] = (
-        (-1, Fraction(1, 4)), (0, Fraction(1, 2)), (1, Fraction(1, 4)))
-    start: int = 1
-    barrier: int = 0
-
-    def __post_init__(self):
-        if sum(w for _, w in self.step_law) != 1:
-            raise ValueError("step-law weights must sum to 1")
-        if any(w < 0 for _, w in self.step_law):
-            raise ValueError("step-law weights must be nonnegative")
-        if self.start <= self.barrier:
-            raise ValueError("walk must start above the absorbing barrier")
-
-
-def interface_walk_oracle(n: int, spec: WalkSpec = WalkSpec()) -> Fraction:
-    """Survival probability at step ``n`` of the absorbed lazy walk.
-
-    Exact DP over the positions ``barrier + 1 ..`` that the walk can reach;
-    the common denominator of the step law keeps all weights integral.
+    Exact DP over the reachable positions, weighted in quarters:
+    ``weights[i]`` is the weight of the surviving paths at position ``1 + i``.
     """
     _check_exact_range(n)
-    denom = math.lcm(*(w.denominator for _, w in spec.step_law))
-    moves = [(delta, int(w * denom)) for delta, w in spec.step_law if w]
-    up = max(0, *(delta for delta, _ in moves))
-    weights = np.zeros(spec.start - spec.barrier, dtype=object)
-    weights[-1] = 1  # index i is position barrier + 1 + i
+    weights = np.ones(1, dtype=object)
     for _ in range(n):
-        nxt = np.zeros(weights.size + up, dtype=object)
-        for delta, m in moves:  # steps onto the barrier or below die
-            src = weights[max(0, -delta):]
-            nxt[max(0, delta):max(0, delta) + src.size] += (
-                src if m == 1 else src * m)
+        nxt = np.zeros(weights.size + 1, dtype=object)
+        nxt[1:] += weights  # +1
+        nxt[:-1] += weights * 2  # stay
+        nxt[:-2] += weights[1:]  # -1; a step from 1 onto 0 dies
         weights = nxt
-    return Fraction(int(weights.sum()), denom ** n)
+    return Fraction(int(weights.sum()), 4 ** n)
 
 
 def asymptotic_ratio(n: int) -> float:

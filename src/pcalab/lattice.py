@@ -66,33 +66,19 @@ class Configuration:
     def end(self) -> int:
         return self.offset + len(self.cells)
 
-    def cell_at(self, site: int) -> int:
-        if not self.offset <= site < self.end:
-            raise ValueError(f"site {site} outside window "
-                             f"[{self.offset}, {self.end})")
-        return self.cells[site - self.offset]
-
-    def window(self, start: int, stop: int) -> "Configuration":
-        """Restriction to the absolute site range ``[start, stop)``."""
-        if not (self.offset <= start < stop <= self.end):
-            raise ValueError("window not contained in configuration")
-        return Configuration(start, self.cells[start - self.offset:
-                                               stop - self.offset])
+    @staticmethod
+    def filled(symbol: int, width: int) -> "Configuration":
+        return Configuration(0, (symbol,) * width)
 
     @staticmethod
-    def filled(symbol: int, width: int, offset: int = 0) -> "Configuration":
-        return Configuration(offset, (symbol,) * width)
+    def alternating(width: int, first: int = 0) -> "Configuration":
+        return Configuration(0, tuple((first + j) % 2 for j in range(width)))
 
     @staticmethod
-    def alternating(width: int, offset: int = 0, first: int = 0) -> "Configuration":
-        return Configuration(offset, tuple((first + j) % 2 for j in range(width)))
-
-    @staticmethod
-    def random_bits(stream: UpdateStream, width: int,
-                    offset: int = 0) -> "Configuration":
+    def random_bits(stream: UpdateStream, width: int) -> "Configuration":
         """I.i.d. fair binary cells drawn from the stream's cell domain."""
-        bits = stream.cell_bits(offset, width)
-        return Configuration(offset, tuple(bits.tolist()))
+        bits = stream.cell_bits(0, width)
+        return Configuration(0, tuple(bits.tolist()))
 
 
 def _check_alphabet(cfg: Configuration, model: Model) -> None:
@@ -174,23 +160,6 @@ def _step(model: Model, cfg: Configuration, row: UpdateRow,
     return Configuration(cfg.offset + (0 if cycle else 1), cells)
 
 
-def step_a(x: Configuration, row: UpdateRow) -> Configuration:
-    """One update of model ``a``; the output window loses its left site."""
-    return _step(Model.A, x, row, False)
-
-
-def step_b(y: Configuration, row: UpdateRow) -> Configuration:
-    return _step(Model.B, y, row, False)
-
-
-def step_c(z: Configuration, row: UpdateRow) -> Configuration:
-    return _step(Model.C, z, row, False)
-
-
-def step_d(d: Configuration, row: UpdateRow) -> Configuration:
-    return _step(Model.D, d, row, False)
-
-
 def pair_cell(a: int, b: int) -> int:
     return PARTICLE if a == b else EMPTY
 
@@ -245,10 +214,6 @@ class Trajectory:
     id_rows: list[tuple[int, ...]] | None = None
     events: list[MergeEvent] = field(default_factory=list)
     leaf_count: int = 0
-
-    @property
-    def steps(self) -> int:
-        return len(self.configs) - 1
 
     @property
     def final(self) -> Configuration:

@@ -125,18 +125,8 @@ class UpdateRow:
     def end(self) -> int:
         return self.offset + len(self.arrows)
 
-    def arrow(self, site: int) -> int:
-        if not self.offset <= site < self.end:
-            raise ValueError(f"site {site} outside update row "
-                             f"[{self.offset}, {self.end})")
-        return self.arrows[site - self.offset]
-
     def covers(self, offset: int, width: int) -> bool:
         return self.offset <= offset and offset + width <= self.end
-
-    def shifted(self, delta: int) -> "UpdateRow":
-        """Same arrows re-anchored: site ``i`` now holds the old ``i - delta``."""
-        return UpdateRow(self.offset + delta, self.arrows)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,8 @@ library runs the same recurrences over dense arrays, and the tests
 require the two forms to agree exactly.
 """
 
-import math
 from collections import defaultdict
 from fractions import Fraction
-
-from pcalab.density import WalkSpec
 
 
 def hitting_time_reference(n: int) -> Fraction:
@@ -26,16 +23,16 @@ def hitting_time_reference(n: int) -> Fraction:
     return Fraction(sum(counts.values()), 4 ** n)
 
 
-def interface_walk_reference(n: int, spec: WalkSpec = WalkSpec()) -> Fraction:
-    """Survival probability at step ``n`` of the absorbed lazy walk."""
-    denom = math.lcm(*(w.denominator for _, w in spec.step_law))
-    moves = [(delta, int(w * denom)) for delta, w in spec.step_law]
-    weights = {spec.start: 1}
+def interface_walk_reference(n: int) -> Fraction:
+    """Survival probability at step ``n`` of the lazy walk that steps
+    -1, 0, +1 with probabilities 1/4, 1/2, 1/4 from 1, absorbed at 0."""
+    moves = ((-1, 1), (0, 2), (1, 1))  # in quarters
+    weights = {1: 1}
     for _ in range(n):
         nxt: dict[int, int] = defaultdict(int)
         for pos, w in weights.items():
             for delta, m in moves:
-                if pos + delta > spec.barrier and m:
+                if pos + delta > 0:
                     nxt[pos + delta] += w * m
         weights = nxt
-    return Fraction(sum(weights.values()), denom ** n)
+    return Fraction(sum(weights.values()), 4 ** n)

@@ -152,6 +152,12 @@ class TestVerifyCommand:
         status = main(["verify", "--suite", "proposition-bounds", *argv])
         assert_one_error_line(status, capsys.readouterr())
 
+    @pytest.mark.parametrize("width", ["0", "2", "5", "-4"])
+    def test_periodic_orbit_width_errors(self, capsys, width):
+        status = main(["verify", "--suite", "periodic-orbit", "--width",
+                       width])
+        assert_one_error_line(status, capsys.readouterr())
+
     def test_single_color_trial_is_an_input_error(self, capsys):
         status = main(["verify", "--suite", "color-uniformity", "--trials",
                        "1"])

@@ -25,7 +25,7 @@ BITS = ("0", "1")
 HALF = Fraction(1, 2)
 
 
-def brute_step_a(mu: CylinderMeasure) -> dict:
+def brute_update_a(mu: CylinderMeasure) -> dict:
     """Independent oracle: enumerate support words x arrow assignments."""
     out = {}
     length = mu.length - 1
@@ -151,9 +151,9 @@ def test_sweep_on_either_side_of_the_int64_bound(words):
     rows = {w: (Fraction(p - k, p), Fraction(k, p)) for k, w in enumerate(
         itertools.product("xy", repeat=2), start=1)}
     f = TransitionFunction(("x", "y"), (-1, 0), rows)
-    mu = CylinderMeasure.mixture(
-        (CylinderMeasure.delta(("x", "y"), 0, w), Fraction(1, len(words)))
-        for w in words)
+    num = sum(CylinderMeasure.delta(("x", "y"), 0, w).numerators
+              for w in words)  # one numerator per word over len(words)
+    mu = CylinderMeasure(("x", "y"), 0, 3, num, len(words))
     assert 2 ** 62 < mu.den * _row_den(f) ** 2 < 2 ** 64
     assert evolve_measure(mu, f) == reference_evolve(mu, f)
 
@@ -230,7 +230,7 @@ class TestEvolveMeasure:
         weights = tuple(Fraction(v, sum(raw)) for v in raw)
         mu = CylinderMeasure(BITS, 0, length, weights)
         out = evolve_measure(mu, model_a_rule())
-        brute = brute_step_a(mu)
+        brute = brute_update_a(mu)
         assert sum(out.weights) == 1
         for word, p in brute.items():
             assert out.weight(word) == p

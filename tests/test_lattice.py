@@ -10,7 +10,7 @@ from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                             Model, _advance_ids, _check_alphabet,
                             _initial_ids, _step, a_local, b_local, c_local,
                             d_local, evolve, evolve_with_rows, particle_count,
-                            phi, pi_b, pi_c, step_a, step_b, step_c, step_d)
+                            phi, pi_b, pi_c)
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 
 import scalar_walk
@@ -55,7 +55,7 @@ class TestSteps:
     def test_step_a_propagates_the_left_cell(self):
         x = Configuration(0, (1, 0))
         for u0, u1 in itertools.product(ARROWS, repeat=2):
-            out = step_a(x, row_for(x, (u0, u1)))
+            out = _step(Model.A, x, row_for(x, (u0, u1)), False)
             assert out.offset == 1 and out.cells == (1,)
 
     def test_step_a_shifts_alternating_words(self):
@@ -63,44 +63,52 @@ class TestSteps:
         # flips parity: sites even/odd swap their values; arrows are unread.
         x = Configuration(0, (0, 1, 0, 1, 0, 1))
         for arrows in ((UP,) * 6, (RIGHT,) * 6, (UP, RIGHT) * 3):
-            out = step_a(x, UpdateRow(0, arrows))
+            out = _step(Model.A, x, UpdateRow(0, arrows), False)
             assert out.offset == 1
-            assert all(out.cell_at(s) == (s + 1) % 2 for s in range(1, 6))
-        two = step_a(out, UpdateRow(1, (UP,) * 5))
-        assert all(two.cell_at(s) == s % 2 for s in range(2, 6))
+            assert out.cells == tuple((s + 1) % 2 for s in range(1, 6))
+        two = _step(Model.A, out, UpdateRow(1, (UP,) * 5), False)
+        assert two.offset == 2
+        assert two.cells == tuple(s % 2 for s in range(2, 6))
 
     def test_step_b_collisions(self):
         y = Configuration(0, (1, 1))
-        assert step_b(y, row_for(y, (RIGHT, RIGHT))).cells == (1,)
-        assert step_b(y, row_for(y, (RIGHT, UP))).cells == (0,)
+        assert _step(Model.B, y, row_for(y, (RIGHT, RIGHT)),
+                     False).cells == (1,)
+        assert _step(Model.B, y, row_for(y, (RIGHT, UP)), False).cells == (0,)
         empty = Configuration(0, (0, 0))
         for u in itertools.product(ARROWS, repeat=2):
-            assert step_b(empty, row_for(empty, u)).cells == (0,)
+            assert _step(Model.B, empty, row_for(empty, u),
+                         False).cells == (0,)
 
     def test_step_c_collisions(self):
         z = Configuration(0, (1, 1))
-        assert step_c(z, row_for(z, (RIGHT, UP))).cells == (1,)
-        assert step_c(z, row_for(z, (UP, RIGHT))).cells == (0,)
+        assert _step(Model.C, z, row_for(z, (RIGHT, UP)), False).cells == (1,)
+        assert _step(Model.C, z, row_for(z, (UP, RIGHT)), False).cells == (0,)
         lone = Configuration(0, (1, 0))
-        assert step_c(lone, row_for(lone, (RIGHT, UP))).cells == (1,)
+        assert _step(Model.C, lone, row_for(lone, (RIGHT, UP)),
+                     False).cells == (1,)
 
     def test_step_d_merges(self):
         d = Configuration(0, (BLUE, BLUE))
-        assert step_d(d, row_for(d, (RIGHT, UP))).cells == (GREEN,)
+        assert _step(Model.D, d, row_for(d, (RIGHT, UP)),
+                     False).cells == (GREEN,)
         d = Configuration(0, (BLUE, GREEN))
-        assert step_d(d, row_for(d, (RIGHT, UP))).cells == (BLUE,)
+        assert _step(Model.D, d, row_for(d, (RIGHT, UP)),
+                     False).cells == (BLUE,)
         d = Configuration(0, (GREEN, EMPTY))
-        assert step_d(d, row_for(d, (UP, UP))).cells == (EMPTY,)
+        assert _step(Model.D, d, row_for(d, (UP, UP)),
+                     False).cells == (EMPTY,)
 
     def test_window_and_alignment_errors(self):
         short = Configuration(0, (1,))
         with pytest.raises(ValueError):
-            step_a(short, UpdateRow(0, (UP,)))
+            _step(Model.A, short, UpdateRow(0, (UP,)), False)
         x = Configuration(0, (1, 0, 1))
+        with pytest.raises(ValueError):  # the row does not cover the window
+            _step(Model.A, x, UpdateRow(1, (UP, UP)), False)
         with pytest.raises(ValueError):
-            step_a(x, UpdateRow(1, (UP, UP)))  # does not cover the window
-        with pytest.raises(ValueError):
-            step_b(Configuration(0, (0, 2)), UpdateRow(0, (UP, UP)))
+            _step(Model.B, Configuration(0, (0, 2)), UpdateRow(0, (UP, UP)),
+                  False)
 
     def test_annihilation_step_reads_arrow_agreement(self):
         # From the full line, a site stays occupied iff its two driving
@@ -108,10 +116,11 @@ class TestSteps:
         st_ = UpdateStream(31)
         y = Configuration.filled(PARTICLE, 40)
         row = st_.row(0, 0, 40)
-        out = step_b(y, row)
-        for site in range(1, 40):
-            want = PARTICLE if row.arrow(site - 1) == row.arrow(site) else EMPTY
-            assert out.cell_at(site) == want
+        out = _step(Model.B, y, row, False)
+        assert out.offset == 1
+        for site in range(1, 40):  # the row and the input start at site 0
+            agree = row.arrows[site - 1] == row.arrows[site]
+            assert out.cells[site - 1] == (PARTICLE if agree else EMPTY)
 
 
 class TestMaps:
@@ -166,7 +175,8 @@ class TestEvolve:
         rows = [stream.row(n, init.offset + n, 40 - n) for n in range(12)]
         a_traj = evolve_with_rows(Model.A, init, rows)
         b_traj = evolve_with_rows(Model.B, phi(init),
-                                  [r.shifted(-1) for r in rows])
+                                  [UpdateRow(r.offset - 1, r.arrows)
+                                   for r in rows])
         for a_cfg, b_cfg in zip(a_traj.configs, b_traj.configs):
             assert phi(a_cfg) == b_cfg
 

@@ -72,8 +72,8 @@ class TestPeriodicOrbit:
         assert report.passed
 
     def test_sampled_large_width(self):
-        report = verify_periodic_orbit(12, samples=64, seed=5)
-        assert report.cases_total == 64
+        report = verify_periodic_orbit(12, seed=5)
+        assert report.cases_total == 256
         assert report.passed
 
     def test_odd_width_rejected(self):
