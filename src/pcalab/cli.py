@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import cylinder, density, reports, verify
 from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, evolve,
-                      particle_count)
+                      particle_count, trace_merges)
 from .render import render, style_for
 from .stream import DOMAIN_COLOR, UpdateStream
 
@@ -97,10 +97,7 @@ def _cmd_render(args) -> tuple[str, int]:
     site = args.highlight_site
     if site is not None:
         final = traj.final
-        ids = traj.id_rows[-1] if traj.id_rows else None
-        if ids is None:
-            raise ValueError("genealogy overlay requires a model with a "
-                             "merge log (c or d)")
+        ids = trace_merges(traj).id_rows[-1]
         pid = ids[site - final.offset] if final.offset <= site < final.end else -1
         if pid < 0:
             raise ValueError(f"no surviving particle at site {site}")
@@ -196,6 +193,13 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
 
 
 def _cmd_evolve_cylinder(args) -> tuple[str, int]:
+    if args.steps < 0:
+        raise ValueError("steps must be >= 0")
+    if args.marginal:
+        try:
+            start, length = (int(t) for t in args.marginal.split(":"))
+        except ValueError:
+            raise ValueError("--marginal must be START:LENGTH") from None
     if args.rule_file:
         table = cylinder.load_rule_file(args.rule_file)
     elif args.lift:
@@ -209,7 +213,6 @@ def _cmd_evolve_cylinder(args) -> tuple[str, int]:
     for _ in range(args.steps):
         mu = cylinder.evolve_measure(mu, table)
     if args.marginal:
-        start, length = (int(t) for t in args.marginal.split(":"))
         mu = cylinder.marginal(mu, start, length)
     if args.format == "json":
         payload = {
@@ -252,8 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default="line")
         if name == "render":
             p.add_argument("--arrows", action="store_true")
-            p.add_argument("--highlight-particle", type=int, default=None)
-            p.add_argument("--highlight-site", type=int, default=None)
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--highlight-particle", type=int, default=None)
+            group.add_argument("--highlight-site", type=int, default=None)
             add_common(p, ("text", "svg"), "text")
         else:
             add_common(p, ("text", "json"), "text")

@@ -211,9 +211,6 @@ class Trajectory:
     boundary: str
     configs: list[Configuration]
     rows: list[UpdateRow] = field(default_factory=list)
-    id_rows: list[tuple[int, ...]] | None = None
-    events: list[MergeEvent] = field(default_factory=list)
-    leaf_count: int = 0
 
     @property
     def final(self) -> Configuration:
@@ -269,22 +266,10 @@ def evolve_with_rows(model: Model, init: Configuration, rows, *,
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
 
-    track = model.tracks_merges
-    traj = Trajectory(model, boundary, [init], rows)
-    if track:
-        ids, next_id = _initial_ids(init)
-        traj.id_rows = [ids]
-        traj.leaf_count = next_id
-    cur = init
-    for n, row in enumerate(rows):
-        new = _step(model, cur, row, boundary == "cycle")
-        if track:
-            ids, next_id = _advance_ids(cur, ids, row, n + 1, next_id,
-                                        traj.events, boundary == "cycle")
-            traj.id_rows.append(ids)
-        traj.configs.append(new)
-        cur = new
-    return traj
+    configs = [init]
+    for row in rows:
+        configs.append(_step(model, configs[-1], row, boundary == "cycle"))
+    return Trajectory(model, boundary, configs, rows)
 
 
 def evolve(model: Model, init: Configuration, stream: UpdateStream,
@@ -292,8 +277,8 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     """Iterate a model ``steps`` times with rows drawn from the stream.
 
     Line boundary sheds one site on the left per step; cycle boundary wraps
-    index arithmetic modulo the width.  Merge genealogy is recorded for
-    models ``c`` and ``d``.
+    index arithmetic modulo the width.  :func:`trace_merges` replays the
+    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
     """
     model = Model(model)
     if steps < 0:
@@ -317,12 +302,14 @@ class MergeForest:
 
     Initial particles are leaves; every collision adds one internal node,
     so ``len(leaves) - len(merges)`` counts the lines of descent still
-    alive (on a cycle, exactly the surviving particles).
+    alive (on a cycle, exactly the surviving particles).  ``id_rows[t]``
+    holds each cell's particle id at step ``t``, -1 for an empty cell.
     """
 
     leaves: tuple[int, ...]
     merges: tuple[MergeEvent, ...]
     survivors: tuple[int, ...]
+    id_rows: tuple[tuple[int, ...], ...]
 
     @property
     def parents_of(self) -> dict[int, tuple[int, int]]:
@@ -330,6 +317,8 @@ class MergeForest:
 
     def ancestors(self, particle: int) -> set[int]:
         """The particle itself plus every particle that merged into it."""
+        if not 0 <= particle < len(self.leaves) + len(self.merges):
+            raise ValueError(f"no particle has id {particle}")
         parents = self.parents_of
         out, stack = set(), [particle]
         while stack:
@@ -342,19 +331,24 @@ class MergeForest:
 
 
 def trace_merges(traj: Trajectory) -> MergeForest:
-    """Extract the merge forest of a model ``c`` or ``d`` trajectory."""
-    if traj.id_rows is None:
+    """The merge forest of a model ``c`` or ``d`` trajectory, replayed."""
+    if not traj.model.tracks_merges:
         raise ValueError(f"model {traj.model.value} trajectories carry no "
                          "merge log; use model c or d")
+    ids, next_id = _initial_ids(traj.configs[0])
+    leaves, id_rows, events = tuple(range(next_id)), [ids], []
+    for n, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
+        ids, next_id = _advance_ids(cfg, ids, row, n + 1, next_id, events,
+                                    traj.boundary == "cycle")
+        id_rows.append(ids)
     merged = set()
-    for ev in traj.events:
+    for ev in events:
         for parent in (ev.left_parent, ev.right_parent):
             if parent in merged:
                 raise ValueError(f"particle {parent} merges twice")
             merged.add(parent)
-    survivors = tuple(sorted(p for p in traj.id_rows[-1] if p >= 0))
-    return MergeForest(tuple(range(traj.leaf_count)), tuple(traj.events),
-                       survivors)
+    survivors = tuple(sorted(p for p in ids if p >= 0))
+    return MergeForest(leaves, tuple(events), survivors, tuple(id_rows))
 
 
 def particle_count(cfg: Configuration) -> int:

@@ -2,8 +2,8 @@
 
 One row per time step, time increasing downward.  The update arrows can be
 overlaid (vertical stroke for UP, north-east stroke for RIGHT), and for
-trajectories with a merge log the full ancestry of a chosen surviving
-particle can be highlighted.
+models ``c`` and ``d`` the full ancestry of a chosen particle, replayed by
+:func:`~pcalab.lattice.trace_merges`, can be highlighted.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ def style_for(model: Model, show_arrows: bool = False) -> DiagramStyle:
 
 def _highlight_cells(traj: Trajectory, particle: int) -> set[tuple[int, int]]:
     forest = trace_merges(traj)  # raises for models without a merge log
-    keep = forest.ancestors(particle)
+    keep = forest.ancestors(particle)  # raises for an id naming no particle
     cells = set()
-    for step, ids in enumerate(traj.id_rows):
+    for step, ids in enumerate(forest.id_rows):
         offset = traj.configs[step].offset
         for j, pid in enumerate(ids):
             if pid in keep:

@@ -271,6 +271,25 @@ class TestSimulateAndRender:
             main(["simulate", "--model", "c", "--frobnicate"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("particle", ["-1", "999"])
+    def test_highlight_id_naming_no_particle_is_an_input_error(self, capsys,
+                                                               particle):
+        # -1 is the id of every empty cell; 999 is past the last merge
+        status = main(["render", "--model", "c", "--init", "alternating",
+                       "--width", "12", "--steps", "3",
+                       "--highlight-particle", particle])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert "no particle" in captured.err
+
+    def test_highlight_site_and_particle_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["render", "--model", "c", "--width", "12", "--steps", "3",
+                  "--highlight-particle", "0", "--highlight-site", "5"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not allowed with" in captured.err
+
 
 class TestEvolveCylinderCommand:
     def test_alternating_mixture_is_reported_invariant(self, capsys):
@@ -335,6 +354,16 @@ class TestEvolveCylinderCommand:
         assert status == 0
         assert "window start=1 length=1" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--length", "2", "--steps", "-3"], "steps must be >= 0"),
+        (["--marginal", "3"], "--marginal must be START:LENGTH"),
+        (["--marginal", "a:b"], "--marginal must be START:LENGTH"),
+    ])
+    def test_bad_steps_or_marginal_is_named(self, capsys, argv, message):
+        status = main(["evolve-cylinder", *argv])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["--init", "word:0123"],

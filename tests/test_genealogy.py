@@ -1,10 +1,17 @@
 """Merge genealogy: forests, ancestries, counting identities."""
 
-import pytest
+import itertools
 
-from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model, evolve,
-                            evolve_with_rows, particle_count, trace_merges)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model,
+                            _initial_ids, evolve, evolve_with_rows,
+                            particle_count, trace_merges)
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
+
+import scalar_walk
 
 
 def test_single_particle_is_a_lone_leaf():
@@ -33,11 +40,15 @@ def test_two_adjacent_particles_merge_into_one_root():
 def test_merge_log_is_consistent_with_occupancy():
     stream = UpdateStream(21)
     init = Configuration.random_bits(stream, 30)
-    traj = evolve(Model.C, init, stream, 12)
-    for cfg, ids in zip(traj.configs, traj.id_rows):
-        assert len(ids) == len(cfg)
-        for cell, pid in zip(cfg.cells, ids):
-            assert (pid >= 0) == (cell != EMPTY)
+    for model, boundary in itertools.product([Model.C, Model.D],
+                                             ["line", "cycle"]):
+        traj = evolve(model, init, stream, 12, boundary=boundary)
+        id_rows = trace_merges(traj).id_rows
+        assert len(id_rows) == len(traj.configs)
+        for cfg, ids in zip(traj.configs, id_rows):
+            assert len(ids) == len(cfg)
+            for cell, pid in zip(cfg.cells, ids):
+                assert (pid >= 0) == (cell != EMPTY)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -84,3 +95,44 @@ def test_ancestry_covers_every_merged_leaf():
         covered |= anc
     # every initial particle either survived or merged into some survivor
     assert set(forest.leaves) <= covered
+
+
+@st.composite
+def particle_runs(draw):
+    """A model ``c`` or ``d`` trajectory from a random window and seed."""
+    model = draw(st.sampled_from([Model.C, Model.D]))
+    boundary = draw(st.sampled_from(["line", "cycle"]))
+    width = draw(st.integers(2, 24))
+    cells = draw(st.lists(st.sampled_from(model.alphabet), min_size=width,
+                          max_size=width))
+    init = Configuration(draw(st.integers(-40, 40)), tuple(cells))
+    steps = draw(st.integers(0, width - 1 if boundary == "line" else 16))
+    return evolve(model, init, UpdateStream(draw(st.integers(0, 2 ** 32))),
+                  steps, boundary=boundary)
+
+
+@settings(max_examples=200, deadline=None)
+@given(particle_runs())
+def test_trace_merges_equals_the_chained_index_walk(traj):
+    ids, next_id = _initial_ids(traj.configs[0])
+    id_rows, merges = [ids], []
+    for n, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
+        ids, next_id, events = scalar_walk.advance_ids(
+            cfg, ids, row, n + 1, next_id, traj.boundary == "cycle")
+        id_rows.append(ids)
+        merges += events
+    forest = trace_merges(traj)
+    assert forest.id_rows == tuple(id_rows)
+    assert forest.merges == tuple(merges)
+    assert forest.leaves == tuple(range(particle_count(traj.configs[0])))
+    assert forest.survivors == tuple(sorted(p for p in ids if p >= 0))
+
+
+@pytest.mark.parametrize("particle", [-1, 3, 99])
+def test_ancestors_of_an_id_naming_no_particle_raise(particle):
+    traj = evolve_with_rows(Model.C, Configuration(0, (1, 1, 0)),
+                            [UpdateRow(0, (RIGHT, UP, UP))])
+    forest = trace_merges(traj)  # leaves 0 and 1, merged child 2
+    with pytest.raises(ValueError, match="no particle"):
+        forest.ancestors(particle)
+    assert forest.ancestors(2) == {0, 1, 2}
