@@ -18,7 +18,7 @@ from pathlib import Path
 from . import cylinder, density, reports, verify
 from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, evolve,
                       particle_count, trace_merges)
-from .render import render, style_for
+from .render import GLYPHS, render
 from .stream import DOMAIN_COLOR, UpdateStream
 
 def _resolve_seed(value: int | None) -> int:
@@ -52,12 +52,11 @@ def _build_init(model: Model, init: str, width: int,
     if init == "blue" and model is Model.D:
         return Configuration.filled(BLUE, width)
     if init.startswith("word:"):
-        glyphs = {g: s for s, g in style_for(model).glyphs.items()}
-        word = init[5:]
+        glyphs, word = GLYPHS[model], init[5:]
         if not word or any(ch not in glyphs for ch in word):
             raise ValueError(f"custom word {word!r} uses glyphs outside "
                              f"model {model.value}'s alphabet")
-        return Configuration(0, tuple(glyphs[word[j % len(word)]]
+        return Configuration(0, tuple(glyphs.index(word[j % len(word)])
                                       for j in range(width)))
     raise ValueError(f"unknown init {init!r} for model {model.value}")
 
@@ -73,7 +72,7 @@ def _simulate_traj(args):
 def _cmd_simulate(args) -> tuple[str, int]:
     traj = _simulate_traj(args)
     final = traj.final
-    style = style_for(traj.model)
+    cells = "".join(GLYPHS[traj.model][c] for c in final.cells)
     if args.format == "json":
         payload = {
             "model": traj.model.value,
@@ -81,33 +80,34 @@ def _cmd_simulate(args) -> tuple[str, int]:
             "steps": args.steps,
             "seed": args.seed,
             "offset": final.offset,
-            "cells": "".join(style.glyph(c) for c in final.cells),
+            "cells": cells,
             "particles": particle_count(final),
         }
         return json.dumps(payload, indent=2) + "\n", 0
-    text = "".join(style.glyph(c) for c in final.cells)
-    return (f"{text}\n# model={traj.model.value} steps={args.steps} "
+    return (f"{cells}\n# model={traj.model.value} steps={args.steps} "
             f"offset={final.offset} particles={particle_count(final)}\n"), 0
 
 
 def _cmd_render(args) -> tuple[str, int]:
     traj = _simulate_traj(args)
-    style = style_for(traj.model, show_arrows=args.arrows)
-    highlight = args.highlight_particle
-    site = args.highlight_site
-    if site is not None:
-        final = traj.final
-        ids = trace_merges(traj).id_rows[-1]
-        pid = ids[site - final.offset] if final.offset <= site < final.end else -1
-        if pid < 0:
-            raise ValueError(f"no surviving particle at site {site}")
-        highlight = pid
-    return render(traj, style, fmt=args.format,
-                  highlight_particle=highlight), 0
+    pid, site = args.highlight_particle, args.highlight_site
+    marked = frozenset()
+    if pid is not None or site is not None:
+        forest = trace_merges(traj)
+        if site is not None:
+            final = traj.final
+            pid = (forest.id_rows[-1][site - final.offset]
+                   if final.offset <= site < final.end else -1)
+            if pid < 0:
+                raise ValueError(f"no surviving particle at site {site}")
+        marked = forest.lineage(pid)
+    return render(traj, args.format, args.arrows, marked), 0
 
 
 def _cmd_density(args) -> tuple[str, int]:
     model = Model(args.model)
+    if args.p is not None and (model is Model.A or args.init != "iid"):
+        raise ValueError("--p applies only to --model b|c --init iid")
     if model is Model.A:
         init = {"full": "ones", "alternating": "01"}.get(args.init, args.init)
         if init.startswith("word:"):
@@ -116,7 +116,8 @@ def _cmd_density(args) -> tuple[str, int]:
                                           args.seed, args.sites)
     else:
         rep = density.mc_density(model, args.init, args.n, args.trials,
-                                 args.seed, args.sites, p=args.p)
+                                 args.seed, args.sites,
+                                 p=0.5 if args.p is None else args.p)
     if args.format in ("csv", "json"):
         return reports.write_report([rep], args.format), 0
     exact = "?" if rep.exact is None else str(rep.exact)
@@ -268,8 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--sites", type=int, default=64)
-    p.add_argument("--p", type=float, default=0.5,
-                   help="occupancy probability for --init iid")
+    p.add_argument("--p", type=float, default=None,
+                   help="occupancy probability for --model b|c --init iid, "
+                        "default 0.5")
     add_common(p, ("text", "csv", "json"), "text")
 
     p = sub.add_parser("oracle")

@@ -249,13 +249,7 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: UpdateRow,
     return out, next_id
 
 
-def evolve_with_rows(model: Model, init: Configuration, rows, *,
-                     boundary: str = "line") -> Trajectory:
-    """Iterate a model with explicitly supplied update rows."""
-    model = Model(model)
-    _check_alphabet(init, model)
-    rows = list(rows)
-    steps = len(rows)
+def _check_run(init: Configuration, steps: int, boundary: str) -> None:
     if boundary == "line":
         if len(init) < steps + 1:
             raise ValueError(f"window of width {len(init)} is exhausted "
@@ -266,6 +260,14 @@ def evolve_with_rows(model: Model, init: Configuration, rows, *,
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
 
+
+def evolve_with_rows(model: Model, init: Configuration, rows, *,
+                     boundary: str = "line") -> Trajectory:
+    """Iterate a model with explicitly supplied update rows."""
+    model = Model(model)
+    _check_alphabet(init, model)
+    rows = list(rows)
+    _check_run(init, len(rows), boundary)
     configs = [init]
     for row in rows:
         configs.append(_step(model, configs[-1], row, boundary == "cycle"))
@@ -283,10 +285,8 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     model = Model(model)
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    _check_run(init, steps, boundary)  # before any row is drawn
     width = len(init)
-    if boundary == "line" and width < steps + 1:
-        raise ValueError(f"window of width {width} is exhausted "
-                         f"before {steps} steps")
     rows = []
     for n in range(steps):
         if boundary == "cycle":
@@ -311,15 +311,12 @@ class MergeForest:
     survivors: tuple[int, ...]
     id_rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def parents_of(self) -> dict[int, tuple[int, int]]:
-        return {ev.child: (ev.left_parent, ev.right_parent) for ev in self.merges}
-
     def ancestors(self, particle: int) -> set[int]:
         """The particle itself plus every particle that merged into it."""
         if not 0 <= particle < len(self.leaves) + len(self.merges):
             raise ValueError(f"no particle has id {particle}")
-        parents = self.parents_of
+        parents = {ev.child: (ev.left_parent, ev.right_parent)
+                   for ev in self.merges}
         out, stack = set(), [particle]
         while stack:
             p = stack.pop()
@@ -328,6 +325,13 @@ class MergeForest:
             out.add(p)
             stack.extend(parents.get(p, ()))
         return out
+
+    def lineage(self, particle: int) -> set[tuple[int, int]]:
+        """The ``(step, index)`` cells the particle's ancestors occupy,
+        ``index`` counted from the left end of that step's window."""
+        keep = self.ancestors(particle)
+        return {(step, j) for step, ids in enumerate(self.id_rows)
+                for j, pid in enumerate(ids) if pid in keep}
 
 
 def trace_merges(traj: Trajectory) -> MergeForest:

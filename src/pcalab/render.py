@@ -1,97 +1,45 @@
 """Space-time diagram rendering, plain text and static SVG.
 
 One row per time step, time increasing downward.  The update arrows can be
-overlaid (vertical stroke for UP, north-east stroke for RIGHT), and for
-models ``c`` and ``d`` the full ancestry of a chosen particle, replayed by
-:func:`~pcalab.lattice.trace_merges`, can be highlighted.
+overlaid (vertical stroke for UP, north-east stroke for RIGHT), and any set
+of ``(step, index)`` cells can be highlighted; for models ``c`` and ``d``
+that is usually a particle's ancestry,
+:meth:`~pcalab.lattice.MergeForest.lineage`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .lattice import BLUE, EMPTY, GREEN, Model, Trajectory, trace_merges
+from .lattice import Model, Trajectory
 from .stream import RIGHT
 
 CELL = 14  # pixel pitch of one lattice cell in SVG output
-HIGHLIGHT_COLOR = "#ff8c00"  # ancestry overlay fill in SVG output
-HIGHLIGHT_GLYPH = "*"  # ancestry overlay glyph in text output
+HIGHLIGHT_COLOR = "#ff8c00"  # highlighted cell fill in SVG output
+HIGHLIGHT_GLYPH = "*"  # highlighted cell glyph in text output
+
+#: Per model, the text glyph and the SVG fill of each symbol, by its value.
+GLYPHS = {Model.A: "01", Model.B: ".#", Model.C: ".#", Model.D: ".BG"}
+_GREYS = ("#f4f4f4", "#222222")
+COLORS = {Model.A: _GREYS, Model.B: _GREYS, Model.C: _GREYS,
+          Model.D: ("#f4f4f4", "#1f5fd6", "#2e9e4f")}
 
 
-@dataclass(frozen=True)
-class DiagramStyle:
-    glyphs: dict
-    colors: dict
-    show_arrows: bool = False
-
-    def glyph(self, symbol: int) -> str:
-        return self.glyphs[symbol]
-
-
-_STYLES = {
-    Model.A: DiagramStyle({0: "0", 1: "1"},
-                          {0: "#f4f4f4", 1: "#222222"}),
-    Model.B: DiagramStyle({EMPTY: ".", 1: "#"},
-                          {EMPTY: "#f4f4f4", 1: "#222222"}),
-    Model.C: DiagramStyle({EMPTY: ".", 1: "#"},
-                          {EMPTY: "#f4f4f4", 1: "#222222"}),
-    Model.D: DiagramStyle({EMPTY: ".", BLUE: "B", GREEN: "G"},
-                          {EMPTY: "#f4f4f4", BLUE: "#1f5fd6",
-                           GREEN: "#2e9e4f"}),
-}
-
-
-def style_for(model: Model, show_arrows: bool = False) -> DiagramStyle:
-    style = _STYLES[Model(model)]
-    return replace(style, show_arrows=show_arrows) if show_arrows else style
-
-
-def _highlight_cells(traj: Trajectory, particle: int) -> set[tuple[int, int]]:
-    forest = trace_merges(traj)  # raises for models without a merge log
-    keep = forest.ancestors(particle)  # raises for an id naming no particle
-    cells = set()
-    for step, ids in enumerate(forest.id_rows):
-        offset = traj.configs[step].offset
-        for j, pid in enumerate(ids):
-            if pid in keep:
-                cells.add((step, offset + j))
-    return cells
-
-
-def _check(traj: Trajectory) -> None:
-    if not traj.configs:
-        raise ValueError("cannot render an empty trajectory")
-
-
-def render_text(traj: Trajectory, style: DiagramStyle | None = None,
-                highlight_particle: int | None = None) -> str:
-    _check(traj)
-    style = style or style_for(traj.model)
-    marked = (_highlight_cells(traj, highlight_particle)
-              if highlight_particle is not None else set())
+def _text(traj: Trajectory, arrows: bool, marked) -> str:
+    glyphs = GLYPHS[traj.model]
     base = traj.configs[0].offset
     lines = []
     for step, cfg in enumerate(traj.configs):
         pad = " " * (cfg.offset - base)
-        row = "".join(
-            HIGHLIGHT_GLYPH if (step, cfg.offset + j) in marked
-            else style.glyph(c)
-            for j, c in enumerate(cfg.cells))
+        row = "".join(HIGHLIGHT_GLYPH if (step, j) in marked else glyphs[c]
+                      for j, c in enumerate(cfg.cells))
         lines.append(pad + row)
-        if style.show_arrows and step < len(traj.rows):
-            arrows = traj.rows[step]
-            pad_u = " " * (arrows.offset - base)
-            lines.append(pad_u + "".join(
-                "↗" if a == RIGHT else "↑" for a in arrows.arrows))
+        if arrows and step < len(traj.rows):
+            up = traj.rows[step]
+            lines.append(" " * (up.offset - base) + "".join(
+                "↗" if a == RIGHT else "↑" for a in up.arrows))
     return "\n".join(lines) + "\n"
 
 
-def render_svg(traj: Trajectory, style: DiagramStyle | None = None,
-               highlight_particle: int | None = None) -> str:
-    _check(traj)
-    style = style or style_for(traj.model)
-    marked = (_highlight_cells(traj, highlight_particle)
-              if highlight_particle is not None else set())
+def _svg(traj: Trajectory, arrows: bool, marked) -> str:
     base = traj.configs[0].offset
     width = max(cfg.end for cfg in traj.configs) - base
     height = len(traj.configs)
@@ -102,35 +50,41 @@ def render_svg(traj: Trajectory, style: DiagramStyle | None = None,
         f'<rect width="{width * CELL}" height="{height * CELL}" '
         f'fill="#ffffff"/>',
     ]
-    # each row formats its constant attribute text once per fill, not per cell
-    fills = {**style.colors, None: HIGHLIGHT_COLOR}
+    # each row formats its constant attribute text once per fill, not per
+    # cell; the last fill is the highlight
+    fills = (*COLORS[traj.model], HIGHLIGHT_COLOR)
     for step, cfg in enumerate(traj.configs):
-        tail = {c: f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
-                   f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>'
-                for c, fill in fills.items()}
+        tail = [f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
+                f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>'
+                for fill in fills]
         x0 = cfg.offset - base
         parts += [f'<rect x="{(x0 + j) * CELL}'
-                  f'{tail[None if (step, cfg.offset + j) in marked else c]}'
+                  f'{tail[-1 if (step, j) in marked else c]}'
                   for j, c in enumerate(cfg.cells)]
-    if style.show_arrows:
-        for step, arrows in enumerate(traj.rows):
+    if arrows:
+        for step, up in enumerate(traj.rows):
             y = step * CELL + CELL // 2
             mid = f'" y1="{y}" x2="'
             end = f'" y2="{y - CELL // 3}" stroke="#d04030" stroke-width="1"/>'
-            x0 = (arrows.offset - base) * CELL + CELL // 2
+            x0 = (up.offset - base) * CELL + CELL // 2
             parts += [f'<line x1="{x}{mid}'
                       f'{x + CELL // 3 if a == RIGHT else x}{end}'
-                      for x, a in zip(range(x0, x0 + len(arrows.arrows) * CELL,
-                                            CELL), arrows.arrows)]
+                      for x, a in zip(range(x0, x0 + len(up.arrows) * CELL,
+                                            CELL), up.arrows)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def render(traj: Trajectory, style: DiagramStyle | None = None,
-           fmt: str = "text", highlight_particle: int | None = None) -> str:
-    """Render a trajectory as ``text`` or ``svg``."""
+def render(traj: Trajectory, fmt: str = "text", arrows: bool = False,
+           marked=frozenset()) -> str:
+    """Render a trajectory as ``text`` or ``svg``, with its update arrows
+    if ``arrows``, drawing each ``(step, index)`` cell in ``marked`` in the
+    highlight glyph or colour; ``index`` counts from the left end of the
+    step's window."""
+    if not traj.configs:
+        raise ValueError("cannot render an empty trajectory")
     if fmt == "text":
-        return render_text(traj, style, highlight_particle)
+        return _text(traj, arrows, marked)
     if fmt == "svg":
-        return render_svg(traj, style, highlight_particle)
+        return _svg(traj, arrows, marked)
     raise ValueError(f"unknown render format {fmt!r}")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pcalab import density, packed, verify
+from pcalab import density, lattice, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.reports import CSV_HEADER, to_csv, to_json, write_report
@@ -223,6 +223,20 @@ class TestDensityCommand:
         assert (row["exact_num"], row["exact_den"]) == (3, 8)
 
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "c", "--init", "full", "--p", "0.9"],
+        ["--model", "a", "--p", "0.3"]])
+    def test_p_outside_an_iid_particle_run_is_refused(self, capsys, argv):
+        status = main(["density", "--n", "3", "--trials", "1000", *argv])
+        assert_one_error_line(status, capsys.readouterr())
+
+    def test_iid_occupancy_defaults_to_one_half(self, capsys):
+        argv = ("density", "--model", "c", "--init", "iid", "--n", "2",
+                "--trials", "200", "--format", "json")
+        _, default = run(capsys, *argv)
+        status, half = run(capsys, *argv, "--p", "0.5")
+        assert status == 0 and default == half
+
     def test_memory_error_is_an_input_error(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -281,6 +295,22 @@ class TestSimulateAndRender:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert "no particle" in captured.err
+
+    @pytest.mark.parametrize("highlight", [["--highlight-site", "18"],
+                                           ["--highlight-particle", "35"]])
+    def test_highlight_replays_the_ids_once(self, capsys, monkeypatch,
+                                            highlight):
+        calls = []
+        advance = lattice._advance_ids
+
+        def counted(*args):
+            calls.append(args)
+            return advance(*args)
+
+        monkeypatch.setattr(lattice, "_advance_ids", counted)
+        status, _ = run(capsys, "render", "--model", "c", "--width", "30",
+                        "--steps", "12", *highlight)
+        assert status == 0 and len(calls) == 12
 
     def test_highlight_site_and_particle_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -166,6 +166,18 @@ class TestEvolve:
             evolve(Model.A, Configuration.alternating(6), UpdateStream(0), 1,
                    boundary="torus")
 
+    @pytest.mark.parametrize("steps", [3, 10])
+    def test_unknown_boundary_is_named_before_any_row_is_drawn(
+            self, monkeypatch, steps):
+        # width 5: a line window outlasts 3 steps but not 10
+        drawn = []
+        monkeypatch.setattr(UpdateStream, "row",
+                            lambda self, *args: drawn.append(args))
+        with pytest.raises(ValueError, match="unknown boundary 'ring'"):
+            evolve(Model.A, Configuration.alternating(5), UpdateStream(0),
+                   steps, boundary="ring")
+        assert drawn == []
+
     def test_pair_map_commutes_along_trajectories(self):
         # Running the binary rule then applying the pair map equals running
         # the annihilation rule on the mapped start, with each update row

@@ -5,14 +5,14 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
-                            evolve, evolve_with_rows)
-from pcalab.render import HIGHLIGHT_COLOR, render, render_text, style_for
+                            evolve, evolve_with_rows, trace_merges)
+from pcalab.render import HIGHLIGHT_COLOR, render
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 
 
 def test_alternating_run_renders_shifted_rows():
     traj = evolve(Model.A, Configuration.alternating(10), UpdateStream(1), 3)
-    lines = render_text(traj).splitlines()
+    lines = render(traj).splitlines()
     assert len(lines) == 4  # initial row plus one per step
     assert lines[0] == "0101010101"
     for k in range(1, 4):
@@ -24,39 +24,36 @@ def test_alternating_run_renders_shifted_rows():
 def test_particle_rows_never_gain_particles():
     traj = evolve(Model.C, Configuration.filled(PARTICLE, 30), UpdateStream(4),
                   12)
-    lines = render_text(traj).splitlines()
+    lines = render(traj).splitlines()
     counts = [line.count("#") for line in lines]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 def test_arrow_overlay_interleaves_rows():
     traj = evolve(Model.B, Configuration.filled(PARTICLE, 8), UpdateStream(2), 2)
-    plain = render_text(traj).splitlines()
-    marked = render_text(traj, style_for(Model.B, show_arrows=True)).splitlines()
-    assert len(marked) == len(plain) + 2
-    assert set(marked[1]) <= {"↑", "↗", " "}
+    plain = render(traj).splitlines()
+    overlaid = render(traj, arrows=True).splitlines()
+    assert len(overlaid) == len(plain) + 2
+    assert set(overlaid[1]) <= {"↑", "↗", " "}
 
 
 def test_genealogy_overlay_marks_all_ancestors():
     init = Configuration(0, (1, 1, 0))
     traj = evolve_with_rows(Model.C, init, [UpdateRow(0, (RIGHT, UP, UP))])
-    text = render(traj, highlight_particle=2)
-    assert text.count("*") == 3  # two leaves and their merged child
+    marked = trace_merges(traj).lineage(2)
+    # the two leaves at step 0 and their merged child at step 1
+    assert marked == {(0, 0), (0, 1), (1, 0)}
+    text = render(traj, marked=marked)
+    assert text.count("*") == 3
 
-    svg = render(traj, fmt="svg", highlight_particle=2)
+    svg = render(traj, fmt="svg", marked=marked)
     assert svg.count(HIGHLIGHT_COLOR) == 3
-
-
-def test_overlay_requires_a_merge_log():
-    traj = evolve(Model.A, Configuration.alternating(8), UpdateStream(0), 2)
-    with pytest.raises(ValueError):
-        render(traj, highlight_particle=0)
 
 
 def test_empty_trajectory_is_rejected():
     hollow = Trajectory(Model.C, "line", [])
     with pytest.raises(ValueError):
-        render_text(hollow)
+        render(hollow)
     with pytest.raises(ValueError):
         render(hollow, fmt="svg")
     with pytest.raises(ValueError):
@@ -74,7 +71,7 @@ def test_svg_is_wellformed_and_counts_cells():
     cells = sum(len(c) for c in traj.configs)
     assert len(rects) == cells + 1  # one background rect
 
-    arrows = render(traj, style_for(Model.D, show_arrows=True), fmt="svg")
+    arrows = render(traj, fmt="svg", arrows=True)
     lines = [el for el in ET.fromstring(arrows).iter()
              if el.tag.endswith("line")]
     assert len(lines) == sum(len(r) for r in traj.rows)
@@ -83,4 +80,4 @@ def test_svg_is_wellformed_and_counts_cells():
 def test_rendering_is_deterministic():
     traj = evolve(Model.C, Configuration.filled(PARTICLE, 16), UpdateStream(9), 5)
     assert render(traj, fmt="svg") == render(traj, fmt="svg")
-    assert render_text(traj) == render_text(traj)
+    assert render(traj) == render(traj)
