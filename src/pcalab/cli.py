@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import cylinder, density, reports, verify
+from . import cylinder, density, verify
 from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, evolve,
                       particle_count, trace_merges)
 from .render import GLYPHS, render
@@ -118,8 +119,12 @@ def _cmd_density(args) -> tuple[str, int]:
         rep = density.mc_density(model, args.init, args.n, args.trials,
                                  args.seed, args.sites,
                                  p=0.5 if args.p is None else args.p)
-    if args.format in ("csv", "json"):
-        return reports.write_report([rep], args.format), 0
+    if args.format == "json":
+        return json.dumps([rep.to_dict()], indent=2) + "\n", 0
+    if args.format == "csv":
+        row = rep.to_dict()
+        cells = ("" if v is None else str(v) for v in row.values())
+        return f"{','.join(row)}\n{','.join(cells)}\n", 0
     exact = "?" if rep.exact is None else str(rep.exact)
     return (f"model={rep.model} init={rep.init} n={rep.n} exact={exact} "
             f"estimate={rep.mc_estimate!r} halfwidth={rep.mc_halfwidth!r} "
@@ -141,13 +146,25 @@ def _cmd_oracle(args) -> tuple[str, int]:
     raise ValueError(f"unknown oracle {which!r}")
 
 
+#: The statistical suites' options and the values they take when not given.
+_STATISTICAL_DEFAULTS = {"n": 3, "trials": 100_000, "sites": 64}
+
+
 def _cmd_verify(args) -> tuple[str, int]:
     suite = args.suite
+    if args.width is not None and suite != "periodic-orbit":
+        raise ValueError("--width applies only to --suite periodic-orbit")
+    given = {k: getattr(args, k) for k in _STATISTICAL_DEFAULTS
+             if getattr(args, k) is not None}
+    if given and suite not in verify.STATISTICAL:
+        raise ValueError(f"--{next(iter(given))} applies only to --suite "
+                         + "|".join(verify.STATISTICAL))
     if suite == "all":
         results = verify.run_all()
     elif suite in verify.STATISTICAL:
         run = getattr(verify, verify.STATISTICAL[suite])
-        results = [run(args.n, args.trials, args.seed, args.sites)]
+        opts = {**_STATISTICAL_DEFAULTS, **given}
+        results = [run(opts["n"], opts["trials"], args.seed, opts["sites"])]
     elif suite == "periodic-orbit":
         width = args.width if args.width is not None else 6
         results = [verify.verify_periodic_orbit(width, seed=args.seed)]
@@ -165,14 +182,17 @@ def _cmd_verify(args) -> tuple[str, int]:
 
 def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
     start = args.start
+    length = 4 if args.length is None else args.length
     if args.init == "uniform":
-        return cylinder.CylinderMeasure.uniform(table.alphabet, start,
-                                                args.length)
+        return cylinder.CylinderMeasure.uniform(table.alphabet, start, length)
     if args.init == "alternating-mix":
         if table.alphabet != ("0", "1"):
             raise ValueError("alternating-mix needs the binary alphabet")
-        return cylinder.alternating_pair_measure(start, args.length)
+        return cylinder.alternating_pair_measure(start, length)
     if args.init.startswith("word:"):
+        if args.length is not None:
+            raise ValueError("--length does not apply to a word: init, "
+                             "which spans its own window")
         word = args.init[5:]
         lifted = any(len(s) != 1 for s in table.alphabet)
         # a lifted word fixes only the occupancy, the first glyph of a symbol
@@ -184,11 +204,8 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
             return cylinder.CylinderMeasure.delta(table.alphabet, start,
                                                   tuple(word))
         # symbol-arrow alphabets: fix the occupancy word, arrows uniform
-        half = Fraction(1, 2)
-        dists = []
-        for ch in word:
-            dists.append(tuple(half if s[0] == ch else Fraction(0)
-                               for s in table.alphabet))
+        dists = [tuple(Fraction(int(s[0] == ch), 2) for s in table.alphabet)
+                 for ch in word]
         return cylinder.CylinderMeasure.product(table.alphabet, start, dists)
     raise ValueError(f"unknown cylinder init {args.init!r}")
 
@@ -215,17 +232,19 @@ def _cmd_evolve_cylinder(args) -> tuple[str, int]:
         mu = cylinder.evolve_measure(mu, table)
     if args.marginal:
         mu = cylinder.marginal(mu, start, length)
+    weights = []  # (word, v/den in lowest terms), as str(Fraction) prints it
+    for w, v in mu.items():
+        g = math.gcd(v, mu.den)
+        weights.append(("".join(w), f"{v // g}" if g == mu.den
+                        else f"{v // g}/{mu.den // g}"))
     if args.format == "json":
-        payload = {
-            "start": mu.start,
-            "length": mu.length,
-            "weights": {"".join(w): str(p) for w, p in mu.items()},
-        }
+        payload = {"start": mu.start, "length": mu.length,
+                   "weights": dict(weights)}
         if residual is not None:
             payload["residual"] = str(residual)
         return json.dumps(payload, indent=2) + "\n", 0
     lines = [f"window start={mu.start} length={mu.length}"]
-    lines.extend(f"{''.join(w)} {p}" for w, p in mu.items())
+    lines.extend(f"{w} {p}" for w, p in weights)
     if residual is not None:
         lines.append(f"residual {residual}")
     return "\n".join(lines) + "\n", 0
@@ -286,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("all", *verify.SUITES, *verify.STATISTICAL))
     p.add_argument("--width", type=int, default=None,
                    help="cycle width for periodic-orbit")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--sites", type=int, default=64)
+    for key, default in _STATISTICAL_DEFAULTS.items():
+        p.add_argument(f"--{key}", type=int, default=None,
+                       help=f"statistical suites only, default {default}")
     add_common(p, ("json", "text"), "json")
 
     p = sub.add_parser("evolve-cylinder")
@@ -297,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--lift", choices=("b", "c"))
     group.add_argument("--rule-file", default=None)
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--length", type=int, default=4)
+    p.add_argument("--length", type=int, default=None,
+                   help="default 4; a word: init spans its own window")
     p.add_argument("--init", default="uniform")
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--residual", action="store_true",

@@ -203,12 +203,12 @@ class CylinderMeasure:
         return Fraction(int(self.numerators[idx]), self.den)
 
     def items(self):
-        """Yield (word, weight) over the support."""
+        """Yield (word, numerator over ``den``) over the support."""
         # product() varies its last symbol fastest, the code varies site 0
         words = itertools.product(self.alphabet, repeat=self.length)
         for word, v in zip(words, self.numerators.tolist()):
             if v:
-                yield word[::-1], Fraction(v, self.den)
+                yield word[::-1], v
 
     @staticmethod
     def delta(alphabet: tuple, start: int, word) -> "CylinderMeasure":

@@ -104,12 +104,23 @@ class DensityReport:
     init: str
     n: int
     exact: Fraction | None
-    approx: float | None
     mc_estimate: float
     mc_halfwidth: float
     trials: int
-    sites_per_trial: int
     seed: int
+
+    def to_dict(self) -> dict:
+        """CSV/JSON schema fields in column order, the exact rational split
+        into integers.  A halfwidth that is not finite (one trial has no
+        spread) is ``None``: JSON ``null``, an empty CSV cell."""
+        exact, hw = self.exact, self.mc_halfwidth
+        return {"n": self.n,
+                "exact_num": None if exact is None else exact.numerator,
+                "exact_den": None if exact is None else exact.denominator,
+                "approx": None if exact is None else float(exact),
+                "estimate": self.mc_estimate,
+                "halfwidth": hw if math.isfinite(hw) else None,
+                "trials": self.trials, "seed": self.seed}
 
 
 def _summarize(per_trial: np.ndarray) -> tuple[float, float]:
@@ -201,8 +212,7 @@ _EXACT = {("c", "full"): (0, 1), ("b", "full"): (1, 2),
 
 
 def _report(model: str, init: str, n: int, per_trial: np.ndarray,
-            seed: int, sites_per_trial: int) -> DensityReport:
-    est, hw = _summarize(per_trial)
+            seed: int) -> DensityReport:
     exact: Fraction | None = None
     if (model, init) in _EXACT:
         lag, divisor = _EXACT[model, init]
@@ -210,9 +220,8 @@ def _report(model: str, init: str, n: int, per_trial: np.ndarray,
             exact = Fraction(1)
         elif n - lag <= EXACT_LIMIT:
             exact = exact_density(n - lag) / divisor
-    return DensityReport(model, init, n, exact,
-                         None if exact is None else float(exact),
-                         est, hw, per_trial.size, sites_per_trial, seed)
+    return DensityReport(model, init, n, exact, *_summarize(per_trial),
+                         per_trial.size, seed)
 
 
 def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
@@ -242,7 +251,7 @@ def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
         model, seed, trials, sites_per_trial, n, planes,
         lambda lo, hi, x: packed.unpack_bits(x.T, hi)[:, lo:].mean(axis=1))
     return _report(model.value, init if init == "full" else f"iid({p})", n,
-                   per_trial, seed, sites_per_trial)
+                   per_trial, seed)
 
 
 def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
@@ -267,7 +276,7 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
     per_trial = _run_batch(  # adjacent valid cells agree iff their diff is 0
         Model.A, seed, trials, sites_per_trial, n, planes, lambda lo, hi, x:
         (np.diff(packed.unpack_bits(x.T, hi)[:, lo:]) == 0).mean(axis=1))
-    return _report("a", init, n, per_trial, seed, sites_per_trial)
+    return _report("a", init, n, per_trial, seed)
 
 
 def color_density_batch(n: int, trials: int, seed: int,

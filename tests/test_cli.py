@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, determinism, exit codes."""
 
+import itertools
 import json
 import time
 import warnings
@@ -10,7 +11,6 @@ import pytest
 from pcalab import density, lattice, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
-from pcalab.reports import CSV_HEADER, to_csv, to_json, write_report
 from pcalab.verify import CaseReport
 
 
@@ -26,24 +26,31 @@ def assert_one_error_line(status, captured):
     assert captured.err.count("\n") == 1
 
 
-class TestReports:
-    def test_csv_schema_header_is_frozen(self):
-        assert CSV_HEADER == \
-            "n,exact_num,exact_den,approx,estimate,halfwidth,trials,seed"
+DENSITY = ("density", "--model", "c", "--init", "full")
+CSV_HEADER = "n,exact_num,exact_den,approx,estimate,halfwidth,trials,seed"
 
-    def test_csv_row_splits_the_rational(self):
-        rep = mc_density("c", "full", 2, 400, seed=9)
-        text = to_csv([rep])
-        header, row = text.strip().split("\n")
+
+class TestReports:
+    def test_csv_schema_header_is_frozen(self, capsys):
+        status, out = run(capsys, *DENSITY, "--n", "1", "--trials", "10",
+                          "--format", "csv")
+        assert status == 0
+        assert out.splitlines()[0] == CSV_HEADER
+
+    def test_csv_row_splits_the_rational(self, capsys):
+        status, out = run(capsys, *DENSITY, "--n", "2", "--trials", "400",
+                          "--seed", "9", "--format", "csv")
+        header, row = out.strip().split("\n")
         cells = row.split(",")
-        assert header == CSV_HEADER
+        assert status == 0
+        assert header == ",".join(mc_density("c", "full", 2, 400,
+                                             seed=9).to_dict())
         assert cells[0] == "2" and cells[1] == "5" and cells[2] == "8"
         assert cells[6] == "400" and cells[7] == "9"
 
-    def test_json_round_trips_exactly(self):
+    def test_json_round_trips_exactly(self, capsys):
         rep = mc_density("c", "full", 1, 300, seed=4)
-        parsed = json.loads(to_json([rep]))
-        assert parsed == [{
+        want = [{
             "n": 1,
             "exact_num": 3, "exact_den": 4,
             "approx": float(Fraction(3, 4)),
@@ -51,10 +58,16 @@ class TestReports:
             "halfwidth": rep.mc_halfwidth,
             "trials": 300, "seed": 4,
         }]
+        assert [rep.to_dict()] == want
+        status, out = run(capsys, *DENSITY, "--n", "1", "--trials", "300",
+                          "--seed", "4", "--format", "json")
+        assert status == 0 and json.loads(out) == want
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError):
-            write_report([], "yaml")
+    def test_unknown_format_rejected(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([*DENSITY, "--n", "1", "--format", "yaml"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_single_trial_reports_are_strict(self, capsys):
         def refuse(name):
@@ -157,6 +170,29 @@ class TestVerifyCommand:
         status = main(["verify", "--suite", "periodic-orbit", "--width",
                        width])
         assert_one_error_line(status, capsys.readouterr())
+
+    @pytest.mark.parametrize("option, suite", [
+        *itertools.product(["--n", "--trials", "--sites"],
+                           ["all", *verify.SUITES]),
+        *(("--width", suite) for suite in ["all", *verify.SUITES,
+                                           *verify.STATISTICAL]
+          if suite != "periodic-orbit")])
+    def test_option_the_suite_does_not_read_is_refused(self, capsys, option,
+                                                       suite):
+        status = main(["verify", "--suite", suite, option, "6"])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err.startswith(f"error: {option} applies only to")
+
+    @pytest.mark.parametrize("suite", sorted(verify.STATISTICAL))
+    def test_statistical_options_default_to_3_100000_64(self, capsys,
+                                                         monkeypatch, suite):
+        calls = []
+        monkeypatch.setattr(verify, verify.STATISTICAL[suite],
+                            lambda *args: calls.append(args)
+                            or CaseReport(suite, 1, 1))
+        status, _ = run(capsys, "verify", "--suite", suite, "--seed", "7")
+        assert status == 0 and calls == [(3, 100_000, 7, 64)]
 
     def test_single_color_trial_is_an_input_error(self, capsys):
         status = main(["verify", "--suite", "color-uniformity", "--trials",
@@ -394,6 +430,23 @@ class TestEvolveCylinderCommand:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--init", "word:0110", "--length", "8", "--steps", "0"],
+        ["--lift", "c", "--init", "word:##", "--length", "9"],
+    ])
+    def test_length_with_a_word_init_is_refused(self, capsys, argv):
+        status = main(["evolve-cylinder", *argv])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert "--length" in captured.err
+
+    def test_length_defaults_to_four_sites(self, capsys):
+        _, default = run(capsys, "evolve-cylinder", "--steps", "0")
+        status, four = run(capsys, "evolve-cylinder", "--steps", "0",
+                           "--length", "4")
+        assert status == 0 and default == four
+        assert default.startswith("window start=0 length=4\n")
 
     @pytest.mark.parametrize("argv", [
         ["--init", "word:0123"],

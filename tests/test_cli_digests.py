@@ -1,0 +1,216 @@
+"""Recorded sha256 digests of ``density`` and ``evolve-cylinder`` stdout.
+
+The benchmark pins one density row and two cylinder runs, so a change to
+the report schema, to the CSV/JSON writers or to how a cylinder weight is
+printed could alter other outputs unseen.  These digests pin the CLI's
+stdout for ``density`` on models a, b and c over their inits, at 1, 2 and
+300 trials, as text, CSV and JSON; and for ``evolve-cylinder`` under the
+plain and the lifted rules from ``uniform``, ``alternating-mix`` and
+``word:`` inits, as text and JSON, plain, with ``--residual`` and with
+``--marginal``.
+"""
+
+import contextlib
+import hashlib
+import io
+import itertools
+
+import pytest
+
+from pcalab.cli import main
+
+DENSITY_INITS = {"a": ("full", "alternating", "uniform", "ones", "zeros",
+                       "word:0110", "0110"),
+                 "b": ("full", "iid"), "c": ("full", "iid")}
+
+#: rule flags -> the inits run under it, each with its window options
+CYLINDER_INITS = {
+    "a": {"uniform": ["--length", "4"],
+          "alternating-mix": ["--length", "6"],
+          "word:0110": []},
+    "b": {"uniform": ["--length", "3"], "word:#.##": []},
+    "c": {"uniform": ["--length", "3"], "word:#.##": []},
+}
+CYLINDER_RULES = {"a": [], "b": ["--lift", "b"], "c": ["--lift", "c"]}
+VARIANTS = {"plain": [], "residual": ["--residual"],
+            "marginal": ["--marginal", "2:1"]}
+
+
+def _density_cases():
+    for model, inits in DENSITY_INITS.items():
+        for init, trials, fmt in itertools.product(inits, (1, 2, 300),
+                                                   ("text", "csv", "json")):
+            yield (f"density-{model}-{init}-{trials}-{fmt}",
+                   ["density", "--model", model, "--init", init, "--n", "3",
+                    "--trials", str(trials), "--seed", "5", "--format", fmt])
+
+
+def _cylinder_cases():
+    for rule, inits in CYLINDER_INITS.items():
+        for (init, window), fmt, variant in itertools.product(
+                inits.items(), ("text", "json"), VARIANTS):
+            yield (f"cylinder-{rule}-{init}-{fmt}-{variant}",
+                   ["evolve-cylinder", *CYLINDER_RULES[rule], "--init", init,
+                    *window, "--steps", "2", "--format", fmt,
+                    *VARIANTS[variant]])
+
+
+ARGV = dict(itertools.chain(_density_cases(), _cylinder_cases()))
+
+#: Recorded before the density report serialized itself.
+DIGESTS = {
+    "density-a-full-1-text": "1137f5434fd62790f45096b8332d19148cb73229251d7e32869a0eebdf84d865",
+    "density-a-full-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
+    "density-a-full-1-json": "9ce1c9cd0eabea274b3569b544dbfd17c0eefaabece11938aeb4fbad504a4326",
+    "density-a-full-2-text": "5bbdaf8b56d98ac306a0c60730efdb7ec7a918d37e28422ef4ef6f5d8adab8d6",
+    "density-a-full-2-csv": "51b9618ba2616b77b035a37230e70dbd423fe5ae098662639ae2fd2b70d37072",
+    "density-a-full-2-json": "c778676eb1759afe13b0f6a8201b1c74691c026ea9f55ec4648f7ee24290da35",
+    "density-a-full-300-text": "f681ecfb52c12cc47a31186b7f3711f94b42978bf9392c41195477c23dceb144",
+    "density-a-full-300-csv": "413c5573015164dcd398252e202181ba087656bf6c9d890beffd34e3950f54e4",
+    "density-a-full-300-json": "b254ca035e2c9da4fbcfd919adb21d643cc05647538bf1663e2c1b82e87920f1",
+    "density-a-alternating-1-text": "12a8900f79677ebdccfe7caf41aaa42c89cfe5c2e92f167ec1518303c19b1eef",
+    "density-a-alternating-1-csv": "2169ae21ad0a9483254881694609126d3ce5487119c9da539b031aa80dbdfa11",
+    "density-a-alternating-1-json": "5b3a3db1a7eed0ecef581aab0cee84eb329b7807a08b0019b9aed6587cb6eb44",
+    "density-a-alternating-2-text": "fc2b5939d5dd5d369cc809e7f29386961becfb985a40ac0a77b6639ff9122c1c",
+    "density-a-alternating-2-csv": "a4af1ce9a6b1d634e364c866ae668dfff969f4d7ee1cd31c9667746ac6685914",
+    "density-a-alternating-2-json": "e371376241b2e968b39ac789c8273101252d9b92d454b49bb9b435ff51927868",
+    "density-a-alternating-300-text": "b2d9f0826093d2e5d7ef6199b08697da8c967ceb62ac8e50f03037f6e9d24332",
+    "density-a-alternating-300-csv": "d03ecf8e7ac4eaf3194d45f1a93e9d8a27a29bf105e7ccc7c8c49daa4e6b4745",
+    "density-a-alternating-300-json": "36d5f8a707f0db55d93d9417538587a69baecdae37081b252984b55313ec068d",
+    "density-a-uniform-1-text": "96206816f83496bf95c231da593ab4054e811d5478ab733126577b1457715218",
+    "density-a-uniform-1-csv": "5836c0eb189baf6e5dcd3c6f1571a04857f263e49e866b459dada93722b34c77",
+    "density-a-uniform-1-json": "b4bac197fcaffa62d7fa583de07bd089e82de0a09a08c94eb5d8b85c09ac5894",
+    "density-a-uniform-2-text": "495a3f9c1e4ce225d4e20153dd5fe6eeb6d215c62377503a277373bec6ad7630",
+    "density-a-uniform-2-csv": "0386989b7d35055bf0b4afa77c95363e9fa0c71987a16cc46e0d7b5c49505378",
+    "density-a-uniform-2-json": "a17455158883e113a7ccc400a337d27330c4f34ce4e7be9aa02b502c2f5ed509",
+    "density-a-uniform-300-text": "2b43d0b50a939e3d032968348446ea3742948569cb01ca4dc6d74c2b4b900432",
+    "density-a-uniform-300-csv": "411779acf41d55100de624449e2a4b718064a5baafbe9afe5e86a5001392f70b",
+    "density-a-uniform-300-json": "fe19c0db8be64850d7cbbb2314cfb9487cccc8aae51fc12fc4240b213292f0a4",
+    "density-a-ones-1-text": "1137f5434fd62790f45096b8332d19148cb73229251d7e32869a0eebdf84d865",
+    "density-a-ones-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
+    "density-a-ones-1-json": "9ce1c9cd0eabea274b3569b544dbfd17c0eefaabece11938aeb4fbad504a4326",
+    "density-a-ones-2-text": "5bbdaf8b56d98ac306a0c60730efdb7ec7a918d37e28422ef4ef6f5d8adab8d6",
+    "density-a-ones-2-csv": "51b9618ba2616b77b035a37230e70dbd423fe5ae098662639ae2fd2b70d37072",
+    "density-a-ones-2-json": "c778676eb1759afe13b0f6a8201b1c74691c026ea9f55ec4648f7ee24290da35",
+    "density-a-ones-300-text": "f681ecfb52c12cc47a31186b7f3711f94b42978bf9392c41195477c23dceb144",
+    "density-a-ones-300-csv": "413c5573015164dcd398252e202181ba087656bf6c9d890beffd34e3950f54e4",
+    "density-a-ones-300-json": "b254ca035e2c9da4fbcfd919adb21d643cc05647538bf1663e2c1b82e87920f1",
+    "density-a-zeros-1-text": "5f8ffa9fefaf3611db8478b257926925a217a78ecd96b44b3270aad1234a7d65",
+    "density-a-zeros-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
+    "density-a-zeros-1-json": "9ce1c9cd0eabea274b3569b544dbfd17c0eefaabece11938aeb4fbad504a4326",
+    "density-a-zeros-2-text": "2fe5546e8c75e40ff6c4c66d9e333d1d7bb05b334354fcb055cace2c6a4dacf6",
+    "density-a-zeros-2-csv": "51b9618ba2616b77b035a37230e70dbd423fe5ae098662639ae2fd2b70d37072",
+    "density-a-zeros-2-json": "c778676eb1759afe13b0f6a8201b1c74691c026ea9f55ec4648f7ee24290da35",
+    "density-a-zeros-300-text": "5795b7723d0767fd26448f273ba7877d08738475a301a3040a48161424789bf6",
+    "density-a-zeros-300-csv": "413c5573015164dcd398252e202181ba087656bf6c9d890beffd34e3950f54e4",
+    "density-a-zeros-300-json": "b254ca035e2c9da4fbcfd919adb21d643cc05647538bf1663e2c1b82e87920f1",
+    "density-a-word:0110-1-text": "b4f525cd5b96f9763d84368903e82f90c50f1fbce3430ecd756c76ea2d2c5eac",
+    "density-a-word:0110-1-csv": "8f9bf0a91d8845383b30c6e084936398a4c6f9bed66b66bfde435be4f3b0b226",
+    "density-a-word:0110-1-json": "d72f3526804915af7ada1a78173c63e9786b86fe0e10225eee0cb4389df65295",
+    "density-a-word:0110-2-text": "5afd037c6fa426e7d6340ea8b5326f276e1deeea3b28e731fa184d0a3c8f996a",
+    "density-a-word:0110-2-csv": "24a7c03e94a31b1d1b5c0d332dbea33e5e12ecb3f403210bd795547d9368da34",
+    "density-a-word:0110-2-json": "fe3cc0511d7821e8186f5cb4f5c25d44b374671bb38445e9f55ff971787e2366",
+    "density-a-word:0110-300-text": "c549c6b2d791baef1a2115555a477cf1e35ffdce9eb4b2fa6238ec9c0e6f84ab",
+    "density-a-word:0110-300-csv": "135a69f46b47b8a621dec9e160bf464fdba3004a5d22dab18805daca09fc01a5",
+    "density-a-word:0110-300-json": "65ebf51e2405476ac7b55793100aa849d044a6c20f293a1a9fb417ff88c7f7d4",
+    "density-a-0110-1-text": "b4f525cd5b96f9763d84368903e82f90c50f1fbce3430ecd756c76ea2d2c5eac",
+    "density-a-0110-1-csv": "8f9bf0a91d8845383b30c6e084936398a4c6f9bed66b66bfde435be4f3b0b226",
+    "density-a-0110-1-json": "d72f3526804915af7ada1a78173c63e9786b86fe0e10225eee0cb4389df65295",
+    "density-a-0110-2-text": "5afd037c6fa426e7d6340ea8b5326f276e1deeea3b28e731fa184d0a3c8f996a",
+    "density-a-0110-2-csv": "24a7c03e94a31b1d1b5c0d332dbea33e5e12ecb3f403210bd795547d9368da34",
+    "density-a-0110-2-json": "fe3cc0511d7821e8186f5cb4f5c25d44b374671bb38445e9f55ff971787e2366",
+    "density-a-0110-300-text": "c549c6b2d791baef1a2115555a477cf1e35ffdce9eb4b2fa6238ec9c0e6f84ab",
+    "density-a-0110-300-csv": "135a69f46b47b8a621dec9e160bf464fdba3004a5d22dab18805daca09fc01a5",
+    "density-a-0110-300-json": "65ebf51e2405476ac7b55793100aa849d044a6c20f293a1a9fb417ff88c7f7d4",
+    "density-b-full-1-text": "419a04aa31a2b9d4b480e9d2cd014208a25147c162eb61bc6c963f6166a5ac9d",
+    "density-b-full-1-csv": "d4f76b38715c056b37a53e94a3d2509d7e99b7514e583b7fe64084d245cb8547",
+    "density-b-full-1-json": "bedb7d1b3858b025d114132ebce3043587d98b1410bdf1db72001cfb8df45ded",
+    "density-b-full-2-text": "e23a38bdb0fffbe7466d47e9b0b7408e9af83947fdc05e0c1223d1c1c5bdf5ee",
+    "density-b-full-2-csv": "547886fa72309ef7d9908d850eb36b6827f17fb5133aead4365f4681660dbaa1",
+    "density-b-full-2-json": "5f348ea11794f770506c1bdaf78754ac4a0399ffbfdf6fda7cc7ef774eafdf9d",
+    "density-b-full-300-text": "e10ddad7d4b0e4f087e6611629bb90a078738af05661d4fbd19a6b277111b459",
+    "density-b-full-300-csv": "1f5e0c14beaeba66ed675227d64185c75ff475f28548b356b879535998389b70",
+    "density-b-full-300-json": "a3343303d98243a5747baa6f485c584998c063696473b5c8bf44b0242c78f322",
+    "density-b-iid-1-text": "cdab77c17ba9e93b49c25b418a49f16d121dad1dbcc3e736aac630c65b750fc3",
+    "density-b-iid-1-csv": "4dc2827f03a673e581923ca93e3a3c352580777d6750caa61903951fd8b84e69",
+    "density-b-iid-1-json": "b916367ffc31a9fe5ef83f383aec45c0af3a9a95b53e0a80da07cf30f576723c",
+    "density-b-iid-2-text": "4b36ee52375bc73bb6fb0de34bacf855b73f061023f0cc4b4c5d1a0df90fc415",
+    "density-b-iid-2-csv": "59cf0dcf8a2c0326056389941487924accb1d443c5e673dd25a4d11f97860993",
+    "density-b-iid-2-json": "4ae5211971e8de43b89c6e8ef675c07d9371d92effd36859eb42004dd6c27c76",
+    "density-b-iid-300-text": "8f3a561f41a393cffe9c0ea3cd5f9be16a560f76e08d07ac3d70736e9894efe4",
+    "density-b-iid-300-csv": "d52f71591992798c31d7896ca58ae13f16655ce64215ec1461dafc7708e5f3fa",
+    "density-b-iid-300-json": "63d042d75f4836251a90950b240f330b8f76bf5416f8f1749b066abc3f34df33",
+    "density-c-full-1-text": "b2e1da880e044c6d7e06b1a1889ddb7973c8dfb33c382da3e4046b22759b8774",
+    "density-c-full-1-csv": "95c3d5687cb32f72e1b5e70013abc69313327a3f278b1a4bb872135aa511ba42",
+    "density-c-full-1-json": "61ed55bf0bd69a6381e2b0168b8819bca896d0862748dd29953d7070902dd348",
+    "density-c-full-2-text": "663b80fa6a97229882ab36da5453ccfaa21c1cc20a1b1468bc86608e7e0f06b1",
+    "density-c-full-2-csv": "67f6943ea9b7a7fa107f6d60fe423102380fe3b474468428dc66ed30afd36115",
+    "density-c-full-2-json": "29218d71e9185d26941033e10e77b9d36e3e169a51508b5a3cef755c6bbfc7b8",
+    "density-c-full-300-text": "51d72207a2c3d499de86e85a794eb9741a0ac6ddb2396e50363247261b75eed9",
+    "density-c-full-300-csv": "5e4a107c94c4354c3b885d8d6bb3abdd174a683a5d160a3067fce8eb35a6f1b3",
+    "density-c-full-300-json": "49ef2444d0fe79d8f69a915c4bd57dd9c45921c6c027381a5f7dd30c8af61c9f",
+    "density-c-iid-1-text": "11de177012b99ab48fae579fc28310a3b110fb4bcc683177cbe20b531ecd5606",
+    "density-c-iid-1-csv": "44335ae5f73791e740b3ad488a78e7f425ba01006211b8de92edde1a60e159fc",
+    "density-c-iid-1-json": "d47d0bdf3ff2c93e68ef62da14a2e088cc4483195f6163f1c81a6b493171f1fb",
+    "density-c-iid-2-text": "d1e7bb648c55b8a0eb5e6e1a502ba1801078659d6e210c5552a2499122e14296",
+    "density-c-iid-2-csv": "6c06b1b7d8d13499bd91efda3538c76e2a5591d1a49ddf1f67a7d36ac9fdb295",
+    "density-c-iid-2-json": "715deeccbb72585c3c244e7ea30a93e9287abb04d36cb4a1d9c7a59a91eb8f68",
+    "density-c-iid-300-text": "75cbfec43204276b2958a23b870acc1d76a2c3612c6c57cc583a828e1094ec67",
+    "density-c-iid-300-csv": "2e17a8a69486040ce9b5ba0b5b00cb193f67959f35a06efd30e335a292bfecba",
+    "density-c-iid-300-json": "4345c27481c3c68a8709267dc23365b2cdcad1c7c243e5fc06dae674b14e8b09",
+    "cylinder-a-uniform-text-plain": "8a1eb38c99a50fcd7b9c8e32cd717a90bfc5b7edce6b9883d509b8a234c16840",
+    "cylinder-a-uniform-text-residual": "e6125a4d52d80162cc0e6b6d874765cc5085363504e3390e3c895bfe3187f2f8",
+    "cylinder-a-uniform-text-marginal": "b5565bacc4147aeff6d3f4b84994f8953d9e4fa5696f9dfcca93e86c1cc7a0c6",
+    "cylinder-a-uniform-json-plain": "3543d6f6d015de7ced70c9aeb170da221308057651abd50a9cf690b65401947c",
+    "cylinder-a-uniform-json-residual": "0be31ef4c671034804965d1624d03b3673495f54d7407be1c0bd0fa6b5d3f394",
+    "cylinder-a-uniform-json-marginal": "73f868cfc572400fd72ae1125242a863e9a15ff03c712a8ddf750925230a49c3",
+    "cylinder-a-alternating-mix-text-plain": "d95154aaaa90327539a38504bbc7f201c3fa7a27fb81fa1aa12536ee77766a36",
+    "cylinder-a-alternating-mix-text-residual": "1a5115f0c4a3439f8de3affee71b5efb1e4fc42f4de1b5c619e176bd96de7a93",
+    "cylinder-a-alternating-mix-text-marginal": "b5565bacc4147aeff6d3f4b84994f8953d9e4fa5696f9dfcca93e86c1cc7a0c6",
+    "cylinder-a-alternating-mix-json-plain": "f8654513e07098f2497c141c130dd78f182fc71a11082b0142663c8ce327ba93",
+    "cylinder-a-alternating-mix-json-residual": "4983af6b443c71f90f48eacb0523c55cdd809d4d86365f861f96b8d8939ac993",
+    "cylinder-a-alternating-mix-json-marginal": "73f868cfc572400fd72ae1125242a863e9a15ff03c712a8ddf750925230a49c3",
+    "cylinder-a-word:0110-text-plain": "daccf27207cff949c5f620f55f10d1eba007b5a089052de7b7712265c15ed56c",
+    "cylinder-a-word:0110-text-residual": "cb02406c47b96126680a8029ce243564577eba7537e7726f2875774aa24c2d69",
+    "cylinder-a-word:0110-text-marginal": "6f5215aa153e199c19b2d7cf90326c4ac0737ede378a3a8ab7ba5328e99a5174",
+    "cylinder-a-word:0110-json-plain": "51f76d9d56d481632b459b4b1b7f9207b6ad07c86823a2d9228a84eaafb51004",
+    "cylinder-a-word:0110-json-residual": "8c08d35cb8c5ab50d04163fc4eeb10f6cb40db4a66c72d2897a02183b0dc6087",
+    "cylinder-a-word:0110-json-marginal": "540c56f133526a22b029726963de88e26a665381f34b1c62979b29140aaed304",
+    "cylinder-b-uniform-text-plain": "29c23e1fba0bf5a7ccd4d7b003caca0cad82fddc85a7c07600e1c8ec2390ac00",
+    "cylinder-b-uniform-text-residual": "69d5c9161d84b281d8fdb22e99b1477b1655310233d1f422f194a5bdf9eaa558",
+    "cylinder-b-uniform-text-marginal": "29c23e1fba0bf5a7ccd4d7b003caca0cad82fddc85a7c07600e1c8ec2390ac00",
+    "cylinder-b-uniform-json-plain": "7f97f0255e0571b52143f7e04d7660eff5528f9e25267554f90a4eda344fcb32",
+    "cylinder-b-uniform-json-residual": "71cc86a9ffcd6f0328decfc66596cb031704ee1ccf81994e12c7042dfd458417",
+    "cylinder-b-uniform-json-marginal": "7f97f0255e0571b52143f7e04d7660eff5528f9e25267554f90a4eda344fcb32",
+    "cylinder-b-word:#.##-text-plain": "efa8f2fd2441738b470551bbcba1c2711426e11e24b3910194a7b45dae9ab190",
+    "cylinder-b-word:#.##-text-residual": "619f64aee00e8a0fef64319772429b2ca84382345d3f417db57bbfe62c974754",
+    "cylinder-b-word:#.##-text-marginal": "68ca9373adc61448f894de297777e095edccc6b0143bc23beb8e54ec206302e6",
+    "cylinder-b-word:#.##-json-plain": "74438677231447c9289c024fa0a26717beb32480f95f7b05ab494b985b1366b4",
+    "cylinder-b-word:#.##-json-residual": "80c6166db895b3c386bcc7849c8e10440a0455e994d3d84c6d8bffb4a1213cf3",
+    "cylinder-b-word:#.##-json-marginal": "a8bf0249f23118765ed79472d3edc9015075ba97a17905d7338b8b83c89593c3",
+    "cylinder-c-uniform-text-plain": "f0ed6f80505e2392e3d4bb98fe20caf7e3cfd7a7478cca54df1d3ba27da5498e",
+    "cylinder-c-uniform-text-residual": "18125151751e6b89658ff276f61bc16863d7342b77fce101330c709e3f45f685",
+    "cylinder-c-uniform-text-marginal": "f0ed6f80505e2392e3d4bb98fe20caf7e3cfd7a7478cca54df1d3ba27da5498e",
+    "cylinder-c-uniform-json-plain": "b2295214117e79a144ed0b4b8ffbee3e5f84f08127be01ec847d6b161972548a",
+    "cylinder-c-uniform-json-residual": "522634e4adff9ba4d99ad52114c7311d8001b9a01386cab3c2414ee272bb0cfb",
+    "cylinder-c-uniform-json-marginal": "b2295214117e79a144ed0b4b8ffbee3e5f84f08127be01ec847d6b161972548a",
+    "cylinder-c-word:#.##-text-plain": "cc3e186583ff992ff878604a7fa8816e9cf82ca7dd1f1d680e4223142f413b49",
+    "cylinder-c-word:#.##-text-residual": "21d00aa7b951c8d2c6d51f649eadc0ecd778e5257029d0747628a5db71fc1997",
+    "cylinder-c-word:#.##-text-marginal": "d41bf61309b0a826782a2964f7b75c864e3b0b685039843e47d27cb858b0eec6",
+    "cylinder-c-word:#.##-json-plain": "13d9dddbd8c04e75f93b8304f37d0caf92141d27f60fe27c8eca7a94113990a2",
+    "cylinder-c-word:#.##-json-residual": "12623447d02cc4bbfadb5043fa356c777baf66bef7e2402df6aa75ee7794f6c1",
+    "cylinder-c-word:#.##-json-marginal": "ad60ff2e32e85298e7a037206ae26751fed411af1681396a704de2eace28edca",
+}
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", ARGV)
+def test_stdout_is_pinned(case):
+    out = _stdout(ARGV[case])
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case]

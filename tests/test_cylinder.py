@@ -29,7 +29,8 @@ def brute_update_a(mu: CylinderMeasure) -> dict:
     """Independent oracle: enumerate support words x arrow assignments."""
     out = {}
     length = mu.length - 1
-    for word, weight in mu.items():
+    for word, v in mu.items():
+        weight = Fraction(v, mu.den)
         cells = [int(s) for s in word]
         for arrows in itertools.product((UP, RIGHT), repeat=length):
             new = tuple(str(a_local(cells[j], cells[j + 1], arrows[j]))
@@ -45,7 +46,8 @@ def reference_evolve(mu: CylinderMeasure,
     output word, one ``Fraction`` per branch."""
     start, length = output_window(mu, f)
     out = {}
-    for word, wgt in mu.items():
+    for word, v in mu.items():
+        wgt = Fraction(v, mu.den)
         dists = [f.rows[tuple(word[k + v - mu.start] for v in f.neighborhood)]
                  for k in range(start, start + length)]
         partial = [((), wgt)]
@@ -393,8 +395,8 @@ def _pair_agrees(mu):
 
 
 def _last_site_occupied(mu):
-    return sum((w for word, w in mu.items() if word[-1][0] == "#"),
-               Fraction(0))
+    return Fraction(sum(v for word, v in mu.items() if word[-1][0] == "#"),
+                    mu.den)
 
 
 def _model_a(init):
@@ -436,7 +438,7 @@ def test_every_exact_density_row_is_the_dynamics(key):
     for n in steps:
         want = Fraction(1) if n < lag else exact_density(n - lag) / divisor
         assert engine(n) == want, n
-        assert density._report(*key, n, np.zeros(2), 0, 1).exact == want, n
+        assert density._report(*key, n, np.zeros(2), 0).exact == want, n
 
 
 class TestMonteCarloConsistency:
