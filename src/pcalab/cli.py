@@ -13,11 +13,10 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import cylinder, density, verify
-from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, evolve,
+from .lattice import (BLUE, GREEN, Configuration, Model, evolve,
                       particle_count, trace_merges)
 from .render import GLYPHS, render
 from .stream import DOMAIN_COLOR, UpdateStream
@@ -32,39 +31,31 @@ def _build_init(model: Model, init: str, width: int,
                 stream: UpdateStream) -> Configuration:
     if width < 1:
         raise ValueError("width must be >= 1")
-    if init == "full":
-        if model is Model.D:
-            colors = stream.cell_bits(0, width, DOMAIN_COLOR)
-            return Configuration(0, tuple(BLUE if b else GREEN for b in colors))
-        return Configuration.filled(1, width)
-    if init == "ones":
-        return Configuration.filled(1, width)
-    if init == "zeros":
-        return Configuration.filled(0, width)
-    if init == "alternating":
-        return Configuration.alternating(width)
-    if init == "uniform":
-        if model is not Model.D:
-            return Configuration.random_bits(stream, width)
-        bits = stream.cell_bits(0, width)
-        colors = stream.cell_bits(0, width, DOMAIN_COLOR)
-        return Configuration(0, tuple((BLUE if c else GREEN) if b else EMPTY
-                                      for b, c in zip(bits, colors)))
-    if init == "blue" and model is Model.D:
-        return Configuration.filled(BLUE, width)
+    if init == "uniform" or (init == "full" and model is Model.D):
+        cells = (stream.cell_bits(0, width).tolist() if init == "uniform"
+                 else (1,) * width)
+        if model is Model.D:  # an occupied cell is BLUE on a colour bit
+            colors = stream.cell_bits(0, width, DOMAIN_COLOR).tolist()
+            cells = [b * (GREEN - c) for b, c in zip(cells, colors)]
+        return Configuration(0, tuple(cells))
+    tiles = {"full": (1,), "ones": (1,), "zeros": (0,), "alternating": (0, 1)}
+    if model is Model.D:
+        tiles["blue"] = (BLUE,)
     if init.startswith("word:"):
         glyphs, word = GLYPHS[model], init[5:]
         if not word or any(ch not in glyphs for ch in word):
             raise ValueError(f"custom word {word!r} uses glyphs outside "
                              f"model {model.value}'s alphabet")
-        return Configuration(0, tuple(glyphs.index(word[j % len(word)])
-                                      for j in range(width)))
-    raise ValueError(f"unknown init {init!r} for model {model.value}")
+        tiles[init] = tuple(map(glyphs.index, word))
+    if init not in tiles:
+        raise ValueError(f"unknown init {init!r} for model {model.value}")
+    tile = tiles[init]
+    return Configuration(0, tuple(tile[j % len(tile)] for j in range(width)))
 
 
 def _simulate_traj(args):
     model = Model(args.model)
-    stream = UpdateStream(args.seed, args.trial)
+    stream = UpdateStream(_resolve_seed(args.seed), args.trial)
     width = args.width if args.width is not None else args.steps + 65
     init = _build_init(model, args.init, width, stream)
     return evolve(model, init, stream, args.steps, boundary=args.boundary)
@@ -79,7 +70,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
             "model": traj.model.value,
             "boundary": args.boundary,
             "steps": args.steps,
-            "seed": args.seed,
+            "seed": _resolve_seed(args.seed),
             "offset": final.offset,
             "cells": cells,
             "particles": particle_count(final),
@@ -106,18 +97,18 @@ def _cmd_render(args) -> tuple[str, int]:
 
 
 def _cmd_density(args) -> tuple[str, int]:
-    model = Model(args.model)
+    model, seed = Model(args.model), _resolve_seed(args.seed)
     if args.p is not None and (model is Model.A or args.init != "iid"):
         raise ValueError("--p applies only to --model b|c --init iid")
     if model is Model.A:
         init = {"full": "ones", "alternating": "01"}.get(args.init, args.init)
         if init.startswith("word:"):
             init = init[5:]
-        rep = density.mc_pair_statistic_A(init, args.n, args.trials,
-                                          args.seed, args.sites)
+        rep = density.mc_pair_statistic_A(init, args.n, args.trials, seed,
+                                          args.sites)
     else:
         rep = density.mc_density(model, args.init, args.n, args.trials,
-                                 args.seed, args.sites,
+                                 seed, args.sites,
                                  p=0.5 if args.p is None else args.p)
     if args.format == "json":
         return json.dumps([rep.to_dict()], indent=2) + "\n", 0
@@ -151,7 +142,7 @@ _STATISTICAL_DEFAULTS = {"n": 3, "trials": 100_000, "sites": 64}
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    suite = args.suite
+    suite, seed = args.suite, _resolve_seed(args.seed)
     if args.width is not None and suite != "periodic-orbit":
         raise ValueError("--width applies only to --suite periodic-orbit")
     given = {k: getattr(args, k) for k in _STATISTICAL_DEFAULTS
@@ -159,15 +150,18 @@ def _cmd_verify(args) -> tuple[str, int]:
     if given and suite not in verify.STATISTICAL:
         raise ValueError(f"--{next(iter(given))} applies only to --suite "
                          + "|".join(verify.STATISTICAL))
+    seeded = ("periodic-orbit", *verify.STATISTICAL)
+    if args.seed is not None and suite not in seeded:  # not PCALAB_SEED
+        raise ValueError("--seed applies only to --suite " + "|".join(seeded))
     if suite == "all":
         results = verify.run_all()
     elif suite in verify.STATISTICAL:
         run = getattr(verify, verify.STATISTICAL[suite])
         opts = {**_STATISTICAL_DEFAULTS, **given}
-        results = [run(opts["n"], opts["trials"], args.seed, opts["sites"])]
+        results = [run(opts["n"], opts["trials"], seed, opts["sites"])]
     elif suite == "periodic-orbit":
         width = args.width if args.width is not None else 6
-        results = [verify.verify_periodic_orbit(width, seed=args.seed)]
+        results = [verify.verify_periodic_orbit(width, seed=seed)]
     else:
         results = [verify.SUITES[suite]()]
     ok = all(r.passed for r in results)
@@ -194,19 +188,16 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
             raise ValueError("--length does not apply to a word: init, "
                              "which spans its own window")
         word = args.init[5:]
-        lifted = any(len(s) != 1 for s in table.alphabet)
-        # a lifted word fixes only the occupancy, the first glyph of a symbol
+        # a glyph fixes a symbol's first character: the whole symbol of a
+        # plain or rule-file alphabet, the occupancy of a lifted one, whose
+        # two arrows then share the site evenly
         glyphs = "".join(dict.fromkeys(s[0] for s in table.alphabet))
         if not word or any(ch not in glyphs for ch in word):
             raise ValueError(f"custom word {word!r} uses glyphs outside "
                              f"{glyphs!r}")
-        if not lifted:
-            return cylinder.CylinderMeasure.delta(table.alphabet, start,
-                                                  tuple(word))
-        # symbol-arrow alphabets: fix the occupancy word, arrows uniform
-        dists = [tuple(Fraction(int(s[0] == ch), 2) for s in table.alphabet)
-                 for ch in word]
-        return cylinder.CylinderMeasure.product(table.alphabet, start, dists)
+        return cylinder.CylinderMeasure.product(
+            table.alphabet, start,
+            [[int(s[0] == ch) for s in table.alphabet] for ch in word])
     raise ValueError(f"unknown cylinder init {args.init!r}")
 
 
@@ -256,10 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate and exactly verify the four lattice models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmts, default_fmt):
-        p.add_argument("--seed", type=int, default=None,
-                       help="default taken from PCALAB_SEED, else 0")
-        p.add_argument("--format", choices=fmts, default=default_fmt)
+    def add_common(p, fmts=(), seed=True):
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="default taken from PCALAB_SEED, else 0")
+        if fmts:
+            p.add_argument("--format", choices=fmts, default=fmts[0])
         p.add_argument("--out", default=None, help="write output to a file")
 
     for name in ("simulate", "render"):
@@ -278,9 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--highlight-particle", type=int, default=None)
             group.add_argument("--highlight-site", type=int, default=None)
-            add_common(p, ("text", "svg"), "text")
+            add_common(p, ("text", "svg"))
         else:
-            add_common(p, ("text", "json"), "text")
+            add_common(p, ("text", "json"))
 
     p = sub.add_parser("density")
     p.add_argument("--model", required=True, choices=("a", "b", "c"))
@@ -291,14 +284,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None,
                    help="occupancy probability for --model b|c --init iid, "
                         "default 0.5")
-    add_common(p, ("text", "csv", "json"), "text")
+    add_common(p, ("text", "csv", "json"))
 
     p = sub.add_parser("oracle")
     p.add_argument("--which", required=True,
                    choices=("closed-form", "hitting-time", "interface-walk",
                             "log-density", "asymptotic-ratio"))
     p.add_argument("--n", type=int, required=True)
-    add_common(p, ("text",), "text")
+    add_common(p, seed=False)
 
     p = sub.add_parser("verify")
     p.add_argument("--suite", default="all",
@@ -308,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     for key, default in _STATISTICAL_DEFAULTS.items():
         p.add_argument(f"--{key}", type=int, default=None,
                        help=f"statistical suites only, default {default}")
-    add_common(p, ("json", "text"), "json")
+    add_common(p, ("json", "text"))
 
     p = sub.add_parser("evolve-cylinder")
     group = p.add_mutually_exclusive_group()
@@ -323,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--residual", action="store_true",
                    help="also report the invariance residual of the init")
     p.add_argument("--marginal", default=None, metavar="START:LENGTH")
-    add_common(p, ("text", "json"), "text")
+    add_common(p, ("text", "json"), seed=False)
     return parser
 
 
@@ -340,7 +333,6 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.seed = _resolve_seed(args.seed)
         text, status = _HANDLERS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,10 +27,11 @@ from .stream import RIGHT, UP
 
 #: Largest number of words a window may span (2**20 matches a length-20
 #: binary window).  ``evolve-cylinder --model a --init uniform --length 20``
-#: takes about 2.5 s and 134 MB peak RSS on a 2-vCPU Xeon VM: 0.2 s to build
-#: and evolve the measure, the rest to print its 2**19 lines, one
-#: ``Fraction`` each.  Each further site doubles both, so larger windows are
-#: refused before any weight is built.
+#: takes about 1.7 s and 244 MB peak RSS with stdout to ``/dev/null`` on a
+#: 2-vCPU Xeon VM: 0.2 s to start, 0.2 s to build and evolve the measure,
+#: the rest to print its 2**19 lines, one ``math.gcd`` each.  Each further
+#: site doubles both, so larger windows are refused before any weight is
+#: built.
 STATE_CAP = 2 ** 20
 
 
@@ -211,32 +212,28 @@ class CylinderMeasure:
                 yield word[::-1], v
 
     @staticmethod
-    def delta(alphabet: tuple, start: int, word) -> "CylinderMeasure":
-        word = tuple(word)
-        num = np.zeros(_check_cap(alphabet, len(word)), dtype=np.int64)
-        num[_encode(alphabet, word)] = 1
-        return CylinderMeasure(alphabet, start, len(word), num, 1)
-
-    @staticmethod
-    def product(alphabet: tuple, start: int, site_dists) -> "CylinderMeasure":
-        """Independent sites; ``site_dists[j]`` aligns with ``alphabet``."""
-        sites = [_integers(dist) for dist in site_dists]
+    def product(alphabet: tuple, start: int,
+                site_weights) -> "CylinderMeasure":
+        """Independent sites: site ``j`` holds ``alphabet[i]`` with
+        probability ``site_weights[j][i]`` over that site's total.  The
+        weights are nonnegative integers, not all zero at any site; a
+        one-hot site fixes its symbol."""
+        sites = [tuple(w) for w in site_weights]
         _check_cap(alphabet, len(sites))
-        if any(len(num) != len(alphabet) or sum(num) != d for num, d in sites):
-            raise ValueError("each site distribution must align with the "
-                             "alphabet and sum to 1")
-        den = math.prod(d for _, d in sites)
+        if any(len(w) != len(alphabet) or min(w) < 0 or sum(w) < 1
+               for w in sites):
+            raise ValueError("each site's weights must align with the "
+                             "alphabet, be nonnegative and not all zero")
+        den = math.prod(map(sum, sites))
         num = np.ones(1, dtype=_dtype(den))
-        for site, _ in sites:  # site j is the (j+1)-th fastest digit
-            num = np.multiply.outer(np.array(site, dtype=num.dtype),
-                                    num).ravel()
+        for w in sites:  # site j is the (j+1)-th fastest digit
+            num = np.multiply.outer(np.array(w, dtype=num.dtype), num).ravel()
         return CylinderMeasure(alphabet, start, len(sites), num, den)
 
     @staticmethod
     def uniform(alphabet: tuple, start: int, length: int) -> "CylinderMeasure":
-        share = Fraction(1, len(alphabet))
         return CylinderMeasure.product(alphabet, start,
-                                       [(share,) * len(alphabet)] * length)
+                                       [(1,) * len(alphabet)] * length)
 
 
 def alternating_pair_measure(start: int, length: int) -> CylinderMeasure:

@@ -66,20 +66,6 @@ class Configuration:
     def end(self) -> int:
         return self.offset + len(self.cells)
 
-    @staticmethod
-    def filled(symbol: int, width: int) -> "Configuration":
-        return Configuration(0, (symbol,) * width)
-
-    @staticmethod
-    def alternating(width: int, first: int = 0) -> "Configuration":
-        return Configuration(0, tuple((first + j) % 2 for j in range(width)))
-
-    @staticmethod
-    def random_bits(stream: UpdateStream, width: int) -> "Configuration":
-        """I.i.d. fair binary cells drawn from the stream's cell domain."""
-        bits = stream.cell_bits(0, width)
-        return Configuration(0, tuple(bits.tolist()))
-
 
 def _check_alphabet(cfg: Configuration, model: Model) -> None:
     if not (0 <= min(cfg.cells) and max(cfg.cells) < len(model.alphabet)):

@@ -17,9 +17,9 @@ from typing import Callable
 import numpy as np
 
 from . import density
-from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration, _walk,
-                      a_local, b_local, blue_cell, c_local, d_local,
-                      occupied_cell, pair_cell)
+from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, _walk, a_local,
+                      b_local, blue_cell, c_local, d_local, occupied_cell,
+                      pair_cell)
 from .stream import RIGHT, UP, UpdateStream
 
 ARROWS = (UP, RIGHT)
@@ -119,8 +119,8 @@ def verify_periodic_orbit(width: int = 6, seed: int = 0,
     for width <= 8, randomly sampled otherwise."""
     if width % 2 != 0 or width < 4:
         raise ValueError("the alternating orbit needs an even width >= 4")
-    alt0 = Configuration.alternating(width, first=0)
-    alt1 = Configuration.alternating(width, first=1)
+    alt0 = tuple(j % 2 for j in range(width))
+    alt1 = alt0[1:] + alt0[:1]
     report = CaseReport("periodic-orbit")
     if width <= 8:
         rows = itertools.product(ARROWS, repeat=width)
@@ -128,9 +128,8 @@ def verify_periodic_orbit(width: int = 6, seed: int = 0,
         rows = (UpdateStream(seed, trial).row(0, 0, width).arrows
                 for trial in range(ORBIT_SAMPLES))
     for arrows in rows:
-        report.record(f"u={''.join(str(a) for a in arrows)}",
-                      (alt1.cells, alt0.cells),
-                      tuple(_walk(a_rule, alt.cells, (arrows,), True)
+        report.record(f"u={''.join(str(a) for a in arrows)}", (alt1, alt0),
+                      tuple(_walk(a_rule, alt, (arrows,), True)
                             for alt in (alt0, alt1)))
     return report
 

@@ -92,7 +92,8 @@ def test_criterion_06_exact_one_step_pair_marginals():
     rule = model_a_rule()
     uniform = evolve_measure(CylinderMeasure.uniform(("0", "1"), -1, 3), rule)
     from_uniform = uniform.weight(("0", "0")) + uniform.weight(("1", "1"))
-    ones = evolve_measure(CylinderMeasure.delta(("0", "1"), -1, "111"), rule)
+    ones = evolve_measure(
+        CylinderMeasure.product(("0", "1"), -1, [(0, 1)] * 3), rule)
     from_ones = ones.weight(("0", "0")) + ones.weight(("1", "1"))
     ok = from_uniform == Fraction(3, 8) and from_ones == Fraction(1, 2)
     report(6, ok, f"one-step pair stats exactly 3/8 (uniform) and 1/2 (ones) "

@@ -110,6 +110,14 @@ class TestOracleCommand:
         assert "10000000" in captured.err
         assert elapsed < 2.0
 
+    @pytest.mark.parametrize("option", [["--seed", "5"], ["--format", "text"]])
+    def test_seed_and_format_are_not_options(self, capsys, option):
+        with pytest.raises(SystemExit) as err:
+            main(["oracle", "--which", "closed-form", "--n", "3", *option])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and option[0] in captured.err
+
 
 class TestVerifyCommand:
     def test_all_runs_five_suites(self, capsys):
@@ -183,6 +191,23 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert captured.err.startswith(f"error: {option} applies only to")
+
+    @pytest.mark.parametrize("suite", ["all", *verify.SUITES])
+    def test_seed_outside_a_seeded_suite_is_refused(self, capsys, suite):
+        status = main(["verify", "--suite", suite, "--seed", "5"])
+        captured = capsys.readouterr()
+        if suite == "periodic-orbit":
+            assert status == 0 and json.loads(captured.out)[0]["passed"]
+        else:
+            assert_one_error_line(status, captured)
+            assert captured.err.startswith("error: --seed applies only to "
+                                           "--suite periodic-orbit|")
+
+    def test_environment_seed_is_never_refused(self, capsys, monkeypatch):
+        _, plain = run(capsys, "verify", "--suite", "all")
+        monkeypatch.setenv("PCALAB_SEED", "5")
+        status, from_env = run(capsys, "verify", "--suite", "all")
+        assert status == 0 and from_env == plain
 
     @pytest.mark.parametrize("suite", sorted(verify.STATISTICAL))
     def test_statistical_options_default_to_3_100000_64(self, capsys,
@@ -440,6 +465,13 @@ class TestEvolveCylinderCommand:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert "--length" in captured.err
+
+    def test_seed_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["evolve-cylinder", "--seed", "5"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--seed" in captured.err
 
     def test_length_defaults_to_four_sites(self, capsys):
         _, default = run(capsys, "evolve-cylinder", "--steps", "0")

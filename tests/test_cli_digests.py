@@ -1,13 +1,16 @@
-"""Recorded sha256 digests of ``density`` and ``evolve-cylinder`` stdout.
+"""Recorded sha256 digests of ``simulate``, ``density`` and
+``evolve-cylinder`` stdout.
 
-The benchmark pins one density row and two cylinder runs, so a change to
-the report schema, to the CSV/JSON writers or to how a cylinder weight is
+The benchmark pins one density row, two cylinder runs and two scalar
+runs, so a change to the report schema, to the CSV/JSON writers, to how an
+initial configuration or measure is built or to how a cylinder weight is
 printed could alter other outputs unseen.  These digests pin the CLI's
-stdout for ``density`` on models a, b and c over their inits, at 1, 2 and
-300 trials, as text, CSV and JSON; and for ``evolve-cylinder`` under the
-plain and the lifted rules from ``uniform``, ``alternating-mix`` and
-``word:`` inits, as text and JSON, plain, with ``--residual`` and with
-``--marginal``.
+stdout for ``simulate`` on models a-d over every init, on line and cycle,
+as text and JSON; for ``density`` on models a, b and c over their inits,
+at 1, 2 and 300 trials, as text, CSV and JSON; and for ``evolve-cylinder``
+under the plain, the lifted and a three-symbol rule-file rule from
+``uniform``, ``alternating-mix`` and ``word:`` inits, as text and JSON,
+plain, with ``--residual`` and with ``--marginal``.
 """
 
 import contextlib
@@ -18,6 +21,9 @@ import itertools
 import pytest
 
 from pcalab.cli import main
+
+SIMULATE_INITS = {"a": ("word:0110",), "b": ("word:#..#",),
+                  "c": ("word:#.#",), "d": ("blue", "word:.BG")}
 
 DENSITY_INITS = {"a": ("full", "alternating", "uniform", "ones", "zeros",
                        "word:0110", "0110"),
@@ -30,10 +36,39 @@ CYLINDER_INITS = {
           "word:0110": []},
     "b": {"uniform": ["--length", "3"], "word:#.##": []},
     "c": {"uniform": ["--length", "3"], "word:#.##": []},
+    "file": {"uniform": ["--length", "3"], "word:zxyz": []},
 }
-CYLINDER_RULES = {"a": [], "b": ["--lift", "b"], "c": ["--lift", "c"]}
+CYLINDER_RULES = {"a": [], "b": ["--lift", "b"], "c": ["--lift", "c"],
+                  "file": ["--rule-file", "RULE_FILE"]}
+
+#: A three-symbol rule on neighborhood {-1, 0}, written where ``RULE_FILE``
+#: stands in an argv.
+RULE_TEXT = """alphabet: x y z
+neighborhood: -1 0
+xx : 1/2 1/4 1/4
+xy : 0 1 0
+xz : 1/3 1/3 1/3
+yx : 1/6 1/2 1/3
+yy : 1 0 0
+yz : 0 2/5 3/5
+zx : 1/4 0 3/4
+zy : 1/2 1/2 0
+zz : 0 0 1
+"""
 VARIANTS = {"plain": [], "residual": ["--residual"],
             "marginal": ["--marginal", "2:1"]}
+
+
+def _simulate_cases():
+    for model in "abcd":
+        inits = ("full", "ones", "zeros", "alternating", "uniform",
+                 *SIMULATE_INITS[model])
+        for init, boundary, fmt in itertools.product(
+                inits, ("line", "cycle"), ("text", "json")):
+            yield (f"simulate-{model}-{init}-{boundary}-{fmt}",
+                   ["simulate", "--model", model, "--init", init,
+                    "--width", "12", "--steps", "2", "--boundary", boundary,
+                    "--seed", "5", "--format", fmt])
 
 
 def _density_cases():
@@ -55,9 +90,11 @@ def _cylinder_cases():
                     *VARIANTS[variant]])
 
 
-ARGV = dict(itertools.chain(_density_cases(), _cylinder_cases()))
+ARGV = dict(itertools.chain(_simulate_cases(), _density_cases(),
+                            _cylinder_cases()))
 
-#: Recorded before the density report serialized itself.
+#: Recorded before the density report serialized itself, the simulate and
+#: rule-file entries before every init became a tiled word or a product.
 DIGESTS = {
     "density-a-full-1-text": "1137f5434fd62790f45096b8332d19148cb73229251d7e32869a0eebdf84d865",
     "density-a-full-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
@@ -200,6 +237,118 @@ DIGESTS = {
     "cylinder-c-word:#.##-json-plain": "13d9dddbd8c04e75f93b8304f37d0caf92141d27f60fe27c8eca7a94113990a2",
     "cylinder-c-word:#.##-json-residual": "12623447d02cc4bbfadb5043fa356c777baf66bef7e2402df6aa75ee7794f6c1",
     "cylinder-c-word:#.##-json-marginal": "ad60ff2e32e85298e7a037206ae26751fed411af1681396a704de2eace28edca",
+    "simulate-a-full-line-text": "f9a12b316d488cb32d905a9567817b1fcba595a415dc5fd278c76de18c6f737a",
+    "simulate-a-full-line-json": "410816e55f93574fe0420a00f24f4334e439ace3dbf83c0d326e6c31e2250e0a",
+    "simulate-a-full-cycle-text": "ababa52b0a2e4f51b4d98419805a428205199bb5956529e7550486f912678d82",
+    "simulate-a-full-cycle-json": "6d4950ec0be2aa9b3d7d3ff9c637173d63f85c5d15e557decc2f987b7cd87caf",
+    "simulate-a-ones-line-text": "f9a12b316d488cb32d905a9567817b1fcba595a415dc5fd278c76de18c6f737a",
+    "simulate-a-ones-line-json": "410816e55f93574fe0420a00f24f4334e439ace3dbf83c0d326e6c31e2250e0a",
+    "simulate-a-ones-cycle-text": "ababa52b0a2e4f51b4d98419805a428205199bb5956529e7550486f912678d82",
+    "simulate-a-ones-cycle-json": "6d4950ec0be2aa9b3d7d3ff9c637173d63f85c5d15e557decc2f987b7cd87caf",
+    "simulate-a-zeros-line-text": "22b8237b96c7d05f6d716307c837d47205edae1996f2691b7901cc4244f6c357",
+    "simulate-a-zeros-line-json": "34a932ac0ad53d85aa00eecf5029f4996567331e5ac6e1ef5da25077ae3602fe",
+    "simulate-a-zeros-cycle-text": "39030f9c9c1c58e53c6add5021135de62b5fdac2790adb8045504cc98f605c6d",
+    "simulate-a-zeros-cycle-json": "d13f1ea9626b9e44cdb9dae1d3f01034a25b8888fdce6b35faf24dd6f58355e7",
+    "simulate-a-alternating-line-text": "220bda12067d5adc2db79edab7b92b78340b5a08445b8b87f5c5475c29094719",
+    "simulate-a-alternating-line-json": "b9765ba7c5c5e309959700adddda6269a1b219de1f5117a514491656f6f38c6e",
+    "simulate-a-alternating-cycle-text": "bf8432ac6d0b9d531b7825c0dea5df03b02d782065214c381f41169d1aca89f6",
+    "simulate-a-alternating-cycle-json": "30fad0c925b85e796867fc425b40a0dd3f3ba49b99c52d59644ffbe1d1243394",
+    "simulate-a-uniform-line-text": "db700a82eabb129a0476b7ef474210c8d314807f8a38c9a75e02ce37425cb7ee",
+    "simulate-a-uniform-line-json": "5c67d4b3fcd53a48de83d7817298df61184f146b3b802f47a3dafec0f5bf6b5c",
+    "simulate-a-uniform-cycle-text": "d4f00cb2d4a6ece70f21708b3fb94d4baabcff2608a4f098e63e1183da8dcb4f",
+    "simulate-a-uniform-cycle-json": "962ce0092eca2140d5ba042c6cc50051652d7b4307de231f312ebf809f9bbde7",
+    "simulate-a-word:0110-line-text": "9d2e509bb65ce62a6247b7eff2e0285750e80f30c296589cc167cd879f29702a",
+    "simulate-a-word:0110-line-json": "5f286869577ee615575fc8ffd60095255889d9ce816775134d5719eeab560366",
+    "simulate-a-word:0110-cycle-text": "c90ff2c2342c2788b9c965dc2d2de089dadafb591a7356b4f005a2281a9f73f0",
+    "simulate-a-word:0110-cycle-json": "2eda92eac44bd9db5c92d8fd1f3b0c92b1a0eb93622c5b36f2565f00d70fe90b",
+    "simulate-b-full-line-text": "32ad346d0c239269f688e91eeaf102b54dbccde602c5088c9c09e8f121f18ce8",
+    "simulate-b-full-line-json": "65e1eac4f7f7491db7ea0b00a0f45e905ff44af66012e72aa6ac56cb0e0574ee",
+    "simulate-b-full-cycle-text": "71759647bca9ef1e0e2d3cc86588e4d11951c9a9384ac67fcf4adbefc249fe1c",
+    "simulate-b-full-cycle-json": "1551a901e57d6c93d94d884154a0166e29530f7acfa41597ff57178c971d458c",
+    "simulate-b-ones-line-text": "32ad346d0c239269f688e91eeaf102b54dbccde602c5088c9c09e8f121f18ce8",
+    "simulate-b-ones-line-json": "65e1eac4f7f7491db7ea0b00a0f45e905ff44af66012e72aa6ac56cb0e0574ee",
+    "simulate-b-ones-cycle-text": "71759647bca9ef1e0e2d3cc86588e4d11951c9a9384ac67fcf4adbefc249fe1c",
+    "simulate-b-ones-cycle-json": "1551a901e57d6c93d94d884154a0166e29530f7acfa41597ff57178c971d458c",
+    "simulate-b-zeros-line-text": "de6c79b6e058c112e3440b55404fc39b3c9684b6c22079a31fe059499be5d21f",
+    "simulate-b-zeros-line-json": "388b54a88d6000b4a21ea177d5a882b4284f0ee487de9849793736c4b644eccc",
+    "simulate-b-zeros-cycle-text": "567085897bb08020f765301bd45f81720d67c01b13434e8cd233aab453098239",
+    "simulate-b-zeros-cycle-json": "dd87751294c2243c91e86a68ad79492b47081794122fe20cbd6583cd5e56cf0c",
+    "simulate-b-alternating-line-text": "e8ef945db0ba571bd27bdce7709e180e51bf49289c0298c755ef387d4d5cdc45",
+    "simulate-b-alternating-line-json": "1fe6f4071d532cccfc4517486d449a9ca915554e008975bd346a1fdc37789f7e",
+    "simulate-b-alternating-cycle-text": "09bf8396e82a4d4d0d948daa93011c70d4ccda67290164445da0cf11dfa98065",
+    "simulate-b-alternating-cycle-json": "a318ea34e2d6e5af87c25803057f84e363df13eacc66a3f6586f85471f492fa3",
+    "simulate-b-uniform-line-text": "258c1ae4ff0c21876b64bc3d1f1d752468fa8c6999888a31efc20e1a19110413",
+    "simulate-b-uniform-line-json": "87b26966b8b08e37e6a414b403a4f18d3bcad2047ccbe0d8b86227caf8d845e7",
+    "simulate-b-uniform-cycle-text": "c3777670569284d927efde8a3d4ebe922e43932fa1e452581329f3af2d07042f",
+    "simulate-b-uniform-cycle-json": "65147035a74b9530a2b72b60f79815290a3826ef5474f0245af44cdfa71d37a0",
+    "simulate-b-word:#..#-line-text": "d0e5f0b6260730a40d32d821e516a4c6eb70543d043b17b68b6cb688eea8d95e",
+    "simulate-b-word:#..#-line-json": "f080b53cd835b5e47aef530f609474475f474b4b1eb2716721654454478ea51c",
+    "simulate-b-word:#..#-cycle-text": "448619185603ecb7656237e76ed5f8c3070de59dc245e3426337ebe714a36d8d",
+    "simulate-b-word:#..#-cycle-json": "e8b6450ed9a0fd6d1fcdd305f72d8257df2245cdacdd5067d729183047f4df7e",
+    "simulate-c-full-line-text": "97d26fe366e653bdecb451658c9d0cd08d457ce0064d2e66cfd9ac9475f436af",
+    "simulate-c-full-line-json": "15f447f9f535379653fa7d7a82bc23a7d5e837a170334ee501acdccefca5cfc2",
+    "simulate-c-full-cycle-text": "aa0af7207a9f2dbd0365dc1c5cd3356876f1376b23c6d6d00918845b7f27d9ee",
+    "simulate-c-full-cycle-json": "de9d96651e563e803f5615ccd2df8f1cbd1e9845d939621bca812722ad7a3142",
+    "simulate-c-ones-line-text": "97d26fe366e653bdecb451658c9d0cd08d457ce0064d2e66cfd9ac9475f436af",
+    "simulate-c-ones-line-json": "15f447f9f535379653fa7d7a82bc23a7d5e837a170334ee501acdccefca5cfc2",
+    "simulate-c-ones-cycle-text": "aa0af7207a9f2dbd0365dc1c5cd3356876f1376b23c6d6d00918845b7f27d9ee",
+    "simulate-c-ones-cycle-json": "de9d96651e563e803f5615ccd2df8f1cbd1e9845d939621bca812722ad7a3142",
+    "simulate-c-zeros-line-text": "9666c2360416f4ae9a030802399a43905ab2b32881870877036a32c1599bb596",
+    "simulate-c-zeros-line-json": "3723147c503d5636a25c2a160a01bd6e16bef515c37fc8077d82e7c4e76cedfb",
+    "simulate-c-zeros-cycle-text": "64dc3455f2fdfc6c226ed3d6bdc6f3ad39fcc4c249e5bcc32b40ea8754332221",
+    "simulate-c-zeros-cycle-json": "34eb327395a81120d80664d1d7c093cc88caf1fd569f7a583fe41020d9e024cc",
+    "simulate-c-alternating-line-text": "a7f1f8aa3c76ff07262c1fdb927848c84e7eefc8343e06b8b8bd3a3d4f7e4a31",
+    "simulate-c-alternating-line-json": "bbff7db1c940484d8e9b32a63e3369ac2ff5fda79c98ccbefe0f5f3303d75247",
+    "simulate-c-alternating-cycle-text": "2a86486eb610470aeed276153975c25ca45d6e9357900181d85a67d1e582c011",
+    "simulate-c-alternating-cycle-json": "dfaa22e3c8adc11315a00cec8182e64ff6ffc1a8d715f5aa179c3d6d221b9cb7",
+    "simulate-c-uniform-line-text": "97d26fe366e653bdecb451658c9d0cd08d457ce0064d2e66cfd9ac9475f436af",
+    "simulate-c-uniform-line-json": "15f447f9f535379653fa7d7a82bc23a7d5e837a170334ee501acdccefca5cfc2",
+    "simulate-c-uniform-cycle-text": "ed9515d3dcb2927a69a01a04f54d745b8b0998819bbb5ccbff4b7a2f800c2c72",
+    "simulate-c-uniform-cycle-json": "b42afbc1e620c7d0600735b31029890fadd4150713938f27d04fc68a4259a14e",
+    "simulate-c-word:#.#-line-text": "f250b3c95583bf405685330a3b04de853ca614e31c51af080dc41f3b3f12207a",
+    "simulate-c-word:#.#-line-json": "7619c022343369fab7a76733fe7c74e29902042753d475521221cbf226696cd2",
+    "simulate-c-word:#.#-cycle-text": "fd5de0bbd8345ff485e2846ba516b212033e73df672b60485f4f5d8a3487d7f5",
+    "simulate-c-word:#.#-cycle-json": "7723b9fecdb561b4748d484c90f5d40c12ac99a70b5ff742c0da2345d0005ab8",
+    "simulate-d-full-line-text": "59de0bc86711ac3219ae4aa423b36ed31985f7c8b28a8bff0601e7d93782d243",
+    "simulate-d-full-line-json": "9bdba159d86247343627078e5180c68be25e04a4b58a10910a6a40fb21994b20",
+    "simulate-d-full-cycle-text": "c15fee193c8fe3c43aa9c4f8d63a0b4e26651fd10253a1d5b4cbda45b75d7ecf",
+    "simulate-d-full-cycle-json": "e5fed9c5ae05670b94f36054bf53d68223fd7802d919aa7014b62bec3e2883f4",
+    "simulate-d-ones-line-text": "7b254a73a179842286599e85a23a79ed3307840f712b22aad032be12394abf26",
+    "simulate-d-ones-line-json": "f2909348d53cfebbc113a64a100d337feb87c280aa1f11278de3c2898fa33923",
+    "simulate-d-ones-cycle-text": "c50bec758038f864f9a514eae362eef707ebb3584fd8eb399f0160eb22609fcd",
+    "simulate-d-ones-cycle-json": "3d9fa91eeb52174417b429a7bbdf15e297de50d1bb4dec798679b3baf18bbc6b",
+    "simulate-d-zeros-line-text": "296365755c9b325839ff3e7d3793c0f6663436dd88d5f54745d159d05d775902",
+    "simulate-d-zeros-line-json": "024885c0bb5a59d85634c33ceac42478d16f52a80e121bea6ec4305625376851",
+    "simulate-d-zeros-cycle-text": "f81919b93d95668d06c49fe75b8ead8f88e3c670241790b90a8ede7637ff01cd",
+    "simulate-d-zeros-cycle-json": "7562a7ec407f25bdde83a698068e3e79ef815d5bf11ccb4cac0d362e3a0d3217",
+    "simulate-d-alternating-line-text": "f88d68c37623f067660743394af8bcc70855102c3e21929b46e149fdb79e4dd8",
+    "simulate-d-alternating-line-json": "9eefb9fb186c1703d201f07df191430773238905c28e0f5ab68e0f5014ee5204",
+    "simulate-d-alternating-cycle-text": "1ad07f3c7e08893d6b0b80b97ed50e5a098bcc89c0fe2d6471de7de7ab901897",
+    "simulate-d-alternating-cycle-json": "7106c377db862fe7d07c19aaed86e76e6da0391f4bef5ce3121d0aa42e4819c1",
+    "simulate-d-uniform-line-text": "6999dec51efb23af1959867c049e434aeff7e6933728889ab52af6a19e658770",
+    "simulate-d-uniform-line-json": "8189dd943725e92bfa3db06691674192e60ae4454338072830fce76bdc849294",
+    "simulate-d-uniform-cycle-text": "2de5ab639174575b2ee45ab92fc984898dc1942d029f3dc4f9895562c17f4a7c",
+    "simulate-d-uniform-cycle-json": "8820379e57dc869d486273d2d89e49fa0e10bb0390767efd3c29a78822945190",
+    "simulate-d-blue-line-text": "7b254a73a179842286599e85a23a79ed3307840f712b22aad032be12394abf26",
+    "simulate-d-blue-line-json": "f2909348d53cfebbc113a64a100d337feb87c280aa1f11278de3c2898fa33923",
+    "simulate-d-blue-cycle-text": "c50bec758038f864f9a514eae362eef707ebb3584fd8eb399f0160eb22609fcd",
+    "simulate-d-blue-cycle-json": "3d9fa91eeb52174417b429a7bbdf15e297de50d1bb4dec798679b3baf18bbc6b",
+    "simulate-d-word:.BG-line-text": "da91e45b1d24cfa6e7497ae5f167c50d9f7b14b683453b884563690a1fd72b83",
+    "simulate-d-word:.BG-line-json": "a18d556ecb98695c2c473211b55135d613946bcaefbd1e0e3c6b95e4025b7bfc",
+    "simulate-d-word:.BG-cycle-text": "1349632d30bb3dcf27c70ee641f18214907b2dc3e1baf5ab037adb1ef1fa394f",
+    "simulate-d-word:.BG-cycle-json": "2ba8cd5c94024622c8124be268660e976f78c8ba4734db15acfe181ad319e977",
+    "cylinder-file-uniform-text-plain": "a1cbe2f6bc87c1256be8a7b0c94f74c0dbcb129a6f0ffc27beb868a70e38db0d",
+    "cylinder-file-uniform-text-residual": "685a108a94fa79fc9ccf30411a17af0961c18033a2d96931b0fd2768e1341b0b",
+    "cylinder-file-uniform-text-marginal": "a1cbe2f6bc87c1256be8a7b0c94f74c0dbcb129a6f0ffc27beb868a70e38db0d",
+    "cylinder-file-uniform-json-plain": "66ee4f71adbda3e3419138a74df8dc2959a4eccecd79930e409f4dd221315204",
+    "cylinder-file-uniform-json-residual": "c0fd82c1133d1e5d462f7bc57c4cf0d5d3c558b8816ae4a75b862aeede38e87e",
+    "cylinder-file-uniform-json-marginal": "66ee4f71adbda3e3419138a74df8dc2959a4eccecd79930e409f4dd221315204",
+    "cylinder-file-word:zxyz-text-plain": "8255084d852551e3c470656b54130be39dfdb17105ccd83bf74d0e3d06791afa",
+    "cylinder-file-word:zxyz-text-residual": "c34ae0c3f5a7af0af8c8af5cb59733877b418d164ceea2dfcc6979e393ca5078",
+    "cylinder-file-word:zxyz-text-marginal": "3ba0779f979725b0201200385d4d286b73ea9c5d585f171438d6ae7ad755e140",
+    "cylinder-file-word:zxyz-json-plain": "0860edb42c34a0173b66a771227afd04c8e54b816e16dae134af21345254c601",
+    "cylinder-file-word:zxyz-json-residual": "7e505afb526f7e82dded7b2a87aa6bbec6a259016a0e028b0e17cd00141dec17",
+    "cylinder-file-word:zxyz-json-marginal": "eef590d81b741f40e83af8605880d3cb6faf2b5f68c65043582aff1156df255b",
 }
 
 
@@ -211,6 +360,8 @@ def _stdout(argv) -> str:
 
 
 @pytest.mark.parametrize("case", ARGV)
-def test_stdout_is_pinned(case):
-    out = _stdout(ARGV[case])
+def test_stdout_is_pinned(case, tmp_path):
+    rule = tmp_path / "rule.txt"
+    rule.write_text(RULE_TEXT, encoding="utf-8")
+    out = _stdout([str(rule) if w == "RULE_FILE" else w for w in ARGV[case]])
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case]

@@ -74,8 +74,8 @@ def oracle_argv(draw):
     which = draw(st.sampled_from(["closed-form", "hitting-time",
                                   "interface-walk", "log-density",
                                   "asymptotic-ratio"]))
-    return ["oracle", "--which", which, "--n",
-            str(draw(st.integers(-1, 6)))]
+    return (["oracle", "--which", which, "--n", str(draw(st.integers(-1, 6)))]
+            + _options(draw, [("--seed", SEEDS)]))
 
 
 @st.composite
@@ -100,7 +100,7 @@ def evolve_cylinder_argv(draw):
     pairs = [("--start", st.integers(-3, 3)),
              ("--length", st.integers(-1, 6)), ("--init", inits),
              ("--steps", st.integers(-1, 6)), ("--residual", st.just(True)),
-             ("--marginal", marginals), ("--seed", SEEDS),
+             ("--marginal", marginals),
              ("--format", st.sampled_from(["text", "json"]))]
     return ["evolve-cylinder"] + rule + _options(draw, pairs)
 

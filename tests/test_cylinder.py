@@ -25,6 +25,12 @@ BITS = ("0", "1")
 HALF = Fraction(1, 2)
 
 
+def dirac(alphabet, start, word):
+    """The point mass on ``word``: one-hot site weights."""
+    return CylinderMeasure.product(
+        alphabet, start, [[int(s == ch) for s in alphabet] for ch in word])
+
+
 def brute_update_a(mu: CylinderMeasure) -> dict:
     """Independent oracle: enumerate support words x arrow assignments."""
     out = {}
@@ -153,8 +159,8 @@ def test_sweep_on_either_side_of_the_int64_bound(words):
     rows = {w: (Fraction(p - k, p), Fraction(k, p)) for k, w in enumerate(
         itertools.product("xy", repeat=2), start=1)}
     f = TransitionFunction(("x", "y"), (-1, 0), rows)
-    num = sum(CylinderMeasure.delta(("x", "y"), 0, w).numerators
-              for w in words)  # one numerator per word over len(words)
+    # one numerator per word over len(words)
+    num = sum(dirac(("x", "y"), 0, w).numerators for w in words)
     mu = CylinderMeasure(("x", "y"), 0, 3, num, len(words))
     assert 2 ** 62 < mu.den * _row_den(f) ** 2 < 2 ** 64
     assert evolve_measure(mu, f) == reference_evolve(mu, f)
@@ -205,7 +211,7 @@ class TestModelARule:
 
 class TestEvolveMeasure:
     def test_delta_pair_moves_deterministically(self):
-        mu = CylinderMeasure.delta(BITS, -1, "01")
+        mu = dirac(BITS, -1, "01")
         out = evolve_measure(mu, model_a_rule())
         assert out.start == 0 and out.length == 1
         assert out.weight(("0",)) == 1
@@ -221,7 +227,7 @@ class TestEvolveMeasure:
         assert out.weight(("1",)) == HALF
 
     def test_all_ones_pair_statistic(self):
-        mu = CylinderMeasure.delta(BITS, -1, "111")
+        mu = dirac(BITS, -1, "111")
         out = evolve_measure(mu, model_a_rule())
         assert out.weight(("0", "0")) + out.weight(("1", "1")) == HALF
 
@@ -255,11 +261,11 @@ class TestMarginal:
         assert sum(marginal(mu, 3, 2).weights) == 1
 
     def test_products_factorize(self):
-        dists = [(Fraction(1, 4), Fraction(3, 4)),
-                 (Fraction(2, 5), Fraction(3, 5)),
-                 (Fraction(1, 2), Fraction(1, 2))]
-        mu = CylinderMeasure.product(BITS, 0, dists)
-        assert marginal(mu, 1, 2) == CylinderMeasure.product(BITS, 1, dists[1:])
+        sites = [(1, 3), (2, 3), (1, 1)]  # 1/4 3/4, 2/5 3/5, 1/2 1/2
+        mu = CylinderMeasure.product(BITS, 0, sites)
+        assert mu.weight(("1", "0", "1")) == Fraction(3 * 2, 4 * 5 * 2)
+        assert marginal(mu, 1, 2) == CylinderMeasure.product(BITS, 1,
+                                                             sites[1:])
 
     def test_bad_windows(self):
         mu = CylinderMeasure.uniform(BITS, 0, 3)
@@ -289,7 +295,7 @@ class TestInvariance:
         assert invariance_residual(mu, model_a_rule()) == 0
 
     def test_all_ones_is_not_invariant(self):
-        mu = CylinderMeasure.delta(BITS, 0, "1111")
+        mu = dirac(BITS, 0, "1111")
         assert invariance_residual(mu, model_a_rule()) > 0
 
     def test_total_variation_requires_matching_windows(self):
@@ -300,9 +306,9 @@ class TestInvariance:
 
 def occupancy_word_measure(table, start, word):
     """Fixed occupancy glyphs, arrow components independently uniform."""
-    dists = [tuple(HALF if s[0] == ch else Fraction(0) for s in table.alphabet)
-             for ch in word]
-    return CylinderMeasure.product(table.alphabet, start, dists)
+    return CylinderMeasure.product(
+        table.alphabet, start,
+        [[int(s[0] == ch) for s in table.alphabet] for ch in word])
 
 
 def brute_particle_step(local, word, length_out):
@@ -358,7 +364,7 @@ class TestLiftedModels:
         # fixing the arrow components pins the next occupancy completely
         table = lift_model(which)
         for word in itertools.product(table.alphabet, repeat=3):
-            mu = CylinderMeasure.delta(table.alphabet, 0, word)
+            mu = dirac(table.alphabet, 0, word)
             out = pushforward(evolve_measure(mu, table), lambda s: s[0],
                               (".", "#"))
             cells = [int(s[0] == "#") for s in word]
@@ -366,7 +372,7 @@ class TestLiftedModels:
             want = tuple("#" if local(cells[j], cells[j + 1],
                                       arrows[j], arrows[j + 1]) else "."
                          for j in range(2))
-            assert out == CylinderMeasure.delta((".", "#"), 1, want)
+            assert out == dirac((".", "#"), 1, want)
 
 
 class TestClosedForm:
@@ -402,7 +408,7 @@ def _last_site_occupied(mu):
 def _model_a(init):
     def value(n):
         mu = (CylinderMeasure.uniform(BITS, 0, n + 2) if init is None
-              else CylinderMeasure.delta(BITS, 0, init * (n + 2)))
+              else dirac(BITS, 0, init * (n + 2)))
         return _pair_agrees(_evolved(model_a_rule(), mu, n))
     return value
 
@@ -457,7 +463,8 @@ class TestMonteCarloConsistency:
         counts = {}
         for trial in range(trials):
             stream = UpdateStream(1000 + steps, trial)
-            init = Configuration.random_bits(stream, length)
+            init = Configuration(0, tuple(
+                stream.cell_bits(0, length).tolist()))
             final = evolve(Model.A, init, stream, steps).final
             word = tuple(str(c) for c in final.cells)
             counts[word] = counts.get(word, 0) + 1
@@ -522,3 +529,16 @@ class TestGuards:
             CylinderMeasure(BITS, 0, 1, (HALF, HALF, HALF))
         with pytest.raises(ValueError):
             CylinderMeasure(BITS, 0, 1, (Fraction(2), Fraction(-1)))
+
+    @pytest.mark.parametrize("sites", [
+        [(1, 1, 1)], [(1,), (1, 1, 1)],  # misaligned, even where the
+        [(-1, 2)], [(-1, -1), (-1, -1)],  # sizes or signs multiply out
+        [(0, 0)], [(1, 1), (0, 0)], [(HALF, HALF)], [(0.5, 0.5)]])
+    def test_product_site_weight_validation(self, sites):
+        with pytest.raises(ValueError):
+            CylinderMeasure.product(BITS, 0, sites)
+
+    def test_product_normalizes_each_site_by_its_total(self):
+        mu = CylinderMeasure.product(BITS, 0, [(2, 6), (5, 0)])
+        assert mu == CylinderMeasure.product(BITS, 0, [(1, 3), (1, 0)])
+        assert mu.weights == (Fraction(1, 4), Fraction(3, 4), 0, 0)

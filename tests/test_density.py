@@ -237,9 +237,9 @@ class TestPairStatistic:
         for t in range(trials):
             st = UpdateStream(seed, t)
             if init == "uniform":
-                cfg = Configuration.random_bits(st, width)
+                cfg = Configuration(0, tuple(st.cell_bits(0, width).tolist()))
             elif init in ("ones", "zeros"):
-                cfg = Configuration.filled(int(init == "ones"), width)
+                cfg = Configuration(0, (int(init == "ones"),) * width)
             else:
                 cfg = Configuration(0, tuple(int(init[j % len(init)])
                                              for j in range(width)))

@@ -39,7 +39,7 @@ def test_two_adjacent_particles_merge_into_one_root():
 
 def test_merge_log_is_consistent_with_occupancy():
     stream = UpdateStream(21)
-    init = Configuration.random_bits(stream, 30)
+    init = Configuration(0, tuple(stream.cell_bits(0, 30).tolist()))
     for model, boundary in itertools.product([Model.C, Model.D],
                                              ["line", "cycle"]):
         traj = evolve(model, init, stream, 12, boundary=boundary)
@@ -54,7 +54,7 @@ def test_merge_log_is_consistent_with_occupancy():
 @pytest.mark.parametrize("seed", range(8))
 def test_leaves_minus_merges_counts_survivors_on_cycles(seed):
     stream = UpdateStream(seed)
-    init = Configuration.random_bits(stream, 24)
+    init = Configuration(0, tuple(stream.cell_bits(0, 24).tolist()))
     if particle_count(init) == 0:
         init = Configuration(0, (PARTICLE,) + init.cells[1:])
     traj = evolve(Model.C, init, stream, 20, boundary="cycle")
@@ -65,7 +65,7 @@ def test_leaves_minus_merges_counts_survivors_on_cycles(seed):
 
 def test_each_particle_merges_at_most_once():
     stream = UpdateStream(2)
-    init = Configuration.filled(PARTICLE, 32)
+    init = Configuration(0, (PARTICLE,) * 32)
     traj = evolve(Model.D, init, stream, 10, boundary="cycle")
     forest = trace_merges(traj)  # raises if any id merged twice
     seen = set()
@@ -75,17 +75,18 @@ def test_each_particle_merges_at_most_once():
 
 
 def test_wrong_model_has_no_merge_log():
-    traj = evolve(Model.A, Configuration.alternating(8), UpdateStream(1), 2)
+    traj = evolve(Model.A, Configuration(0, (0, 1) * 4), UpdateStream(1), 2)
     with pytest.raises(ValueError):
         trace_merges(traj)
-    traj = evolve(Model.B, Configuration.filled(PARTICLE, 8), UpdateStream(1), 2)
+    traj = evolve(Model.B, Configuration(0, (PARTICLE,) * 8), UpdateStream(1),
+                  2)
     with pytest.raises(ValueError):
         trace_merges(traj)
 
 
 def test_ancestry_covers_every_merged_leaf():
     stream = UpdateStream(13)
-    traj = evolve(Model.C, Configuration.filled(PARTICLE, 20), stream, 16,
+    traj = evolve(Model.C, Configuration(0, (PARTICLE,) * 20), stream, 16,
                   boundary="cycle")
     forest = trace_merges(traj)
     covered = set()

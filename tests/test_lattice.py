@@ -114,7 +114,7 @@ class TestSteps:
         # From the full line, a site stays occupied iff its two driving
         # arrows agree; checked exactly against the row.
         st_ = UpdateStream(31)
-        y = Configuration.filled(PARTICLE, 40)
+        y = Configuration(0, (PARTICLE,) * 40)
         row = st_.row(0, 0, 40)
         out = _step(Model.B, y, row, False)
         assert out.offset == 1
@@ -143,14 +143,14 @@ class TestMaps:
 
 class TestEvolve:
     def test_alternating_orbit_closes_after_two_steps(self):
-        init = Configuration.alternating(10)
+        init = Configuration(0, (0, 1) * 5)
         traj = evolve(Model.A, init, UpdateStream(3), 2, boundary="cycle")
         assert traj.final == init
-        assert traj.configs[1].cells == Configuration.alternating(10, first=1).cells
+        assert traj.configs[1].cells == Configuration(0, (1, 0) * 5).cells
 
     def test_line_run_keeps_a_valid_window(self):
         n = 7
-        init = Configuration.filled(PARTICLE, n + 2)
+        init = Configuration(0, (PARTICLE,) * (n + 2))
         traj = evolve(Model.C, init, UpdateStream(9), n)
         assert len(traj.final) == 2
         assert traj.final.offset == n
@@ -158,12 +158,12 @@ class TestEvolve:
 
     def test_window_exhaustion_raises(self):
         with pytest.raises(ValueError):
-            evolve(Model.C, Configuration.filled(1, 5), UpdateStream(0), 5)
+            evolve(Model.C, Configuration(0, (1,) * 5), UpdateStream(0), 5)
         with pytest.raises(ValueError):
-            evolve(Model.B, Configuration.filled(1, 1), UpdateStream(0), 0,
+            evolve(Model.B, Configuration(0, (1,)), UpdateStream(0), 0,
                    boundary="cycle")
         with pytest.raises(ValueError):
-            evolve(Model.A, Configuration.alternating(6), UpdateStream(0), 1,
+            evolve(Model.A, Configuration(0, (0, 1) * 3), UpdateStream(0), 1,
                    boundary="torus")
 
     @pytest.mark.parametrize("steps", [3, 10])
@@ -174,7 +174,7 @@ class TestEvolve:
         monkeypatch.setattr(UpdateStream, "row",
                             lambda self, *args: drawn.append(args))
         with pytest.raises(ValueError, match="unknown boundary 'ring'"):
-            evolve(Model.A, Configuration.alternating(5), UpdateStream(0),
+            evolve(Model.A, Configuration(0, (0, 1, 0, 1, 0)), UpdateStream(0),
                    steps, boundary="ring")
         assert drawn == []
 
@@ -183,7 +183,7 @@ class TestEvolve:
         # the annihilation rule on the mapped start, with each update row
         # re-anchored one site to the left.
         stream = UpdateStream(123)
-        init = Configuration.random_bits(stream, 40)
+        init = Configuration(0, tuple(stream.cell_bits(0, 40).tolist()))
         rows = [stream.row(n, init.offset + n, 40 - n) for n in range(12)]
         a_traj = evolve_with_rows(Model.A, init, rows)
         b_traj = evolve_with_rows(Model.B, phi(init),
@@ -194,7 +194,7 @@ class TestEvolve:
 
     def test_domination_along_trajectories(self):
         stream = UpdateStream(77)
-        init = Configuration.random_bits(stream, 36)
+        init = Configuration(0, tuple(stream.cell_bits(0, 36).tolist()))
         rows = [stream.row(n, n, 36 - n) for n in range(10)]
         b_traj = evolve_with_rows(Model.B, init, rows)
         c_traj = evolve_with_rows(Model.C, init, rows)
@@ -228,7 +228,7 @@ def test_monotone_coupling_holds_for_fifty_steps(pair):
 @given(st.integers(0, 2 ** 32), st.integers(4, 40), st.integers(1, 25))
 def test_particle_counts_shrink(seed, width, steps):
     stream = UpdateStream(seed)
-    init = Configuration.random_bits(stream, width)
+    init = Configuration(0, tuple(stream.cell_bits(0, width).tolist()))
     for model in (Model.B, Model.C):
         traj = evolve(model, init, stream, steps, boundary="cycle")
         counts = [particle_count(c) for c in traj.configs]

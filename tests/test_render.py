@@ -11,7 +11,7 @@ from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 
 
 def test_alternating_run_renders_shifted_rows():
-    traj = evolve(Model.A, Configuration.alternating(10), UpdateStream(1), 3)
+    traj = evolve(Model.A, Configuration(0, (0, 1) * 5), UpdateStream(1), 3)
     lines = render(traj).splitlines()
     assert len(lines) == 4  # initial row plus one per step
     assert lines[0] == "0101010101"
@@ -22,7 +22,7 @@ def test_alternating_run_renders_shifted_rows():
 
 
 def test_particle_rows_never_gain_particles():
-    traj = evolve(Model.C, Configuration.filled(PARTICLE, 30), UpdateStream(4),
+    traj = evolve(Model.C, Configuration(0, (PARTICLE,) * 30), UpdateStream(4),
                   12)
     lines = render(traj).splitlines()
     counts = [line.count("#") for line in lines]
@@ -30,7 +30,8 @@ def test_particle_rows_never_gain_particles():
 
 
 def test_arrow_overlay_interleaves_rows():
-    traj = evolve(Model.B, Configuration.filled(PARTICLE, 8), UpdateStream(2), 2)
+    traj = evolve(Model.B, Configuration(0, (PARTICLE,) * 8), UpdateStream(2),
+                  2)
     plain = render(traj).splitlines()
     overlaid = render(traj, arrows=True).splitlines()
     assert len(overlaid) == len(plain) + 2
@@ -57,8 +58,8 @@ def test_empty_trajectory_is_rejected():
     with pytest.raises(ValueError):
         render(hollow, fmt="svg")
     with pytest.raises(ValueError):
-        render(evolve(Model.A, Configuration.alternating(4), UpdateStream(0), 1),
-               fmt="gif")
+        render(evolve(Model.A, Configuration(0, (0, 1) * 2), UpdateStream(0),
+                      1), fmt="gif")
 
 
 def test_svg_is_wellformed_and_counts_cells():
@@ -78,6 +79,7 @@ def test_svg_is_wellformed_and_counts_cells():
 
 
 def test_rendering_is_deterministic():
-    traj = evolve(Model.C, Configuration.filled(PARTICLE, 16), UpdateStream(9), 5)
+    traj = evolve(Model.C, Configuration(0, (PARTICLE,) * 16), UpdateStream(9),
+                  5)
     assert render(traj, fmt="svg") == render(traj, fmt="svg")
     assert render(traj) == render(traj)
