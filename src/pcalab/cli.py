@@ -21,10 +21,11 @@ from .lattice import (BLUE, GREEN, Configuration, Model, evolve,
 from .render import GLYPHS, render
 from .stream import DOMAIN_COLOR, UpdateStream
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    return int(os.environ.get("PCALAB_SEED", "0"))
+def _resolve_seed(seed: int | None) -> int:
+    try:
+        return int(os.environ.get("PCALAB_SEED", 0) if seed is None else seed)
+    except ValueError:
+        raise ValueError("PCALAB_SEED must be an integer") from None
 
 
 def _build_init(model: Model, init: str, width: int,
@@ -142,7 +143,7 @@ _STATISTICAL_DEFAULTS = {"n": 3, "trials": 100_000, "sites": 64}
 
 
 def _cmd_verify(args) -> tuple[str, int]:
-    suite, seed = args.suite, _resolve_seed(args.seed)
+    suite = args.suite
     if args.width is not None and suite != "periodic-orbit":
         raise ValueError("--width applies only to --suite periodic-orbit")
     given = {k: getattr(args, k) for k in _STATISTICAL_DEFAULTS
@@ -153,6 +154,7 @@ def _cmd_verify(args) -> tuple[str, int]:
     seeded = ("periodic-orbit", *verify.STATISTICAL)
     if args.seed is not None and suite not in seeded:  # not PCALAB_SEED
         raise ValueError("--seed applies only to --suite " + "|".join(seeded))
+    seed = _resolve_seed(args.seed) if suite in seeded else None
     if suite == "all":
         results = verify.run_all()
     elif suite in verify.STATISTICAL:

@@ -197,12 +197,6 @@ class CylinderMeasure:
         """Every word's probability, in code order."""
         return tuple(Fraction(v, self.den) for v in self.numerators.tolist())
 
-    def weight(self, word: tuple) -> Fraction:
-        if len(word) != self.length:
-            raise ValueError("word length does not match the window")
-        idx = _encode(self.alphabet, word)
-        return Fraction(int(self.numerators[idx]), self.den)
-
     def items(self):
         """Yield (word, numerator over ``den``) over the support."""
         # product() varies its last symbol fastest, the code varies site 0

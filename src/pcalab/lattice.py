@@ -39,10 +39,6 @@ class Model(str, Enum):
     def alphabet(self) -> tuple[int, ...]:
         return (EMPTY, PARTICLE, GREEN) if self is Model.D else (0, 1)
 
-    @property
-    def tracks_merges(self) -> bool:
-        return self in (Model.C, Model.D)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -158,27 +154,6 @@ def occupied_cell(c: int) -> int:
     return PARTICLE if c != EMPTY else EMPTY
 
 
-def phi(x: Configuration) -> Configuration:
-    """Pair map onto particles: site ``i`` is occupied iff cells ``i`` and
-    ``i+1`` agree.  Output keeps the offset and is one cell shorter."""
-    _check_alphabet(x, Model.A)
-    if len(x) < 2:
-        raise ValueError("pair map needs a window of at least 2 cells")
-    return Configuration(x.offset, tuple(map(pair_cell, x.cells, x.cells[1:])))
-
-
-def pi_b(d: Configuration) -> Configuration:
-    """Keep only blue particles."""
-    _check_alphabet(d, Model.D)
-    return Configuration(d.offset, tuple(map(blue_cell, d.cells)))
-
-
-def pi_c(d: Configuration) -> Configuration:
-    """Keep particles of either color."""
-    _check_alphabet(d, Model.D)
-    return Configuration(d.offset, tuple(map(occupied_cell, d.cells)))
-
-
 @dataclass(frozen=True)
 class MergeEvent:
     """A collision: ``left_parent`` hopped onto ``right_parent`` at
@@ -286,20 +261,19 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
 class MergeForest:
     """Genealogy of particle merges.
 
-    Initial particles are leaves; every collision adds one internal node,
-    so ``len(leaves) - len(merges)`` counts the lines of descent still
-    alive (on a cycle, exactly the surviving particles).  ``id_rows[t]``
-    holds each cell's particle id at step ``t``, -1 for an empty cell.
+    ``id_rows[t]`` holds each cell's particle id at step ``t``, -1 for an
+    empty cell.  The ``k`` initial particles, ids ``0 .. k-1``, are leaves;
+    each collision adds one internal node, so ``k - len(merges)`` lines of
+    descent stay alive: on a cycle, the particles of ``id_rows[-1]``.
     """
 
-    leaves: tuple[int, ...]
     merges: tuple[MergeEvent, ...]
-    survivors: tuple[int, ...]
     id_rows: tuple[tuple[int, ...], ...]
 
     def ancestors(self, particle: int) -> set[int]:
         """The particle itself plus every particle that merged into it."""
-        if not 0 <= particle < len(self.leaves) + len(self.merges):
+        leaves = sum(pid >= 0 for pid in self.id_rows[0])
+        if not 0 <= particle < leaves + len(self.merges):
             raise ValueError(f"no particle has id {particle}")
         parents = {ev.child: (ev.left_parent, ev.right_parent)
                    for ev in self.merges}
@@ -322,11 +296,11 @@ class MergeForest:
 
 def trace_merges(traj: Trajectory) -> MergeForest:
     """The merge forest of a model ``c`` or ``d`` trajectory, replayed."""
-    if not traj.model.tracks_merges:
+    if traj.model not in (Model.C, Model.D):
         raise ValueError(f"model {traj.model.value} trajectories carry no "
                          "merge log; use model c or d")
     ids, next_id = _initial_ids(traj.configs[0])
-    leaves, id_rows, events = tuple(range(next_id)), [ids], []
+    id_rows, events = [ids], []
     for n, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
         ids, next_id = _advance_ids(cfg, ids, row, n + 1, next_id, events,
                                     traj.boundary == "cycle")
@@ -337,8 +311,7 @@ def trace_merges(traj: Trajectory) -> MergeForest:
             if parent in merged:
                 raise ValueError(f"particle {parent} merges twice")
             merged.add(parent)
-    survivors = tuple(sorted(p for p in ids if p >= 0))
-    return MergeForest(leaves, tuple(events), survivors, tuple(id_rows))
+    return MergeForest(tuple(events), tuple(id_rows))
 
 
 def particle_count(cfg: Configuration) -> int:

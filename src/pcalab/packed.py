@@ -82,13 +82,6 @@ def kernel_c(x: np.ndarray, u: np.ndarray) -> np.ndarray:
     return from_left(x & u) | (x & ~u)
 
 
-def kernel_d(occ: np.ndarray, blue: np.ndarray,
-             u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Occupancy coalesces; the color plane obeys the annihilation rule,
-    # because a merged particle is blue iff exactly one parent was blue.
-    return kernel_c(occ, u), kernel_b(blue, u)
-
-
 def step_planes(model: Model, planes: tuple[np.ndarray, ...],
                 u: np.ndarray) -> tuple[np.ndarray, ...]:
     if model is Model.A:
@@ -97,7 +90,9 @@ def step_planes(model: Model, planes: tuple[np.ndarray, ...],
         return (kernel_b(planes[0], u),)
     if model is Model.C:
         return (kernel_c(planes[0], u),)
-    return kernel_d(planes[0], planes[1], u)
+    # Model d: occupancy coalesces; the color plane obeys the annihilation
+    # rule, because a merged particle is blue iff exactly one parent was blue.
+    return kernel_c(planes[0], u), kernel_b(planes[1], u)
 
 
 def batch_arrow_words(seed: int, trials: np.ndarray, step: int,

@@ -4,15 +4,15 @@ Every suite returns a :class:`CaseReport`.  Those in :data:`SUITES`
 enumerate a finite case space exhaustively (no tolerance); those in
 :data:`STATISTICAL` (colour uniformity, the pair-statistic bounds) check
 four-standard-error bands and refuse runs with no standard error.  Suites
-regenerate their case tables from the kernels themselves, and accept
-kernel substitutes so that mutation tests can demonstrate sensitivity.
+regenerate their case tables from the kernels, looked up at call time as
+globals here and as ``density.color_density_batch``: a mutation test sets
+a broken one there to show that its suite fails.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -52,34 +52,32 @@ class CaseReport:
                 "failures": [list(f) for f in self.failures]}
 
 
-def verify_commutation(a_rule: Callable = a_local,
-                       b_rule: Callable = b_local) -> CaseReport:
+def verify_commutation() -> CaseReport:
     """Binary triples commute with the pair map: applying the keep/switch
     rule then marking equal neighbors equals marking first and running the
     annihilation rule.  All 32 (triple, arrow pair) cases."""
     report = CaseReport("commutation")
     for x2, x1, x0 in itertools.product((0, 1), repeat=3):
         for u1, u0 in itertools.product(ARROWS, repeat=2):
-            upper = pair_cell(a_rule(x2, x1, u1), a_rule(x1, x0, u0))
-            lower = b_rule(pair_cell(x2, x1), pair_cell(x1, x0), u1, u0)
+            upper = pair_cell(a_local(x2, x1, u1), a_local(x1, x0, u0))
+            lower = b_local(pair_cell(x2, x1), pair_cell(x1, x0), u1, u0)
             report.record(f"x={x2}{x1}{x0} u={u1}{u0}", upper, lower)
     return report
 
 
-def verify_domination(b_rule: Callable = b_local,
-                      c_rule: Callable = c_local) -> CaseReport:
+def verify_domination() -> CaseReport:
     """Annihilation output never exceeds coalescence output; 16 cases."""
     report = CaseReport("domination")
     for left, cell in itertools.product((EMPTY, PARTICLE), repeat=2):
         for ul, u in itertools.product(ARROWS, repeat=2):
-            b_out = b_rule(left, cell, ul, u)
-            c_out = c_rule(left, cell, ul, u)
+            b_out = b_local(left, cell, ul, u)
+            c_out = c_local(left, cell, ul, u)
             report.record(f"y={left}{cell} u={ul}{u}",
                           True, b_out <= c_out)
     return report
 
 
-def verify_monotonicity(rule: Callable = c_local) -> CaseReport:
+def verify_monotonicity() -> CaseReport:
     """Coalescence is monotone: ordered inputs give ordered outputs for
     every shared arrow pair; 9 ordered window pairs x 4 arrow pairs."""
     report = CaseReport("monotonicity")
@@ -88,32 +86,29 @@ def verify_monotonicity(rule: Callable = c_local) -> CaseReport:
         if not all(a <= b for a, b in zip(lo, hi)):
             continue
         for ul, u in itertools.product(ARROWS, repeat=2):
-            out_lo = rule(lo[0], lo[1], ul, u)
-            out_hi = rule(hi[0], hi[1], ul, u)
+            out_lo = c_local(lo[0], lo[1], ul, u)
+            out_hi = c_local(hi[0], hi[1], ul, u)
             report.record(f"z={lo[0]}{lo[1]}<={hi[0]}{hi[1]} u={ul}{u}",
                           True, out_lo <= out_hi)
     return report
 
 
-def verify_projection(d_rule: Callable = d_local,
-                      b_rule: Callable = b_local,
-                      c_rule: Callable = c_local) -> CaseReport:
+def verify_projection() -> CaseReport:
     """Dropping color information from the two-color model reproduces the
     annihilation model (blue only) and the coalescing model (any color);
     9 color windows x 4 arrow pairs, both projections per case."""
     report = CaseReport("projection")
     for left, cell in itertools.product((EMPTY, BLUE, GREEN), repeat=2):
         for ul, u in itertools.product(ARROWS, repeat=2):
-            d_out = d_rule(left, cell, ul, u)
-            want_b = b_rule(blue_cell(left), blue_cell(cell), ul, u)
-            want_c = c_rule(occupied_cell(left), occupied_cell(cell), ul, u)
+            d_out = d_local(left, cell, ul, u)
+            want_b = b_local(blue_cell(left), blue_cell(cell), ul, u)
+            want_c = c_local(occupied_cell(left), occupied_cell(cell), ul, u)
             report.record(f"d={left}{cell} u={ul}{u}", (want_b, want_c),
                           (blue_cell(d_out), occupied_cell(d_out)))
     return report
 
 
-def verify_periodic_orbit(width: int = 6, seed: int = 0,
-                          a_rule: Callable = a_local) -> CaseReport:
+def verify_periodic_orbit(width: int = 6, seed: int = 0) -> CaseReport:
     """On an even cycle, one update maps each alternating word to the other
     regardless of the arrows: the orbit has period 2.  Rows are exhaustive
     for width <= 8, randomly sampled otherwise."""
@@ -129,25 +124,23 @@ def verify_periodic_orbit(width: int = 6, seed: int = 0,
                 for trial in range(ORBIT_SAMPLES))
     for arrows in rows:
         report.record(f"u={''.join(str(a) for a in arrows)}", (alt1, alt0),
-                      tuple(_walk(a_rule, alt, (arrows,), True)
+                      tuple(_walk(a_local, alt, (arrows,), True)
                             for alt in (alt0, alt1)))
     return report
 
 
 def verify_color_uniformity(n: int = 3, trials: int = 100_000,
-                            seed: int = 0, sites_per_trial: int = 64,
-                            batch_fn: Callable = None) -> CaseReport:
+                            seed: int = 0,
+                            sites_per_trial: int = 64) -> CaseReport:
     """From full occupancy with i.i.d. fair colors, surviving particles
     stay fair: the blue fraction among occupied sites is 1/2 and the blue
     density is half the occupancy density, both within 4 standard errors.
 
     A run that cannot form a standard error (fewer than two trials keep a
-    particle, or no band varies between trials) raises ``ValueError``.
-    ``batch_fn`` substitutes the per-trial (occupied, blue) counts
-    (mutation checks)."""
+    particle, or no band varies between trials) raises ``ValueError``."""
     half_density = float(density.exact_density(n)) / 2.0
-    runner = batch_fn or density.color_density_batch
-    occ_counts, blue_counts = runner(n, trials, seed, sites_per_trial)
+    occ_counts, blue_counts = density.color_density_batch(
+        n, trials, seed, sites_per_trial)
     live = occ_counts > 0
     if np.count_nonzero(live) < 2:
         raise ValueError("color uniformity needs at least two trials that "
@@ -159,7 +152,7 @@ def verify_color_uniformity(n: int = 3, trials: int = 100_000,
     ses = [float(values.std(ddof=1)) / np.sqrt(values.size)
            for _, values, _ in bands]
     # one band without spread beside one with it is a finding, not a
-    # degenerate run: a runner that paints every merge blue gives exactly that
+    # degenerate run: a batch that paints every merge blue gives exactly that
     if not any(ses):
         raise ValueError("color uniformity needs a spread between trials "
                          "for a standard error; every band has none")

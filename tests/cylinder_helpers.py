@@ -1,12 +1,22 @@
 """Cylinder-measure helpers that only the tests use.
 
-``pushforward`` relabels the symbols of a measure word by word, and
-``dump_rule_text`` writes a transition table in the plain-text format that
+``weight`` reads one word's probability, ``pushforward`` relabels the
+symbols of a measure word by word, and ``dump_rule_text`` writes a
+transition table in the plain-text format that
 ``pcalab.cylinder.load_rule_text`` reads back.
 """
 
+from fractions import Fraction
+
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction, _decode,
                              _encode)
+
+
+def weight(mu: CylinderMeasure, word: tuple) -> Fraction:
+    """The probability of ``word``, read left to right over the window."""
+    if len(word) != mu.length:
+        raise ValueError("word length does not match the window")
+    return Fraction(int(mu.numerators[_encode(mu.alphabet, word)]), mu.den)
 
 
 def pushforward(mu: CylinderMeasure, symbol_map,

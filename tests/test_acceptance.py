@@ -23,6 +23,7 @@ from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_periodic_orbit, verify_projection,
                            verify_proposition_bounds)
 
+from cylinder_helpers import weight
 from packed_window import (config_to_planes, evolve_packed, planes_to_config,
                            row_words)
 
@@ -91,10 +92,10 @@ def test_criterion_06_exact_one_step_pair_marginals():
     t0 = time.perf_counter()
     rule = model_a_rule()
     uniform = evolve_measure(CylinderMeasure.uniform(("0", "1"), -1, 3), rule)
-    from_uniform = uniform.weight(("0", "0")) + uniform.weight(("1", "1"))
+    from_uniform = weight(uniform, ("0", "0")) + weight(uniform, ("1", "1"))
     ones = evolve_measure(
         CylinderMeasure.product(("0", "1"), -1, [(0, 1)] * 3), rule)
-    from_ones = ones.weight(("0", "0")) + ones.weight(("1", "1"))
+    from_ones = weight(ones, ("0", "0")) + weight(ones, ("1", "1"))
     ok = from_uniform == Fraction(3, 8) and from_ones == Fraction(1, 2)
     report(6, ok, f"one-step pair stats exactly 3/8 (uniform) and 1/2 (ones) "
                   f"({time.perf_counter() - t0:.2f}s)")

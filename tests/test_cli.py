@@ -517,3 +517,32 @@ class TestDeterminism:
                           "uniform", "--width", "12", "--steps", "2",
                           "--seed", "123", "--format", "json")
         assert json.loads(from_env) == json.loads(explicit)
+
+    SEEDED = (["simulate", "--model", "c", "--steps", "2"],
+              ["render", "--model", "d", "--steps", "2"],
+              ["density", "--model", "b", "--n", "1", "--trials", "10"],
+              ["verify", "--suite", "periodic-orbit"],
+              ["verify", "--suite", "color-uniformity", "--trials", "10"],
+              ["verify", "--suite", "proposition-bounds", "--trials", "10"])
+
+    @pytest.mark.parametrize("value", ["bad", "", "1.5"])
+    @pytest.mark.parametrize("argv", SEEDED)
+    def test_malformed_environment_seed_is_named(self, capsys, monkeypatch,
+                                                 argv, value):
+        monkeypatch.setenv("PCALAB_SEED", value)
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err == "error: PCALAB_SEED must be an integer\n"
+
+    @pytest.mark.parametrize("argv", [
+        [*SEEDED[0], "--seed", "3"], [*SEEDED[3], "--seed", "3"],
+        ["verify", "--suite", "all"], ["verify", "--suite", "commutation"],
+        ["oracle", "--which", "closed-form", "--n", "2"],
+        ["evolve-cylinder", "--steps", "1"]])
+    def test_a_run_that_reads_no_seed_ignores_a_malformed_one(
+            self, capsys, monkeypatch, argv):
+        plain = run(capsys, *argv)
+        monkeypatch.setenv("PCALAB_SEED", "bad")
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0

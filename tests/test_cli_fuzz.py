@@ -1,11 +1,14 @@
 """Property test of the CLI's exit-code and output contract over its argv
 grammar: every invocation exits 0, 1 (only a failed verify suite) or 2,
 never shows a traceback, prints strict JSON under ``--format json`` and
-prints the same bytes when repeated."""
+prints the same bytes when repeated.  ``PCALAB_SEED`` is drawn beside the
+argv: unset, an integer or a malformed string."""
 
 import contextlib
 import io
 import json
+import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from pcalab.cli import main
 
 SMALL = st.integers(-2, 40)
 SEEDS = st.integers(-3, 2 ** 64)
+ENV_SEEDS = st.one_of(st.none(), SEEDS.map(str),
+                      st.sampled_from(["", "bad", "1.5", "0x10", "seed7"]))
 
 
 def _word(glyphs):
@@ -109,9 +114,13 @@ ARGV = st.one_of(simulate_or_render(), density_argv(), oracle_argv(),
                  verify_argv(), evolve_cylinder_argv())
 
 
-def _run(argv):
+def _run(argv, env_seed):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("PCALAB_SEED", None)
+        if env_seed is not None:
+            os.environ["PCALAB_SEED"] = env_seed
         try:
             status = main(argv)
         except SystemExit as exc:  # argparse usage errors
@@ -124,9 +133,9 @@ def _refuse(name):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ARGV)
-def test_argv_grammar_keeps_the_exit_and_output_contract(argv):
-    status, out, err = _run(argv)
+@given(ARGV, ENV_SEEDS)
+def test_argv_grammar_keeps_the_exit_and_output_contract(argv, env_seed):
+    status, out, err = _run(argv, env_seed)
     assert status in (0, 1, 2), (argv, status, err)
     assert status != 1 or argv[0] == "verify", (argv, err)
     assert "Traceback" not in err
@@ -135,4 +144,4 @@ def test_argv_grammar_keeps_the_exit_and_output_contract(argv):
         assert err.count("\n") >= 1
     if status != 2 and "json" in argv:
         json.loads(out, parse_constant=_refuse)
-    assert _run(argv) == (status, out, err)
+    assert _run(argv, env_seed) == (status, out, err)

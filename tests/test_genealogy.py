@@ -14,12 +14,17 @@ from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 import scalar_walk
 
 
+def _live(ids):
+    return [pid for pid in ids if pid >= 0]
+
+
 def test_single_particle_is_a_lone_leaf():
     init = Configuration(0, (0, 1, 0, 0))
     traj = evolve(Model.C, init, UpdateStream(5), 2)
     forest = trace_merges(traj)
-    assert forest.leaves == (0,)
+    assert _live(forest.id_rows[0]) == [0]
     assert forest.merges == ()
+    assert all(_live(ids) == [0] for ids in forest.id_rows)
     assert forest.ancestors(0) == {0}
 
 
@@ -28,12 +33,12 @@ def test_two_adjacent_particles_merge_into_one_root():
     row = UpdateRow(0, (RIGHT, UP, UP))
     traj = evolve_with_rows(Model.C, init, [row])
     forest = trace_merges(traj)
-    assert forest.leaves == (0, 1)
     assert len(forest.merges) == 1
     ev = forest.merges[0]
     assert (ev.left_parent, ev.right_parent, ev.child) == (0, 1, 2)
     assert (ev.step, ev.site) == (1, 1)
-    assert forest.survivors == (2,)
+    # leaves 0 and 1 at step 0; the merged child alone survives the step
+    assert forest.id_rows == ((0, 1, -1), (2, -1))
     assert forest.ancestors(2) == {0, 1, 2}
 
 
@@ -59,8 +64,12 @@ def test_leaves_minus_merges_counts_survivors_on_cycles(seed):
         init = Configuration(0, (PARTICLE,) + init.cells[1:])
     traj = evolve(Model.C, init, stream, 20, boundary="cycle")
     forest = trace_merges(traj)
-    assert len(forest.leaves) - len(forest.merges) == len(forest.survivors)
-    assert len(forest.survivors) == particle_count(traj.final)
+    leaves, survivors = _live(forest.id_rows[0]), _live(forest.id_rows[-1])
+    assert leaves == list(range(particle_count(init)))
+    assert len(set(survivors)) == len(survivors)
+    # initial particles - merges = final particles
+    assert particle_count(init) - len(forest.merges) == \
+        particle_count(traj.final) == len(survivors)
 
 
 def test_each_particle_merges_at_most_once():
@@ -90,12 +99,12 @@ def test_ancestry_covers_every_merged_leaf():
                   boundary="cycle")
     forest = trace_merges(traj)
     covered = set()
-    for root in forest.survivors:
+    for root in _live(forest.id_rows[-1]):
         anc = forest.ancestors(root)
         assert root in anc
         covered |= anc
     # every initial particle either survived or merged into some survivor
-    assert set(forest.leaves) <= covered
+    assert set(range(particle_count(traj.configs[0]))) <= covered
 
 
 @st.composite
@@ -125,8 +134,12 @@ def test_trace_merges_equals_the_chained_index_walk(traj):
     forest = trace_merges(traj)
     assert forest.id_rows == tuple(id_rows)
     assert forest.merges == tuple(merges)
-    assert forest.leaves == tuple(range(particle_count(traj.configs[0])))
-    assert forest.survivors == tuple(sorted(p for p in ids if p >= 0))
+    initial = particle_count(traj.configs[0])
+    final = particle_count(traj.final)
+    assert _live(forest.id_rows[0]) == list(range(initial))
+    assert len(set(_live(forest.id_rows[-1]))) == final
+    if traj.boundary == "cycle":  # a line window sheds particles on the left
+        assert initial - len(forest.merges) == final
 
 
 @pytest.mark.parametrize("particle", [-1, 3, 99])

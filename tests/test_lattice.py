@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                             Model, _advance_ids, _check_alphabet,
                             _initial_ids, _step, a_local, b_local, c_local,
-                            d_local, evolve, evolve_with_rows, particle_count,
-                            phi, pi_b, pi_c)
+                            d_local, evolve, evolve_with_rows, pair_cell,
+                            particle_count)
 from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
 
 import scalar_walk
@@ -123,24 +123,6 @@ class TestSteps:
             assert out.cells[site - 1] == (PARTICLE if agree else EMPTY)
 
 
-class TestMaps:
-    def test_pair_map_examples(self):
-        assert phi(Configuration(0, (0, 1, 1, 0))).cells == (0, 1, 0)
-        assert phi(Configuration(0, (0, 1, 0, 1))).cells == (0, 0, 0)
-        assert phi(Configuration(0, (0, 0, 0))).cells == (1, 1)
-        assert phi(Configuration(5, (0, 0))).offset == 5
-        with pytest.raises(ValueError):
-            phi(Configuration(0, (1,)))
-
-    def test_color_projections(self):
-        d = Configuration(0, (BLUE, GREEN, EMPTY))
-        assert pi_b(d).cells == (1, 0, 0)
-        assert pi_c(d).cells == (1, 1, 0)
-        empty = Configuration(0, (EMPTY,) * 4)
-        assert pi_b(empty).cells == (0, 0, 0, 0)
-        assert pi_c(empty).cells == (0, 0, 0, 0)
-
-
 class TestEvolve:
     def test_alternating_orbit_closes_after_two_steps(self):
         init = Configuration(0, (0, 1) * 5)
@@ -181,7 +163,12 @@ class TestEvolve:
     def test_pair_map_commutes_along_trajectories(self):
         # Running the binary rule then applying the pair map equals running
         # the annihilation rule on the mapped start, with each update row
-        # re-anchored one site to the left.
+        # re-anchored one site to the left.  The pair map occupies site i
+        # iff cells i and i+1 agree, keeping the offset.
+        def phi(x):
+            return Configuration(x.offset, tuple(map(pair_cell, x.cells,
+                                                     x.cells[1:])))
+
         stream = UpdateStream(123)
         init = Configuration(0, tuple(stream.cell_bits(0, 40).tolist()))
         rows = [stream.row(n, init.offset + n, 40 - n) for n in range(12)]
@@ -269,7 +256,7 @@ def test_mapped_walk_equals_the_index_walk(case, step_index):
     model, cycle, cfg, row = case
     assert _step(model, cfg, row, cycle) == scalar_walk.step(model, cfg, row,
                                                              cycle)
-    if model.tracks_merges:
+    if model in (Model.C, Model.D):
         ids, next_id = _initial_ids(cfg)
         events = []
         out, after = _advance_ids(cfg, ids, row, step_index, next_id, events,

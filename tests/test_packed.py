@@ -1,5 +1,7 @@
 """Bit-plane kernels against the scalar reference, bit for bit."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from pcalab import density, packed
 from pcalab.density import _run_batch
-from pcalab.lattice import Configuration, Model, _step, evolve
+from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
+                            Model, _step, evolve)
 from pcalab.packed import pack_bits, step_planes, unpack_bits, words_for
 from pcalab.stream import (DOMAIN_COLOR, UpdateRow, UpdateStream,
                            block_bits_vec)
@@ -91,6 +94,67 @@ def test_kernels_match_scalar_on_random_windows(model):
         row = UpdateRow(offset, tuple(int(a) for a in rng.integers(0, 2, width)))
         assert _packed_one_step(model, cfg, row) == _step(model, cfg, row,
                                                           False)
+
+
+def _truth_table_misses(model):
+    """Every neighbourhood ``(l, x, ul, u)`` of ``model`` at every cell
+    offset ``c`` in 1..191 of a 3-word window, one trial each: cells
+    ``c-1, c`` hold ``l, x`` and their arrows ``ul, u``, all else is 0.
+    One word-major :func:`step_planes` batch steps them all; returns the
+    trial count and the offsets whose new cell ``c`` differs from
+    ``lattice._LOCALS``."""
+    hoods = np.array(list(itertools.product(model.alphabet, model.alphabet,
+                                            (0, 1), (0, 1))))
+    local = _LOCALS[model]
+    want = np.array([local(l, x, u) if model is Model.A else
+                     local(l, x, ul, u) for l, x, ul, u in hoods])
+    offsets = np.arange(1, 192)
+    trials = np.arange(hoods.shape[0] * offsets.size)
+    hood = np.repeat(hoods, offsets.size, axis=0)
+    at = np.tile(offsets, hoods.shape[0])
+    cells = np.zeros((trials.size, 192), dtype=np.uint8)
+    arrows = np.zeros_like(cells)
+    cells[trials, at - 1], cells[trials, at] = hood[:, 0], hood[:, 1]
+    arrows[trials, at - 1], arrows[trials, at] = hood[:, 2], hood[:, 3]
+
+    def plane(bits):  # (trials, 192) cells -> word-major (3, trials)
+        return np.ascontiguousarray(pack_bits(bits).T)
+
+    planes = ((plane(cells != EMPTY), plane(cells == BLUE))
+              if model is Model.D else (plane(cells),))
+    out = [unpack_bits(pl.T, 192)[trials, at]
+           for pl in step_planes(model, planes, plane(arrows))]
+    got = (np.where(out[0] == 0, EMPTY, np.where(out[1] != 0, BLUE, GREEN))
+           if model is Model.D else out[0])
+    return trials.size, at[got != np.repeat(want, offsets.size)]
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_kernels_equal_every_rule_at_every_cell_offset(model):
+    # both word-edge carries of from_left, at cells 64 and 128, are in it
+    trials, misses = _truth_table_misses(model)
+    assert trials == (6876 if model is Model.D else 3056)
+    assert misses.size == 0
+
+
+_kernel_a = packed.kernel_a
+
+
+def _kernel_a_without_carry(x, u):  # the left shift drops each word edge
+    left = x << np.uint64(1)
+    diff = left ^ x
+    return (diff & left) | (~diff & ~(x ^ u))
+
+
+@pytest.mark.parametrize("broken, edges_only", [
+    (_kernel_a_without_carry, True),
+    (lambda x, u: _kernel_a(x, packed.from_left(u)), False)])
+def test_truth_table_catches_a_broken_kernel(monkeypatch, broken,
+                                             edges_only):
+    monkeypatch.setattr(packed, "kernel_a", broken)
+    _, misses = _truth_table_misses(Model.A)
+    assert misses.size > 0
+    assert (set(misses.tolist()) == {64, 128}) == edges_only
 
 
 def test_color_plane_stays_inside_occupancy():
