@@ -15,7 +15,7 @@ from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                       MergeEvent, MergeForest, Model, Trajectory, evolve,
                       evolve_with_rows, particle_count, trace_merges)
 from .render import render
-from .stream import RIGHT, UP, UpdateRow, UpdateStream
+from .stream import RIGHT, UP, UpdateStream
 from .verify import (CaseReport, run_all, verify_color_uniformity,
                      verify_commutation, verify_domination,
                      verify_monotonicity, verify_periodic_orbit,

@@ -22,10 +22,14 @@ from .render import GLYPHS, render
 from .stream import DOMAIN_COLOR, UpdateStream
 
 def _resolve_seed(seed: int | None) -> int:
+    name = "--seed" if seed is not None else "PCALAB_SEED"
     try:
-        return int(os.environ.get("PCALAB_SEED", 0) if seed is None else seed)
+        seed = int(os.environ.get(name, 0) if seed is None else seed)
     except ValueError:
         raise ValueError("PCALAB_SEED must be an integer") from None
+    if seed not in range(2 ** 64):  # the stream reads seeds modulo 2^64
+        raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
 
 
 def _build_init(model: Model, init: str, width: int,
@@ -56,6 +60,8 @@ def _build_init(model: Model, init: str, width: int,
 
 def _simulate_traj(args):
     model = Model(args.model)
+    if args.trial not in range(2 ** 64):  # the stream reads it modulo 2^64
+        raise ValueError(f"--trial must lie in [0, 2^64), got {args.trial}")
     stream = UpdateStream(_resolve_seed(args.seed), args.trial)
     width = args.width if args.width is not None else args.steps + 65
     init = _build_init(model, args.init, width, stream)
@@ -225,22 +231,19 @@ def _cmd_evolve_cylinder(args) -> tuple[str, int]:
         mu = cylinder.evolve_measure(mu, table)
     if args.marginal:
         mu = cylinder.marginal(mu, start, length)
-    weights = []  # (word, v/den in lowest terms), as str(Fraction) prints it
-    for w, v in mu.items():
-        g = math.gcd(v, mu.den)
-        weights.append(("".join(w), f"{v // g}" if g == mu.den
-                        else f"{v // g}/{mu.den // g}"))
+    # (word, v/den in lowest terms), as str(Fraction) prints it; read once
+    weights = (("".join(w), f"{v // g}" if g == mu.den
+                else f"{v // g}/{mu.den // g}")
+               for w, v in mu.items() for g in (math.gcd(v, mu.den),))
     if args.format == "json":
         payload = {"start": mu.start, "length": mu.length,
                    "weights": dict(weights)}
         if residual is not None:
             payload["residual"] = str(residual)
         return json.dumps(payload, indent=2) + "\n", 0
-    lines = [f"window start={mu.start} length={mu.length}"]
-    lines.extend(f"{w} {p}" for w, p in weights)
-    if residual is not None:
-        lines.append(f"residual {residual}")
-    return "\n".join(lines) + "\n", 0
+    tail = "" if residual is None else f"residual {residual}\n"
+    return (f"window start={mu.start} length={mu.length}\n"
+            + "".join(f"{w} {p}\n" for w, p in weights) + tail), 0
 
 
 def build_parser() -> argparse.ArgumentParser:

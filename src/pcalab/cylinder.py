@@ -27,11 +27,11 @@ from .stream import RIGHT, UP
 
 #: Largest number of words a window may span (2**20 matches a length-20
 #: binary window).  ``evolve-cylinder --model a --init uniform --length 20``
-#: takes about 1.7 s and 244 MB peak RSS with stdout to ``/dev/null`` on a
-#: 2-vCPU Xeon VM: 0.2 s to start, 0.2 s to build and evolve the measure,
-#: the rest to print its 2**19 lines, one ``math.gcd`` each.  Each further
-#: site doubles both, so larger windows are refused before any weight is
-#: built.
+#: takes about 1.2 s and 114 MB peak RSS (267 MB as JSON) with stdout to
+#: ``/dev/null`` on a 2-vCPU Xeon VM: 0.2 s to start, 0.2 s to build and
+#: evolve the measure, the rest to print its 2**19 lines, one ``math.gcd``
+#: each.  Each further site doubles both, so larger windows are refused
+#: before any weight is built.
 STATE_CAP = 2 ** 20
 
 

@@ -149,9 +149,9 @@ def _full_plane(trials: int, n_words: int) -> np.ndarray:
 
 
 def _iid_plane(seed: int, trials_arr: np.ndarray, n_words: int, width: int,
-               p: float, domain: int) -> np.ndarray:
+               p: float) -> np.ndarray:
     if p == 0.5:
-        return packed.batch_cell_words(seed, trials_arr, n_words, domain)
+        return packed.batch_cell_words(seed, trials_arr, n_words)
     sites = np.arange(width, dtype=np.int64)
     plane = np.empty((n_words, trials_arr.size), dtype=np.uint64)
     for lo, hi in _chunks(trials_arr.size, width):
@@ -243,8 +243,7 @@ def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
             return (_full_plane(ids.size, n_words),)
     elif init == "iid":
         def planes(ids, n_words, width):
-            return (_iid_plane(seed, ids, n_words, width, p,
-                               stream.DOMAIN_CELL),)
+            return (_iid_plane(seed, ids, n_words, width, p),)
     else:
         raise ValueError(f"unknown init {init!r}")
     per_trial = _run_batch(

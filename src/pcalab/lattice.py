@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .stream import RIGHT, UP, UpdateRow, UpdateStream
+from .stream import RIGHT, UP, UpdateStream
 
 EMPTY = 0
 PARTICLE = 1
@@ -61,12 +61,6 @@ class Configuration:
     @property
     def end(self) -> int:
         return self.offset + len(self.cells)
-
-
-def _check_alphabet(cfg: Configuration, model: Model) -> None:
-    if not (0 <= min(cfg.cells) and max(cfg.cells) < len(model.alphabet)):
-        raise ValueError(f"configuration contains symbols outside the "
-                         f"alphabet of model {model.value}")
 
 
 # Local rules.  Each returns the new cell at the right site of the pair.
@@ -109,13 +103,6 @@ _LOCALS = {Model.A: a_local, Model.B: b_local, Model.C: c_local,
            Model.D: d_local}
 
 
-def _window_arrows(cfg: Configuration, row: UpdateRow) -> tuple[int, ...]:
-    if not row.covers(cfg.offset, len(cfg)):
-        raise ValueError("update row does not cover the configuration window")
-    lo = cfg.offset - row.offset
-    return row.arrows[lo:lo + len(cfg)]
-
-
 def _pairs(seq, cycle: bool) -> tuple:
     """``(left, here)``: the left neighbours and the sites themselves,
     aligned, over every site of a cycle, where the first site's left
@@ -130,12 +117,9 @@ def _walk(local, cells, arrows, cycle: bool) -> tuple:
     return tuple(map(local, *_pairs(cells, cycle), *arrows))
 
 
-def _step(model: Model, cfg: Configuration, row: UpdateRow,
+def _step(model: Model, cfg: Configuration, row: tuple[int, ...],
           cycle: bool) -> Configuration:
-    _check_alphabet(cfg, model)
-    if len(cfg) < 2:
-        raise ValueError("stepping needs a window of at least 2 cells")
-    left_arrows, arrows = _pairs(_window_arrows(cfg, row), cycle)
+    left_arrows, arrows = _pairs(row, cycle)
     # model a's rule reads its own arrow only, the particle rules both
     reads = (arrows,) if model is Model.A else (left_arrows, arrows)
     cells = _walk(_LOCALS[model], cfg.cells, reads, cycle)
@@ -168,10 +152,13 @@ class MergeEvent:
 
 @dataclass
 class Trajectory:
+    """``rows[k]`` holds one arrow per cell of ``configs[k]``, aligned
+    with its window, and drives the step to ``configs[k+1]``."""
+
     model: Model
     boundary: str
     configs: list[Configuration]
-    rows: list[UpdateRow] = field(default_factory=list)
+    rows: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def final(self) -> Configuration:
@@ -189,7 +176,7 @@ def _initial_ids(cfg: Configuration) -> tuple[tuple[int, ...], int]:
     return tuple(ids), nxt
 
 
-def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: UpdateRow,
+def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: tuple,
                  step_index: int, next_id: int, events: list[MergeEvent],
                  cycle: bool):
     """Particle ids one step on: a particle that hops in or stays keeps its
@@ -206,7 +193,7 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: UpdateRow,
         return left_id if arrive else cell_id if stay else -1
 
     sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
-    out = _walk(local, sites, _pairs(_window_arrows(cfg, row), cycle), cycle)
+    out = _walk(local, sites, _pairs(row, cycle), cycle)
     return out, next_id
 
 
@@ -224,14 +211,27 @@ def _check_run(init: Configuration, steps: int, boundary: str) -> None:
 
 def evolve_with_rows(model: Model, init: Configuration, rows, *,
                      boundary: str = "line") -> Trajectory:
-    """Iterate a model with explicitly supplied update rows."""
+    """Iterate a model with explicitly supplied update rows, one arrow per
+    cell of each step's window: ``len(init) - k`` at step ``k`` on a line,
+    ``len(init)`` on a cycle.  Init and rows are checked here, once; each
+    local rule maps its alphabet into itself, so the steps check nothing."""
     model = Model(model)
-    _check_alphabet(init, model)
-    rows = list(rows)
+    if not (0 <= min(init.cells) and max(init.cells) < len(model.alphabet)):
+        raise ValueError(f"configuration contains symbols outside the "
+                         f"alphabet of model {model.value}")
+    rows = [tuple(row) for row in rows]
     _check_run(init, len(rows), boundary)
+    cycle = boundary == "cycle"
+    for k, row in enumerate(rows):
+        width = len(init) - (0 if cycle else k)
+        if len(row) != width:
+            raise ValueError(f"update row {k} has {len(row)} arrows for a "
+                             f"window of {width} cells")
+        if row.count(UP) + row.count(RIGHT) != width:  # count() tests by ==
+            raise ValueError("arrows must be UP or RIGHT")
     configs = [init]
     for row in rows:
-        configs.append(_step(model, configs[-1], row, boundary == "cycle"))
+        configs.append(_step(model, configs[-1], row, cycle))
     return Trajectory(model, boundary, configs, rows)
 
 
@@ -243,17 +243,12 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     index arithmetic modulo the width.  :func:`trace_merges` replays the
     merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
     """
-    model = Model(model)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     _check_run(init, steps, boundary)  # before any row is drawn
-    width = len(init)
-    rows = []
-    for n in range(steps):
-        if boundary == "cycle":
-            rows.append(stream.row(n, init.offset, width))
-        else:
-            rows.append(stream.row(n, init.offset + n, width - n))
+    shed = 0 if boundary == "cycle" else 1  # sites lost per step
+    rows = [stream.row(n, init.offset + shed * n, len(init) - shed * n)
+            for n in range(steps)]
     return evolve_with_rows(model, init, rows, boundary=boundary)
 
 

@@ -102,7 +102,7 @@ def batch_arrow_words(seed: int, trials: np.ndarray, step: int,
     Returns a C-contiguous array of shape ``(n_words - first, len(trials))``:
     row ``j`` is word ``first + j`` of every trial, whose bit ``c`` is the
     arrow at site ``64(first + j) + c``, identical to per-site scalar
-    queries.  One broadcast draw covers the whole block, so each trial's
+    queries.  One broadcast draw spans the whole block, so each trial's
     ``(seed, trial, step)`` prefix is mixed once rather than once per word.
     """
     blocks = np.arange(first, n_words, dtype=np.int64)

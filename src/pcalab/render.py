@@ -33,9 +33,8 @@ def _text(traj: Trajectory, arrows: bool, marked) -> str:
                       for j, c in enumerate(cfg.cells))
         lines.append(pad + row)
         if arrows and step < len(traj.rows):
-            up = traj.rows[step]
-            lines.append(" " * (up.offset - base) + "".join(
-                "↗" if a == RIGHT else "↑" for a in up.arrows))
+            lines.append(pad + "".join("↗" if a == RIGHT else "↑"
+                                       for a in traj.rows[step]))
     return "\n".join(lines) + "\n"
 
 
@@ -62,15 +61,15 @@ def _svg(traj: Trajectory, arrows: bool, marked) -> str:
                   f'{tail[-1 if (step, j) in marked else c]}'
                   for j, c in enumerate(cfg.cells)]
     if arrows:
-        for step, up in enumerate(traj.rows):
+        for step, (cfg, up) in enumerate(zip(traj.configs, traj.rows)):
             y = step * CELL + CELL // 2
             mid = f'" y1="{y}" x2="'
             end = f'" y2="{y - CELL // 3}" stroke="#d04030" stroke-width="1"/>'
-            x0 = (up.offset - base) * CELL + CELL // 2
+            x0 = (cfg.offset - base) * CELL + CELL // 2
             parts += [f'<line x1="{x}{mid}'
                       f'{x + CELL // 3 if a == RIGHT else x}{end}'
-                      for x, a in zip(range(x0, x0 + len(up.arrows) * CELL,
-                                            CELL), up.arrows)]
+                      for x, a in zip(range(x0, x0 + len(up) * CELL, CELL),
+                                      up)]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

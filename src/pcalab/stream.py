@@ -105,31 +105,6 @@ def bits_range(seed: int, trial: int, step: int, start: int, count: int,
 
 
 @dataclass(frozen=True)
-class UpdateRow:
-    """One time-step of arrows over a contiguous site window."""
-
-    offset: int
-    arrows: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.arrows) < 1:
-            raise ValueError("update row must cover at least one site")
-        arrows = self.arrows  # count() tests with == in C, as ``in`` does
-        if arrows.count(UP) + arrows.count(RIGHT) != len(arrows):
-            raise ValueError("arrows must be UP or RIGHT")
-
-    def __len__(self) -> int:
-        return len(self.arrows)
-
-    @property
-    def end(self) -> int:
-        return self.offset + len(self.arrows)
-
-    def covers(self, offset: int, width: int) -> bool:
-        return self.offset <= offset and offset + width <= self.end
-
-
-@dataclass(frozen=True)
 class UpdateStream:
     """Addressable field of i.i.d. fair arrows, keyed by ``(seed, trial)``.
 
@@ -145,9 +120,10 @@ class UpdateStream:
         word = block_bits(self.seed, self.trial, step, site >> 6)
         return (word >> (site & 63)) & 1
 
-    def row(self, step: int, offset: int, width: int) -> UpdateRow:
-        bits = bits_range(self.seed, self.trial, step, offset, width)
-        return UpdateRow(offset, tuple(bits.tolist()))
+    def row(self, step: int, offset: int, width: int) -> tuple[int, ...]:
+        """The arrows of sites ``offset .. offset+width-1`` at ``step``."""
+        return tuple(bits_range(self.seed, self.trial, step, offset,
+                                width).tolist())
 
     def cell_bits(self, offset: int, width: int,
                   domain: int = DOMAIN_CELL) -> np.ndarray:

@@ -120,7 +120,7 @@ def verify_periodic_orbit(width: int = 6, seed: int = 0) -> CaseReport:
     if width <= 8:
         rows = itertools.product(ARROWS, repeat=width)
     else:
-        rows = (UpdateStream(seed, trial).row(0, 0, width).arrows
+        rows = (UpdateStream(seed, trial).row(0, 0, width)
                 for trial in range(ORBIT_SAMPLES))
     for arrows in rows:
         report.record(f"u={''.join(str(a) for a in arrows)}", (alt1, alt0),

@@ -12,7 +12,7 @@ import numpy as np
 from pcalab import stream as _stream
 from pcalab.lattice import BLUE, EMPTY, GREEN, Configuration, Model
 from pcalab.packed import pack_bits, step_planes, unpack_bits
-from pcalab.stream import UpdateRow, UpdateStream
+from pcalab.stream import UpdateStream
 
 
 def config_to_planes(cfg: Configuration, model: Model) -> tuple[np.ndarray, ...]:
@@ -34,12 +34,9 @@ def planes_to_config(planes: tuple[np.ndarray, ...], model: Model,
     return Configuration(offset + skip, tuple(int(c) for c in cells))
 
 
-def row_words(row: UpdateRow, offset: int, width: int) -> np.ndarray:
-    """Pack an explicit update row into a plane aligned with a window."""
-    if not row.covers(offset, width):
-        raise ValueError("update row does not cover the requested window")
-    start = offset - row.offset
-    return pack_bits(np.asarray(row.arrows[start:start + width], dtype=np.uint8))
+def row_words(row: tuple[int, ...]) -> np.ndarray:
+    """Pack an explicit update row, one arrow per cell of its window."""
+    return pack_bits(np.asarray(row, dtype=np.uint8))
 
 
 def arrow_words(stream: UpdateStream, step: int, offset: int,

@@ -6,8 +6,7 @@ at a time, and the tests require the two forms to agree exactly.
 """
 
 from pcalab.lattice import (Configuration, MergeEvent, Model, _moves,
-                            _window_arrows, a_local, b_local, c_local,
-                            d_local)
+                            a_local, b_local, c_local, d_local)
 
 LOCALS = {
     Model.A: lambda left, cell, left_arrow, arrow: a_local(left, cell, arrow),
@@ -26,7 +25,7 @@ def walk(local, cells, arrows, cycle: bool) -> tuple:
 
 
 def step(model: Model, cfg: Configuration, row, cycle: bool) -> Configuration:
-    cells = walk(LOCALS[model], cfg.cells, _window_arrows(cfg, row), cycle)
+    cells = walk(LOCALS[model], cfg.cells, row, cycle)
     return Configuration(cfg.offset + (0 if cycle else 1), cells)
 
 
@@ -47,5 +46,5 @@ def advance_ids(cfg: Configuration, ids: tuple, row, step_index: int,
         return left_id if arrive else cell_id if stay else -1
 
     sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
-    out = walk(local, sites, _window_arrows(cfg, row), cycle)
+    out = walk(local, sites, row, cycle)
     return out, next_id, events

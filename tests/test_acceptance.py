@@ -17,7 +17,7 @@ from pcalab.cylinder import (CylinderMeasure, alternating_pair_measure,
                              model_a_rule)
 from pcalab.lattice import Configuration, Model, _step
 from pcalab.packed import step_planes
-from pcalab.stream import UpdateRow, UpdateStream
+from pcalab.stream import UpdateStream
 from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_domination, verify_monotonicity,
                            verify_periodic_orbit, verify_projection,
@@ -133,7 +133,7 @@ def _random_window_case(model, rng):
     width = int(rng.integers(2, 40))
     offset = int(rng.integers(-30, 30))
     cfg = Configuration(offset, tuple(int(c) for c in rng.integers(0, hi, width)))
-    row = UpdateRow(offset, tuple(int(a) for a in rng.integers(0, 2, width)))
+    row = tuple(int(a) for a in rng.integers(0, 2, width))
     return cfg, row
 
 
@@ -145,7 +145,7 @@ def test_criterion_10_kernel_equivalence_and_light_cone():
         for _ in range(10_000):
             cfg, row = _random_window_case(model, rng)
             planes = config_to_planes(cfg, model)
-            u = row_words(row, cfg.offset, len(cfg))
+            u = row_words(row)
             packed_out = planes_to_config(step_planes(model, planes, u),
                                           model, cfg.offset, len(cfg), skip=1)
             if packed_out != _step(model, cfg, row, False):

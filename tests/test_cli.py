@@ -535,6 +535,33 @@ class TestDeterminism:
         assert_one_error_line(status, captured)
         assert captured.err == "error: PCALAB_SEED must be an integer\n"
 
+    # the stream keys its bits by seed and trial modulo 2^64, so each
+    # refused value printed the same cells as the kept one beside it
+    @pytest.mark.parametrize("option, kept, refused", [
+        ("--seed", "0", "18446744073709551616"),
+        ("--seed", "18446744073709551613", "-3"),
+        ("--trial", "18446744073709551615", "-1")])
+    @pytest.mark.parametrize("command", ["simulate", "render"])
+    def test_seeds_and_trials_outside_the_stream_range_are_refused(
+            self, capsys, command, option, kept, refused):
+        argv = [command, "--model", "c", "--init", "uniform", "--steps", "4",
+                "--width", "60"]
+        assert run(capsys, *argv, option, kept)[0] == 0
+        status = main([*argv, option, refused])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err.startswith(f"error: {option} must lie in ")
+
+    @pytest.mark.parametrize("value", ["-1", str(2 ** 64)])
+    @pytest.mark.parametrize("argv", SEEDED)
+    def test_environment_seed_outside_the_stream_range_is_named(
+            self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv("PCALAB_SEED", value)
+        status = main(argv)
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err.startswith("error: PCALAB_SEED must lie in ")
+
     @pytest.mark.parametrize("argv", [
         [*SEEDED[0], "--seed", "3"], [*SEEDED[3], "--seed", "3"],
         ["verify", "--suite", "all"], ["verify", "--suite", "commutation"],

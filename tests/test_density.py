@@ -14,8 +14,7 @@ from pcalab.density import (EXACT_LIMIT, asymptotic_ratio, density_log,
                             mc_pair_statistic_A)
 from pcalab.lattice import Configuration, Model, evolve
 from pcalab.packed import pack_bits, words_for
-from pcalab.stream import (DOMAIN_CELL, DOMAIN_UNIFORM, UpdateStream,
-                           block_bits_vec)
+from pcalab.stream import DOMAIN_UNIFORM, UpdateStream, block_bits_vec
 from pcalab.verify import verify_proposition_bounds
 
 from dict_oracles import hitting_time_reference, interface_walk_reference
@@ -189,8 +188,7 @@ class TestMcDensity:
         bits = ((words >> np.uint64(11)) * 2.0 ** -53) < p
         want = pack_bits(bits.astype(np.uint8))
         monkeypatch.setattr(density, "CHUNK_WORDS", 3 * width)
-        got = density._iid_plane(seed, ids, words_for(width), width, p,
-                                 DOMAIN_CELL)
+        got = density._iid_plane(seed, ids, words_for(width), width, p)
         assert np.array_equal(got, want.T)
 
     def test_determinism_and_seed_sensitivity(self):

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcalab import lattice
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
-                            Model, _advance_ids, _check_alphabet,
-                            _initial_ids, _step, a_local, b_local, c_local,
-                            d_local, evolve, evolve_with_rows, pair_cell,
-                            particle_count)
-from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
+                            Model, _advance_ids, _initial_ids, _step, a_local,
+                            b_local, c_local, d_local, evolve,
+                            evolve_with_rows, pair_cell, particle_count)
+from pcalab.stream import RIGHT, UP, UpdateStream
 
 import scalar_walk
 
 ARROWS = (UP, RIGHT)
-
-
-def row_for(cfg, arrows):
-    return UpdateRow(cfg.offset, tuple(arrows))
 
 
 class TestLocalRules:
@@ -55,7 +51,7 @@ class TestSteps:
     def test_step_a_propagates_the_left_cell(self):
         x = Configuration(0, (1, 0))
         for u0, u1 in itertools.product(ARROWS, repeat=2):
-            out = _step(Model.A, x, row_for(x, (u0, u1)), False)
+            out = _step(Model.A, x, (u0, u1), False)
             assert out.offset == 1 and out.cells == (1,)
 
     def test_step_a_shifts_alternating_words(self):
@@ -63,52 +59,43 @@ class TestSteps:
         # flips parity: sites even/odd swap their values; arrows are unread.
         x = Configuration(0, (0, 1, 0, 1, 0, 1))
         for arrows in ((UP,) * 6, (RIGHT,) * 6, (UP, RIGHT) * 3):
-            out = _step(Model.A, x, UpdateRow(0, arrows), False)
+            out = _step(Model.A, x, arrows, False)
             assert out.offset == 1
             assert out.cells == tuple((s + 1) % 2 for s in range(1, 6))
-        two = _step(Model.A, out, UpdateRow(1, (UP,) * 5), False)
+        two = _step(Model.A, out, (UP,) * 5, False)
         assert two.offset == 2
         assert two.cells == tuple(s % 2 for s in range(2, 6))
 
     def test_step_b_collisions(self):
         y = Configuration(0, (1, 1))
-        assert _step(Model.B, y, row_for(y, (RIGHT, RIGHT)),
-                     False).cells == (1,)
-        assert _step(Model.B, y, row_for(y, (RIGHT, UP)), False).cells == (0,)
+        assert _step(Model.B, y, (RIGHT, RIGHT), False).cells == (1,)
+        assert _step(Model.B, y, (RIGHT, UP), False).cells == (0,)
         empty = Configuration(0, (0, 0))
         for u in itertools.product(ARROWS, repeat=2):
-            assert _step(Model.B, empty, row_for(empty, u),
-                         False).cells == (0,)
+            assert _step(Model.B, empty, u, False).cells == (0,)
 
     def test_step_c_collisions(self):
         z = Configuration(0, (1, 1))
-        assert _step(Model.C, z, row_for(z, (RIGHT, UP)), False).cells == (1,)
-        assert _step(Model.C, z, row_for(z, (UP, RIGHT)), False).cells == (0,)
+        assert _step(Model.C, z, (RIGHT, UP), False).cells == (1,)
+        assert _step(Model.C, z, (UP, RIGHT), False).cells == (0,)
         lone = Configuration(0, (1, 0))
-        assert _step(Model.C, lone, row_for(lone, (RIGHT, UP)),
-                     False).cells == (1,)
+        assert _step(Model.C, lone, (RIGHT, UP), False).cells == (1,)
 
     def test_step_d_merges(self):
         d = Configuration(0, (BLUE, BLUE))
-        assert _step(Model.D, d, row_for(d, (RIGHT, UP)),
-                     False).cells == (GREEN,)
+        assert _step(Model.D, d, (RIGHT, UP), False).cells == (GREEN,)
         d = Configuration(0, (BLUE, GREEN))
-        assert _step(Model.D, d, row_for(d, (RIGHT, UP)),
-                     False).cells == (BLUE,)
+        assert _step(Model.D, d, (RIGHT, UP), False).cells == (BLUE,)
         d = Configuration(0, (GREEN, EMPTY))
-        assert _step(Model.D, d, row_for(d, (UP, UP)),
-                     False).cells == (EMPTY,)
+        assert _step(Model.D, d, (UP, UP), False).cells == (EMPTY,)
 
     def test_window_and_alignment_errors(self):
-        short = Configuration(0, (1,))
+        with pytest.raises(ValueError):  # a line of one cell cannot step
+            evolve_with_rows(Model.A, Configuration(0, (1,)), [(UP,)])
+        with pytest.raises(ValueError):  # the row is not the window's
+            evolve_with_rows(Model.A, Configuration(0, (1, 0, 1)), [(UP, UP)])
         with pytest.raises(ValueError):
-            _step(Model.A, short, UpdateRow(0, (UP,)), False)
-        x = Configuration(0, (1, 0, 1))
-        with pytest.raises(ValueError):  # the row does not cover the window
-            _step(Model.A, x, UpdateRow(1, (UP, UP)), False)
-        with pytest.raises(ValueError):
-            _step(Model.B, Configuration(0, (0, 2)), UpdateRow(0, (UP, UP)),
-                  False)
+            evolve_with_rows(Model.B, Configuration(0, (0, 2)), [(UP, UP)])
 
     def test_annihilation_step_reads_arrow_agreement(self):
         # From the full line, a site stays occupied iff its two driving
@@ -119,7 +106,7 @@ class TestSteps:
         out = _step(Model.B, y, row, False)
         assert out.offset == 1
         for site in range(1, 40):  # the row and the input start at site 0
-            agree = row.arrows[site - 1] == row.arrows[site]
+            agree = row[site - 1] == row[site]
             assert out.cells[site - 1] == (PARTICLE if agree else EMPTY)
 
 
@@ -162,9 +149,10 @@ class TestEvolve:
 
     def test_pair_map_commutes_along_trajectories(self):
         # Running the binary rule then applying the pair map equals running
-        # the annihilation rule on the mapped start, with each update row
-        # re-anchored one site to the left.  The pair map occupies site i
-        # iff cells i and i+1 agree, keeping the offset.
+        # the annihilation rule on the mapped start, whose site i reads the
+        # arrow of site i+1: each update row without its first arrow.  The
+        # pair map occupies site i iff cells i and i+1 agree, keeping the
+        # offset.
         def phi(x):
             return Configuration(x.offset, tuple(map(pair_cell, x.cells,
                                                      x.cells[1:])))
@@ -173,9 +161,7 @@ class TestEvolve:
         init = Configuration(0, tuple(stream.cell_bits(0, 40).tolist()))
         rows = [stream.row(n, init.offset + n, 40 - n) for n in range(12)]
         a_traj = evolve_with_rows(Model.A, init, rows)
-        b_traj = evolve_with_rows(Model.B, phi(init),
-                                  [UpdateRow(r.offset - 1, r.arrows)
-                                   for r in rows])
+        b_traj = evolve_with_rows(Model.B, phi(init), [r[1:] for r in rows])
         for a_cfg, b_cfg in zip(a_traj.configs, b_traj.configs):
             assert phi(a_cfg) == b_cfg
 
@@ -236,18 +222,16 @@ def test_cycle_conserves_lone_particles(seed, width, steps):
 
 @st.composite
 def model_window(draw):
-    """A model, a boundary, a window of width 2..40 and a row covering it."""
+    """A model, a boundary, a window of width 2..40 and its row."""
     model = draw(st.sampled_from(list(Model)))
     width = draw(st.integers(2, 40))
     offset = draw(st.integers(-50, 50))
     cells = draw(st.lists(st.sampled_from(model.alphabet), min_size=width,
                           max_size=width))
-    before, after = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-    arrows = draw(st.lists(st.sampled_from(ARROWS),
-                           min_size=before + width + after,
-                           max_size=before + width + after))
+    arrows = draw(st.lists(st.sampled_from(ARROWS), min_size=width,
+                           max_size=width))
     return (model, draw(st.booleans()), Configuration(offset, tuple(cells)),
-            UpdateRow(offset - before, tuple(arrows)))
+            tuple(arrows))
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,10 +252,44 @@ def test_mapped_walk_equals_the_index_walk(case, step_index):
 @pytest.mark.parametrize("bad, error", [(2, ValueError), (-1, ValueError),
                                         (None, TypeError), ([1], TypeError)])
 def test_symbol_checks_keep_their_error_types(bad, error):
-    with pytest.raises(ValueError):  # arrows compare by ==, never by order
-        UpdateRow(0, (UP, bad))
     for model in Model:
         symbol = 3 if bad == 2 and model is Model.D else bad
         for cells in ((EMPTY, symbol), (symbol, EMPTY)):
             with pytest.raises(error):
-                _check_alphabet(Configuration(0, cells), model)
+                evolve_with_rows(model, Configuration(0, cells), [])
+
+
+def _aligned_rows(init, stream, steps, boundary):
+    shed = 1 if boundary == "line" else 0
+    return [stream.row(n, init.offset + shed * n, len(init) - shed * n)
+            for n in range(steps)]
+
+
+@pytest.mark.parametrize("boundary", ["line", "cycle"])
+@pytest.mark.parametrize("bad_step", [0, 3])
+@pytest.mark.parametrize("resize", [lambda row: row[:-1],
+                                    lambda row: (*row, UP)],
+                         ids=["short", "long"])
+def test_a_row_off_its_window_is_refused_at_entry(monkeypatch, boundary,
+                                                  bad_step, resize):
+    init, stream = Configuration(-3, (1, 0, 1, 1, 0, 0, 1, 1)), UpdateStream(8)
+    rows = _aligned_rows(init, stream, 5, boundary)
+    assert rows == evolve(Model.C, init, stream, 5, boundary=boundary).rows
+    rows[bad_step] = resize(rows[bad_step])
+
+    def step(*args):
+        raise AssertionError("a row was stepped before every row was checked")
+
+    monkeypatch.setattr(lattice, "_step", step)
+    with pytest.raises(ValueError, match=f"update row {bad_step} has"):
+        evolve_with_rows(Model.C, init, rows, boundary=boundary)
+
+
+@pytest.mark.parametrize("boundary", ["line", "cycle"])
+@pytest.mark.parametrize("bad", [2, -1, None, [1]])
+def test_arrows_other_than_up_and_right_are_refused_at_entry(boundary, bad):
+    init = Configuration(0, (1, 1, 0, 1))
+    rows = _aligned_rows(init, UpdateStream(4), 2, boundary)
+    rows[1] = (*rows[1][:-1], bad)  # arrows compare by ==, never by order
+    with pytest.raises(ValueError, match="arrows must be UP or RIGHT"):
+        evolve_with_rows(Model.C, init, rows, boundary=boundary)

@@ -12,8 +12,7 @@ from pcalab.density import _run_batch
 from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
                             Model, _step, evolve)
 from pcalab.packed import pack_bits, step_planes, unpack_bits, words_for
-from pcalab.stream import (DOMAIN_COLOR, UpdateRow, UpdateStream,
-                           block_bits_vec)
+from pcalab.stream import DOMAIN_COLOR, UpdateStream, block_bits_vec
 
 from packed_window import (arrow_words, config_to_planes, evolve_packed,
                            planes_to_config, row_words)
@@ -77,7 +76,7 @@ def test_config_roundtrip_at_word_boundaries(width):
 
 def _packed_one_step(model, cfg, row):
     planes = config_to_planes(cfg, model)
-    u = row_words(row, cfg.offset, len(cfg))
+    u = row_words(row)
     out = step_planes(model, planes, u)
     return planes_to_config(out, model, cfg.offset, len(cfg), skip=1)
 
@@ -91,7 +90,7 @@ def test_kernels_match_scalar_on_random_windows(model):
         offset = int(rng.integers(-64, 64))
         cfg = Configuration(offset,
                             tuple(int(c) for c in rng.integers(0, hi, width)))
-        row = UpdateRow(offset, tuple(int(a) for a in rng.integers(0, 2, width)))
+        row = tuple(int(a) for a in rng.integers(0, 2, width))
         assert _packed_one_step(model, cfg, row) == _step(model, cfg, row,
                                                           False)
 

@@ -12,9 +12,9 @@ import pcalab
 PUBLIC = {
     # lattice and stream
     "BLUE", "EMPTY", "GREEN", "PARTICLE", "RIGHT", "UP", "Configuration",
-    "MergeEvent", "MergeForest", "Model", "Trajectory", "UpdateRow",
-    "UpdateStream", "evolve", "evolve_with_rows", "particle_count",
-    "trace_merges", "render",
+    "MergeEvent", "MergeForest", "Model", "Trajectory", "UpdateStream",
+    "evolve", "evolve_with_rows", "particle_count", "trace_merges",
+    "render",
     # cylinder
     "CylinderMeasure", "TransitionFunction", "alternating_pair_measure",
     "evolve_measure", "invariance_residual", "lift_model", "load_rule_file",

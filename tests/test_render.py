@@ -7,7 +7,7 @@ import pytest
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
                             evolve, evolve_with_rows, trace_merges)
 from pcalab.render import HIGHLIGHT_COLOR, render
-from pcalab.stream import RIGHT, UP, UpdateRow, UpdateStream
+from pcalab.stream import RIGHT, UP, UpdateStream
 
 
 def test_alternating_run_renders_shifted_rows():
@@ -40,7 +40,7 @@ def test_arrow_overlay_interleaves_rows():
 
 def test_genealogy_overlay_marks_all_ancestors():
     init = Configuration(0, (1, 1, 0))
-    traj = evolve_with_rows(Model.C, init, [UpdateRow(0, (RIGHT, UP, UP))])
+    traj = evolve_with_rows(Model.C, init, [(RIGHT, UP, UP)])
     marked = trace_merges(traj).lineage(2)
     # the two leaves at step 0 and their merged child at step 1
     assert marked == {(0, 0), (0, 1), (1, 0)}
