@@ -197,7 +197,14 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: tuple,
     return out, next_id
 
 
-def _check_run(init: Configuration, steps: int, boundary: str) -> None:
+def _check_run(model: Model, init: Configuration, steps: int,
+               boundary: str) -> Model:
+    """The model, once the init's alphabet and the boundary are checked;
+    each local rule maps its alphabet into itself, so no step checks."""
+    model = Model(model)
+    if not (0 <= min(init.cells) and max(init.cells) < len(model.alphabet)):
+        raise ValueError(f"configuration contains symbols outside the "
+                         f"alphabet of model {model.value}")
     if boundary == "line":
         if len(init) < steps + 1:
             raise ValueError(f"window of width {len(init)} is exhausted "
@@ -207,32 +214,32 @@ def _check_run(init: Configuration, steps: int, boundary: str) -> None:
             raise ValueError("cycle boundary needs width >= 2")
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
+    return model
+
+
+def _run(model: Model, init: Configuration, rows: list,
+         boundary: str) -> Trajectory:
+    configs = [init]
+    for row in rows:
+        configs.append(_step(model, configs[-1], row, boundary == "cycle"))
+    return Trajectory(model, boundary, configs, rows)
 
 
 def evolve_with_rows(model: Model, init: Configuration, rows, *,
                      boundary: str = "line") -> Trajectory:
     """Iterate a model with explicitly supplied update rows, one arrow per
     cell of each step's window: ``len(init) - k`` at step ``k`` on a line,
-    ``len(init)`` on a cycle.  Init and rows are checked here, once; each
-    local rule maps its alphabet into itself, so the steps check nothing."""
-    model = Model(model)
-    if not (0 <= min(init.cells) and max(init.cells) < len(model.alphabet)):
-        raise ValueError(f"configuration contains symbols outside the "
-                         f"alphabet of model {model.value}")
+    ``len(init)`` on a cycle.  Init and rows are checked here, once."""
     rows = [tuple(row) for row in rows]
-    _check_run(init, len(rows), boundary)
-    cycle = boundary == "cycle"
+    model = _check_run(model, init, len(rows), boundary)
     for k, row in enumerate(rows):
-        width = len(init) - (0 if cycle else k)
+        width = len(init) - (0 if boundary == "cycle" else k)
         if len(row) != width:
             raise ValueError(f"update row {k} has {len(row)} arrows for a "
                              f"window of {width} cells")
         if row.count(UP) + row.count(RIGHT) != width:  # count() tests by ==
             raise ValueError("arrows must be UP or RIGHT")
-    configs = [init]
-    for row in rows:
-        configs.append(_step(model, configs[-1], row, cycle))
-    return Trajectory(model, boundary, configs, rows)
+    return _run(model, init, rows, boundary)
 
 
 def evolve(model: Model, init: Configuration, stream: UpdateStream,
@@ -245,11 +252,10 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    _check_run(init, steps, boundary)  # before any row is drawn
+    model = _check_run(model, init, steps, boundary)  # before any row is drawn
     shed = 0 if boundary == "cycle" else 1  # sites lost per step
-    rows = [stream.row(n, init.offset + shed * n, len(init) - shed * n)
-            for n in range(steps)]
-    return evolve_with_rows(model, init, rows, boundary=boundary)
+    return _run(model, init, stream.rows(steps, init.offset, len(init), shed),
+                boundary)
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,13 @@ def _mix_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _u64(x) -> np.ndarray:
+    """``x`` modulo 2^64 as uint64; integer arrays wrap in two's complement."""
+    if isinstance(x, int):
+        return np.uint64(x & _MASK)
+    return np.asarray(x, dtype=np.int64).astype(np.uint64)
+
+
 def block_bits_vec(seed: int, trial, step, block,
                    domain: int = DOMAIN_ARROW) -> np.ndarray:
     """Vectorized :func:`block_bits`.
@@ -76,9 +83,7 @@ def block_bits_vec(seed: int, trial, step, block,
     integer arrays; the result is a uint64 array of the broadcast shape,
     bit-identical to scalar queries at the same coordinates.
     """
-    t = np.asarray(trial, dtype=np.int64).astype(np.uint64)
-    s = np.asarray(step, dtype=np.int64).astype(np.uint64)
-    b = np.asarray(block, dtype=np.int64).astype(np.uint64)
+    t, s, b = map(_u64, (trial, step, block))
     with np.errstate(over="ignore"):  # uint64 products wrap by design
         h = np.uint64(_mix((seed & _MASK) ^ _C_SEED))
         h = _mix_np(h ^ (t * np.uint64(_C_TRIAL)))
@@ -124,6 +129,19 @@ class UpdateStream:
         """The arrows of sites ``offset .. offset+width-1`` at ``step``."""
         return tuple(bits_range(self.seed, self.trial, step, offset,
                                 width).tolist())
+
+    def rows(self, steps: int, offset: int, width: int,
+             shed: int) -> list[tuple[int, ...]]:
+        """``[row(n, offset + shed*n, width - shed*n) for n < steps]``,
+        drawn in one vector call: every row ends at the same site."""
+        first, end = offset >> 6, offset + width
+        words = block_bits_vec(self.seed, self.trial,
+                               np.arange(steps)[:, None],
+                               np.arange(first, ((end - 1) >> 6) + 1)[None])
+        bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+        lo, hi = offset - 64 * first, end - 64 * first
+        return [tuple(bits[n, lo + shed * n:hi].tolist())
+                for n in range(steps)]
 
     def cell_bits(self, offset: int, width: int,
                   domain: int = DOMAIN_CELL) -> np.ndarray:

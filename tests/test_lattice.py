@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import lattice
+from pcalab import lattice, stream
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                             Model, _advance_ids, _initial_ids, _step, a_local,
                             b_local, c_local, d_local, evolve,
@@ -140,8 +140,9 @@ class TestEvolve:
             self, monkeypatch, steps):
         # width 5: a line window outlasts 3 steps but not 10
         drawn = []
-        monkeypatch.setattr(UpdateStream, "row",
-                            lambda self, *args: drawn.append(args))
+        for name in ("row", "rows"):
+            monkeypatch.setattr(UpdateStream, name,
+                                lambda self, *args: drawn.append(args))
         with pytest.raises(ValueError, match="unknown boundary 'ring'"):
             evolve(Model.A, Configuration(0, (0, 1, 0, 1, 0)), UpdateStream(0),
                    steps, boundary="ring")
@@ -257,6 +258,31 @@ def test_symbol_checks_keep_their_error_types(bad, error):
         for cells in ((EMPTY, symbol), (symbol, EMPTY)):
             with pytest.raises(error):
                 evolve_with_rows(model, Configuration(0, cells), [])
+            with pytest.raises(error):
+                evolve(model, Configuration(0, cells), UpdateStream(0), 1,
+                       boundary="cycle")
+
+
+@pytest.mark.parametrize("model, init, steps, boundary", [
+    (Model.A, Configuration(0, (0, 1) * 40), 1024, "cycle"),
+    (Model.D, Configuration(-7, (BLUE, GREEN, EMPTY) * 101), 300, "line")])
+def test_a_run_draws_its_rows_in_one_vector_call(monkeypatch, model, init,
+                                                 steps, boundary):
+    calls = {"block_bits_vec": 0, "bits_range": 0}
+
+    def counted(name):
+        inner = getattr(stream, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stream, name, counted(name))
+    traj = evolve(model, init, UpdateStream(5), steps, boundary=boundary)
+    assert calls == {"block_bits_vec": 1, "bits_range": 0}
+    assert len(traj.rows) == steps
 
 
 def _aligned_rows(init, stream, steps, boundary):

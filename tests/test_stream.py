@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcalab.stream import (DOMAIN_CELL, RIGHT, UP, UpdateStream, bits_range,
@@ -64,13 +64,23 @@ def test_neighboring_coordinates_are_uncorrelated():
 
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    edges = [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+    for k in range(50):
         seed = int(rng.integers(0, 2 ** 62))
-        trial = int(rng.integers(0, 10 ** 6))
+        trial = edges[k] if k < len(edges) else int(
+            rng.integers(0, 2 ** 64, dtype=np.uint64))
         step = int(rng.integers(0, 10 ** 4))
         block = int(rng.integers(-10 ** 6, 10 ** 6))
         assert int(block_bits_vec(seed, trial, step, block)) == \
             block_bits(seed, trial, step, block)
+
+
+def test_trials_wrap_alike_as_ints_and_int64_arrays():
+    # -1, 2^64 - 1 and int64 -1 name one trial; 2^63 and int64 min another
+    trials = np.array([-1, -2 ** 63, 5], dtype=np.int64)
+    want = [block_bits(3, t, 2, -7) for t in (2 ** 64 - 1, 2 ** 63, 5)]
+    assert block_bits_vec(3, trials, 2, -7).tolist() == want
+    assert [int(block_bits_vec(3, t, 2, -7)) for t in (-1, 2 ** 63, 5)] == want
 
 
 def test_row_assembly_matches_single_arrows():
@@ -93,3 +103,16 @@ def test_row_is_a_pure_view_of_the_stream(offset, width, step):
     row = s.row(step, offset, width)
     assert row == tuple(s.arrow_at(step, site)
                         for site in range(offset, offset + width))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(-200, 200), st.integers(1, 200), st.integers(0, 40),
+       st.sampled_from([0, 1]), st.sampled_from([0, 2 ** 64 - 1]))
+@example(offset=-5, width=70, steps=0, shed=1, trial=0)  # no steps, no rows
+def test_one_call_draw_equals_the_per_row_draws(offset, width, steps, shed,
+                                                trial):
+    if shed:  # a line of w cells lasts w - 1 steps
+        steps = min(steps, width - 1)
+    s = UpdateStream(seed=23, trial=trial)
+    assert s.rows(steps, offset, width, shed) == [
+        s.row(n, offset + shed * n, width - shed * n) for n in range(steps)]
