@@ -76,8 +76,10 @@ class TransitionFunction:
     def __post_init__(self):
         if len(set(self.alphabet)) != len(self.alphabet) or not self.alphabet:
             raise ValueError("alphabet must be nonempty without duplicates")
-        if tuple(sorted(self.neighborhood)) != self.neighborhood:
-            raise ValueError("neighborhood offsets must be sorted and distinct")
+        nb = self.neighborhood
+        if not nb or tuple(sorted(set(nb))) != nb:
+            raise ValueError("neighborhood offsets must be nonempty, sorted "
+                             "and distinct")
         expected = len(self.alphabet) ** len(self.neighborhood)
         if len(self.rows) != expected:
             raise ValueError(f"table must be total: expected {expected} rows, "
@@ -364,7 +366,11 @@ def load_rule_text(text: str) -> TransitionFunction:
             raise ValueError(f"word {word_part.strip()!r} has wrong length")
         if word in rows:
             raise ValueError(f"word {word_part.strip()!r} is listed twice")
-        rows[word] = tuple(Fraction(t) for t in probs_part.split())
+        try:
+            rows[word] = tuple(Fraction(t) for t in probs_part.split())
+        except ZeroDivisionError:
+            raise ValueError(f"row {word_part.strip()!r} has a zero "
+                             f"denominator") from None
     if alphabet is None or neighborhood is None:
         raise ValueError("rule file must declare alphabet and neighborhood")
     return TransitionFunction(alphabet, neighborhood, rows)

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import density
+from . import density, stream
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, _walk, a_local,
                       b_local, blue_cell, c_local, d_local, occupied_cell,
                       pair_cell)
-from .stream import RIGHT, UP, UpdateStream
+from .stream import RIGHT, UP
 
 ARROWS = (UP, RIGHT)
 
@@ -120,7 +120,7 @@ def verify_periodic_orbit(width: int = 6, seed: int = 0) -> CaseReport:
     if width <= 8:
         rows = itertools.product(ARROWS, repeat=width)
     else:
-        rows = (UpdateStream(seed, trial).row(0, 0, width)
+        rows = (stream.bits_range(seed, trial, 0, 0, width).tolist()
                 for trial in range(ORBIT_SAMPLES))
     for arrows in rows:
         report.record(f"u={''.join(str(a) for a in arrows)}", (alt1, alt0),

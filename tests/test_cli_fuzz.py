@@ -2,7 +2,8 @@
 grammar: every invocation exits 0, 1 (only a failed verify suite) or 2,
 never shows a traceback, prints strict JSON under ``--format json`` and
 prints the same bytes when repeated.  ``PCALAB_SEED`` is drawn beside the
-argv: unset, an integer or a malformed string."""
+argv: unset, an integer or a malformed string.  ``--rule-file`` names one of
+a fixed set of rule files: a valid table and one defect each."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ import json
 import os
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -93,10 +95,42 @@ def verify_argv(draw):
     return ["verify", "--suite", suite] + _options(draw, pairs)
 
 
+def _rule(neighborhood: str, last_row: str) -> bytes:
+    """A binary rule file whose first three rows are fixed."""
+    return (f"alphabet: 0 1\nneighborhood: {neighborhood}\n"
+            f"00 : 1/2 1/2\n01 : 1 0\n10 : 0 1\n{last_row}").encode()
+
+
+#: Rule files by name: one valid table, then one defect each.  The test
+#: writes them once to a temporary directory and passes their paths.
+RULE_FILES = {
+    "valid.rule": _rule("-1 0", "11 : 1/3 2/3\n"),
+    "empty-neighborhood.rule": b"alphabet: 0 1\nneighborhood:\n : 1/2 1/2\n",
+    "repeated-offsets.rule": _rule("0 0", "11 : 0 1\n"),
+    "zero-denominator.rule": _rule("-1 0", "11 : 1/0 1\n"),
+    "unsorted-offsets.rule": _rule("0 -1", "11 : 0 1\n"),
+    "missing-row.rule": _rule("-1 0", ""),
+    "foreign-symbol.rule": _rule("-1 0", "12 : 0 1\n"),
+    "not-utf8.rule": b"alphabet: 0 1\nneighborhood: 0\n\xff : 1 0\n",
+}
+
+
+@pytest.fixture(scope="module")
+def rule_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("rules")
+    for name, data in RULE_FILES.items():
+        (path / name).write_bytes(data)
+    return path
+
+
 @st.composite
 def evolve_cylinder_argv(draw):
+    """Argv words; a ``--rule-file`` value is a name in :data:`RULE_FILES`,
+    which the test resolves in its rule directory."""
     rule = draw(st.sampled_from([[], ["--model", "a"], ["--lift", "b"],
-                                 ["--lift", "c"]]))
+                                 ["--lift", "c"]])
+                | st.sampled_from(sorted(RULE_FILES)).map(
+                    lambda name: ["--rule-file", name]))
     inits = st.one_of(
         st.sampled_from(["uniform", "alternating-mix", "typo"]),
         _word("01.#x"))
@@ -134,7 +168,10 @@ def _refuse(name):
 
 @settings(max_examples=300, deadline=None)
 @given(ARGV, ENV_SEEDS)
-def test_argv_grammar_keeps_the_exit_and_output_contract(argv, env_seed):
+def test_argv_grammar_keeps_the_exit_and_output_contract(rule_dir, argv,
+                                                        env_seed):
+    argv = [str(rule_dir / word) if word in RULE_FILES else word
+            for word in argv]
     status, out, err = _run(argv, env_seed)
     assert status in (0, 1, 2), (argv, status, err)
     assert status != 1 or argv[0] == "verify", (argv, err)

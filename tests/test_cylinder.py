@@ -517,6 +517,13 @@ class TestRuleFiles:
         with pytest.raises(ValueError, match="'1' is listed twice"):
             load_rule_text("alphabet: 0 1\nneighborhood: 0\n0 : 1 0\n"
                            "1 : 1/2 1/2\n1 : 0 1\n")
+        with pytest.raises(ValueError, match="nonempty"):
+            load_rule_text("alphabet: 0 1\nneighborhood:\n : 1/2 1/2\n")
+        with pytest.raises(ValueError, match="distinct"):  # 10 never read
+            load_rule_text("alphabet: 0 1\nneighborhood: 0 0\n00 : 1 0\n"
+                           "01 : 1 0\n10 : 0 1\n11 : 0 1\n")
+        with pytest.raises(ValueError, match="row '00' has a zero"):
+            load_rule_text("alphabet: 0 1\nneighborhood: -1 0\n00 : 1/0 1\n")
 
 
 class TestGuards:

@@ -11,7 +11,7 @@ from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                             Model, _advance_ids, _initial_ids, _step, a_local,
                             b_local, c_local, d_local, evolve,
                             evolve_with_rows, pair_cell, particle_count)
-from pcalab.stream import RIGHT, UP, UpdateStream
+from pcalab.stream import RIGHT, UP, UpdateStream, bits_range
 
 import scalar_walk
 
@@ -100,9 +100,8 @@ class TestSteps:
     def test_annihilation_step_reads_arrow_agreement(self):
         # From the full line, a site stays occupied iff its two driving
         # arrows agree; checked exactly against the row.
-        st_ = UpdateStream(31)
         y = Configuration(0, (PARTICLE,) * 40)
-        row = st_.row(0, 0, 40)
+        row = tuple(bits_range(31, 0, 0, 0, 40).tolist())
         out = _step(Model.B, y, row, False)
         assert out.offset == 1
         for site in range(1, 40):  # the row and the input start at site 0
@@ -140,9 +139,10 @@ class TestEvolve:
             self, monkeypatch, steps):
         # width 5: a line window outlasts 3 steps but not 10
         drawn = []
-        for name in ("row", "rows"):
-            monkeypatch.setattr(UpdateStream, name,
-                                lambda self, *args: drawn.append(args))
+        monkeypatch.setattr(UpdateStream, "rows",
+                            lambda self, *args: drawn.append(args))
+        monkeypatch.setattr(stream, "bits_range",
+                            lambda *args: drawn.append(args))
         with pytest.raises(ValueError, match="unknown boundary 'ring'"):
             evolve(Model.A, Configuration(0, (0, 1, 0, 1, 0)), UpdateStream(0),
                    steps, boundary="ring")
@@ -160,7 +160,7 @@ class TestEvolve:
 
         stream = UpdateStream(123)
         init = Configuration(0, tuple(stream.cell_bits(0, 40).tolist()))
-        rows = [stream.row(n, init.offset + n, 40 - n) for n in range(12)]
+        rows = stream.rows(12, init.offset, 40, 1)
         a_traj = evolve_with_rows(Model.A, init, rows)
         b_traj = evolve_with_rows(Model.B, phi(init), [r[1:] for r in rows])
         for a_cfg, b_cfg in zip(a_traj.configs, b_traj.configs):
@@ -169,7 +169,7 @@ class TestEvolve:
     def test_domination_along_trajectories(self):
         stream = UpdateStream(77)
         init = Configuration(0, tuple(stream.cell_bits(0, 36).tolist()))
-        rows = [stream.row(n, n, 36 - n) for n in range(10)]
+        rows = stream.rows(10, 0, 36, 1)
         b_traj = evolve_with_rows(Model.B, init, rows)
         c_traj = evolve_with_rows(Model.C, init, rows)
         for b_cfg, c_cfg in zip(b_traj.configs, c_traj.configs):
@@ -281,13 +281,15 @@ def test_a_run_draws_its_rows_in_one_vector_call(monkeypatch, model, init,
     for name in calls:
         monkeypatch.setattr(stream, name, counted(name))
     traj = evolve(model, init, UpdateStream(5), steps, boundary=boundary)
-    assert calls == {"block_bits_vec": 1, "bits_range": 0}
+    assert calls == {"block_bits_vec": 1, "bits_range": 1}
     assert len(traj.rows) == steps
 
 
 def _aligned_rows(init, stream, steps, boundary):
     shed = 1 if boundary == "line" else 0
-    return [stream.row(n, init.offset + shed * n, len(init) - shed * n)
+    return [tuple(bits_range(stream.seed, stream.trial, n,
+                             init.offset + shed * n,
+                             len(init) - shed * n).tolist())
             for n in range(steps)]
 
 

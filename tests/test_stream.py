@@ -6,24 +6,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcalab.stream import (DOMAIN_CELL, RIGHT, UP, UpdateStream, bits_range,
-                           block_bits, block_bits_vec)
+                           block_bits_vec)
+
+import stream_reference as ref
+
+#: Trials at the edges of the int64/uint64 casts the hash makes.
+EDGE_TRIALS = (2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1)
 
 
 def test_arrow_purity_on_requery():
-    s = UpdateStream(seed=7, trial=0)
-    first = s.arrow_at(3, -2)
-    assert first in (UP, RIGHT)
-    assert s.arrow_at(3, -2) == first
-    assert UpdateStream(7, 0).arrow_at(3, -2) == first
+    first = bits_range(7, 0, 3, -2, 1).tolist()
+    assert first in ([UP], [RIGHT])
+    assert bits_range(7, 0, 3, -2, 1).tolist() == first
+    assert first == [ref.arrow_at(7, 0, 3, -2)]
 
 
 def test_distinct_coordinates_change_bits():
-    base = block_bits(1, 2, 3, 4)
-    assert base != block_bits(2, 2, 3, 4)
-    assert base != block_bits(1, 3, 3, 4)
-    assert base != block_bits(1, 2, 4, 4)
-    assert base != block_bits(1, 2, 3, 5)
-    assert base != block_bits(1, 2, 3, 4, domain=DOMAIN_CELL)
+    base = block_bits_vec(1, 2, 3, 4)
+    assert base != block_bits_vec(2, 2, 3, 4)
+    assert base != block_bits_vec(1, 3, 3, 4)
+    assert base != block_bits_vec(1, 2, 4, 4)
+    assert base != block_bits_vec(1, 2, 3, 5)
+    assert base != block_bits_vec(1, 2, 3, 4, domain=DOMAIN_CELL)
 
 
 def test_up_frequency_is_half_over_a_million_draws():
@@ -64,7 +68,7 @@ def test_neighboring_coordinates_are_uncorrelated():
 
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
-    edges = [0, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+    edges = [0, *EDGE_TRIALS]
     for k in range(50):
         seed = int(rng.integers(0, 2 ** 62))
         trial = edges[k] if k < len(edges) else int(
@@ -72,37 +76,39 @@ def test_vectorized_matches_scalar():
         step = int(rng.integers(0, 10 ** 4))
         block = int(rng.integers(-10 ** 6, 10 ** 6))
         assert int(block_bits_vec(seed, trial, step, block)) == \
-            block_bits(seed, trial, step, block)
+            ref.block_bits(seed, trial, step, block)
 
 
 def test_trials_wrap_alike_as_ints_and_int64_arrays():
     # -1, 2^64 - 1 and int64 -1 name one trial; 2^63 and int64 min another
     trials = np.array([-1, -2 ** 63, 5], dtype=np.int64)
-    want = [block_bits(3, t, 2, -7) for t in (2 ** 64 - 1, 2 ** 63, 5)]
+    want = [ref.block_bits(3, t, 2, -7) for t in (2 ** 64 - 1, 2 ** 63, 5)]
     assert block_bits_vec(3, trials, 2, -7).tolist() == want
     assert [int(block_bits_vec(3, t, 2, -7)) for t in (-1, 2 ** 63, 5)] == want
 
 
 def test_row_assembly_matches_single_arrows():
-    s = UpdateStream(seed=99, trial=4)
-    row = s.row(step=12, offset=-70, width=200)
-    assert len(row) == 200
-    assert row == tuple(s.arrow_at(12, site) for site in range(-70, 130))
+    # a negative start inside a word, crossing four word boundaries
+    for trial in (4, *EDGE_TRIALS):
+        row = bits_range(99, trial, 12, -70, 200).tolist()
+        assert len(row) == 200
+        assert tuple(row) == ref.row(99, trial, 12, -70, 200)
 
 
 def test_bits_range_crosses_word_boundaries():
-    got = bits_range(3, 0, 0, 60, 10)
-    want = [UpdateStream(3).arrow_at(0, site) for site in range(60, 70)]
-    assert list(got) == want
+    got = bits_range(3, 0, 0, 60, 10, DOMAIN_CELL)
+    want = [ref.arrow_at(3, 0, 0, site, DOMAIN_CELL) for site in range(60, 70)]
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    assert UpdateStream(3).cell_bits(60, 10).tolist() == want
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(-200, 200), st.integers(1, 90), st.integers(0, 40))
-def test_row_is_a_pure_view_of_the_stream(offset, width, step):
-    s = UpdateStream(seed=17, trial=1)
-    row = s.row(step, offset, width)
-    assert row == tuple(s.arrow_at(step, site)
-                        for site in range(offset, offset + width))
+@given(st.integers(-200, 200), st.integers(1, 90), st.integers(0, 40),
+       st.sampled_from([1, *EDGE_TRIALS]))
+def test_row_is_a_pure_view_of_the_stream(offset, width, step, trial):
+    row = bits_range(17, trial, step, offset, width)
+    assert tuple(row.tolist()) == ref.row(17, trial, step, offset, width)
 
 
 @settings(max_examples=120, deadline=None)
@@ -115,4 +121,6 @@ def test_one_call_draw_equals_the_per_row_draws(offset, width, steps, shed,
         steps = min(steps, width - 1)
     s = UpdateStream(seed=23, trial=trial)
     assert s.rows(steps, offset, width, shed) == [
-        s.row(n, offset + shed * n, width - shed * n) for n in range(steps)]
+        tuple(bits_range(23, trial, n, offset + shed * n,
+                         width - shed * n).tolist())
+        for n in range(steps)]
