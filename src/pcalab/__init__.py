@@ -13,7 +13,7 @@ from .density import (DensityReport, asymptotic_ratio, density_log,
                       interface_walk_oracle, mc_density, mc_pair_statistic_A)
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                       MergeEvent, MergeForest, Model, Trajectory, evolve,
-                      evolve_with_rows, particle_count, trace_merges)
+                      particle_count, trace_merges)
 from .render import render
 from .stream import RIGHT, UP, UpdateStream
 from .verify import (CaseReport, run_all, verify_color_uniformity,

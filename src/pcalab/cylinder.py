@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -360,17 +361,20 @@ def load_rule_text(text: str) -> TransitionFunction:
             raise ValueError("alphabet and neighborhood must precede the rows")
         if ":" not in line:
             raise ValueError(f"malformed row {raw!r}")
-        word_part, probs_part = line.split(":", 1)
-        word = tuple(word_part.strip())
+        name, probs = (part.strip() for part in line.split(":", 1))
+        word = tuple(name)
         if len(word) != len(neighborhood):
-            raise ValueError(f"word {word_part.strip()!r} has wrong length")
+            raise ValueError(f"word {name!r} has wrong length")
         if word in rows:
-            raise ValueError(f"word {word_part.strip()!r} is listed twice")
+            raise ValueError(f"word {name!r} is listed twice")
+        tokens = probs.split()  # checked before any Fraction is built
+        if not all(re.fullmatch(r"[0-9]+(/[0-9]+)?", t) for t in tokens):
+            raise ValueError(f"row {name!r} holds a probability that is "
+                             "neither an integer nor p/q")
         try:
-            rows[word] = tuple(Fraction(t) for t in probs_part.split())
+            rows[word] = tuple(map(Fraction, tokens))
         except ZeroDivisionError:
-            raise ValueError(f"row {word_part.strip()!r} has a zero "
-                             f"denominator") from None
+            raise ValueError(f"row {name!r} has a zero denominator") from None
     if alphabet is None or neighborhood is None:
         raise ValueError("rule file must declare alphabet and neighborhood")
     return TransitionFunction(alphabet, neighborhood, rows)

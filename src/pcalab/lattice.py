@@ -197,11 +197,22 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: tuple,
     return out, next_id
 
 
-def _check_run(model: Model, init: Configuration, steps: int,
-               boundary: str) -> Model:
-    """The model, once the init's alphabet and the boundary are checked;
-    each local rule maps its alphabet into itself, so no step checks."""
+def evolve(model: Model, init: Configuration, stream: UpdateStream,
+           steps: int, *, boundary: str = "line") -> Trajectory:
+    """Iterate a model ``steps`` times with rows drawn from the stream.
+
+    ``stream.rows(steps, offset, width, shed)`` must return one tuple of
+    ``UP``/``RIGHT`` arrows per step, aligned with that step's window: row
+    ``k`` covers ``width - shed*k`` sites from ``offset + shed*k``.
+    :class:`UpdateStream` builds them so, and they are stepped unchecked.
+    Line boundary sheds one site on the left per step; cycle boundary wraps
+    index arithmetic modulo the width.  :func:`trace_merges` replays the
+    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
+    """
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
     model = Model(model)
+    # each local rule maps its alphabet into itself, so no step checks
     if not (0 <= min(init.cells) and max(init.cells) < len(model.alphabet)):
         raise ValueError(f"configuration contains symbols outside the "
                          f"alphabet of model {model.value}")
@@ -214,48 +225,12 @@ def _check_run(model: Model, init: Configuration, steps: int,
             raise ValueError("cycle boundary needs width >= 2")
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
-    return model
-
-
-def _run(model: Model, init: Configuration, rows: list,
-         boundary: str) -> Trajectory:
+    cycle = boundary == "cycle"
+    rows = stream.rows(steps, init.offset, len(init), 0 if cycle else 1)
     configs = [init]
     for row in rows:
-        configs.append(_step(model, configs[-1], row, boundary == "cycle"))
+        configs.append(_step(model, configs[-1], row, cycle))
     return Trajectory(model, boundary, configs, rows)
-
-
-def evolve_with_rows(model: Model, init: Configuration, rows, *,
-                     boundary: str = "line") -> Trajectory:
-    """Iterate a model with explicitly supplied update rows, one arrow per
-    cell of each step's window: ``len(init) - k`` at step ``k`` on a line,
-    ``len(init)`` on a cycle.  Init and rows are checked here, once."""
-    rows = [tuple(row) for row in rows]
-    model = _check_run(model, init, len(rows), boundary)
-    for k, row in enumerate(rows):
-        width = len(init) - (0 if boundary == "cycle" else k)
-        if len(row) != width:
-            raise ValueError(f"update row {k} has {len(row)} arrows for a "
-                             f"window of {width} cells")
-        if row.count(UP) + row.count(RIGHT) != width:  # count() tests by ==
-            raise ValueError("arrows must be UP or RIGHT")
-    return _run(model, init, rows, boundary)
-
-
-def evolve(model: Model, init: Configuration, stream: UpdateStream,
-           steps: int, *, boundary: str = "line") -> Trajectory:
-    """Iterate a model ``steps`` times with rows drawn from the stream.
-
-    Line boundary sheds one site on the left per step; cycle boundary wraps
-    index arithmetic modulo the width.  :func:`trace_merges` replays the
-    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
-    """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    model = _check_run(model, init, steps, boundary)  # before any row is drawn
-    shed = 0 if boundary == "cycle" else 1  # sites lost per step
-    return _run(model, init, stream.rows(steps, init.offset, len(init), shed),
-                boundary)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 ``pcalab.lattice`` maps each local rule over aligned neighbour sequences;
 this module walks the same neighbour pairs ``((j - 1) % w, j)`` one index
 at a time, and the tests require the two forms to agree exactly.
+:class:`FixedRows` stands in for the stream where a test fixes the arrows.
 """
 
 from pcalab.lattice import (Configuration, MergeEvent, Model, _moves,
@@ -48,3 +49,15 @@ def advance_ids(cfg: Configuration, ids: tuple, row, step_index: int,
     sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
     out = walk(local, sites, row, cycle)
     return out, next_id, events
+
+
+class FixedRows:
+    """A stream whose ``rows`` are given: one arrow tuple per step, each
+    aligned with that step's window, as ``lattice.evolve`` requires."""
+
+    def __init__(self, rows):
+        self._rows = [tuple(row) for row in rows]
+
+    def rows(self, steps, offset, width, shed):
+        assert steps == len(self._rows)
+        return self._rows

@@ -108,6 +108,9 @@ RULE_FILES = {
     "empty-neighborhood.rule": b"alphabet: 0 1\nneighborhood:\n : 1/2 1/2\n",
     "repeated-offsets.rule": _rule("0 0", "11 : 0 1\n"),
     "zero-denominator.rule": _rule("-1 0", "11 : 1/0 1\n"),
+    "decimal.rule": _rule("-1 0", "11 : 0.5 0.5\n"),
+    "exponent.rule": _rule("-1 0", "11 : 1e0 0\n"),
+    "underscore.rule": _rule("-1 0", "11 : 1_0/2_0 0\n"),
     "unsorted-offsets.rule": _rule("0 -1", "11 : 0 1\n"),
     "missing-row.rule": _rule("-1 0", ""),
     "foreign-symbol.rule": _rule("-1 0", "12 : 0 1\n"),

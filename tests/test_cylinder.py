@@ -525,6 +525,17 @@ class TestRuleFiles:
         with pytest.raises(ValueError, match="row '00' has a zero"):
             load_rule_text("alphabet: 0 1\nneighborhood: -1 0\n00 : 1/0 1\n")
 
+    @pytest.mark.parametrize("row", [
+        "0 : 1e0 0", "1 : 0.5 0.5", "1 : 1_0/2_0 1/2", "0 : 1e-1000000 1",
+        "0 : 1e-2000000 1", "1 : +1 0", "0 : \u0661 0"])
+    def test_a_probability_is_an_integer_or_p_over_q(self, row):
+        # each token is refused before a Fraction is built, which an
+        # exponent token would make as large as it asks
+        other = "1 : 0 1" if row[0] == "0" else "0 : 1 0"
+        with pytest.raises(ValueError, match=f"row '{row[0]}' holds a "
+                                             "probability that is neither"):
+            load_rule_text(f"alphabet: 0 1\nneighborhood: 0\n{row}\n{other}\n")
+
 
 class TestGuards:
     def test_state_cap(self):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model,
-                            _initial_ids, evolve, evolve_with_rows,
-                            particle_count, trace_merges)
+                            _initial_ids, evolve, particle_count,
+                            trace_merges)
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import scalar_walk
@@ -31,7 +31,7 @@ def test_single_particle_is_a_lone_leaf():
 def test_two_adjacent_particles_merge_into_one_root():
     init = Configuration(0, (1, 1, 0))
     row = (RIGHT, UP, UP)
-    traj = evolve_with_rows(Model.C, init, [row])
+    traj = evolve(Model.C, init, scalar_walk.FixedRows([row]), 1)
     forest = trace_merges(traj)
     assert len(forest.merges) == 1
     ev = forest.merges[0]
@@ -144,8 +144,8 @@ def test_trace_merges_equals_the_chained_index_walk(traj):
 
 @pytest.mark.parametrize("particle", [-1, 3, 99])
 def test_ancestors_of_an_id_naming_no_particle_raise(particle):
-    traj = evolve_with_rows(Model.C, Configuration(0, (1, 1, 0)),
-                            [(RIGHT, UP, UP)])
+    traj = evolve(Model.C, Configuration(0, (1, 1, 0)),
+                  scalar_walk.FixedRows([(RIGHT, UP, UP)]), 1)
     forest = trace_merges(traj)  # leaves 0 and 1, merged child 2
     with pytest.raises(ValueError, match="no particle"):
         forest.ancestors(particle)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import lattice, stream
+from pcalab import stream
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
                             Model, _advance_ids, _initial_ids, _step, a_local,
-                            b_local, c_local, d_local, evolve,
-                            evolve_with_rows, pair_cell, particle_count)
+                            b_local, c_local, d_local, evolve, pair_cell,
+                            particle_count)
 from pcalab.stream import RIGHT, UP, UpdateStream, bits_range
 
 import scalar_walk
@@ -91,11 +91,9 @@ class TestSteps:
 
     def test_window_and_alignment_errors(self):
         with pytest.raises(ValueError):  # a line of one cell cannot step
-            evolve_with_rows(Model.A, Configuration(0, (1,)), [(UP,)])
-        with pytest.raises(ValueError):  # the row is not the window's
-            evolve_with_rows(Model.A, Configuration(0, (1, 0, 1)), [(UP, UP)])
+            evolve(Model.A, Configuration(0, (1,)), UpdateStream(0), 1)
         with pytest.raises(ValueError):
-            evolve_with_rows(Model.B, Configuration(0, (0, 2)), [(UP, UP)])
+            evolve(Model.B, Configuration(0, (0, 2)), UpdateStream(0), 1)
 
     def test_annihilation_step_reads_arrow_agreement(self):
         # From the full line, a site stays occupied iff its two driving
@@ -161,17 +159,18 @@ class TestEvolve:
         stream = UpdateStream(123)
         init = Configuration(0, tuple(stream.cell_bits(0, 40).tolist()))
         rows = stream.rows(12, init.offset, 40, 1)
-        a_traj = evolve_with_rows(Model.A, init, rows)
-        b_traj = evolve_with_rows(Model.B, phi(init), [r[1:] for r in rows])
+        a_traj = evolve(Model.A, init, scalar_walk.FixedRows(rows), 12)
+        b_traj = evolve(Model.B, phi(init),
+                        scalar_walk.FixedRows([r[1:] for r in rows]), 12)
         for a_cfg, b_cfg in zip(a_traj.configs, b_traj.configs):
             assert phi(a_cfg) == b_cfg
 
     def test_domination_along_trajectories(self):
         stream = UpdateStream(77)
         init = Configuration(0, tuple(stream.cell_bits(0, 36).tolist()))
-        rows = stream.rows(10, 0, 36, 1)
-        b_traj = evolve_with_rows(Model.B, init, rows)
-        c_traj = evolve_with_rows(Model.C, init, rows)
+        rows = scalar_walk.FixedRows(stream.rows(10, 0, 36, 1))
+        b_traj = evolve(Model.B, init, rows, 10)
+        c_traj = evolve(Model.C, init, rows, 10)
         for b_cfg, c_cfg in zip(b_traj.configs, c_traj.configs):
             assert all(x <= y for x, y in zip(b_cfg.cells, c_cfg.cells))
 
@@ -257,7 +256,7 @@ def test_symbol_checks_keep_their_error_types(bad, error):
         symbol = 3 if bad == 2 and model is Model.D else bad
         for cells in ((EMPTY, symbol), (symbol, EMPTY)):
             with pytest.raises(error):
-                evolve_with_rows(model, Configuration(0, cells), [])
+                evolve(model, Configuration(0, cells), UpdateStream(0), 0)
             with pytest.raises(error):
                 evolve(model, Configuration(0, cells), UpdateStream(0), 1,
                        boundary="cycle")
@@ -294,30 +293,8 @@ def _aligned_rows(init, stream, steps, boundary):
 
 
 @pytest.mark.parametrize("boundary", ["line", "cycle"])
-@pytest.mark.parametrize("bad_step", [0, 3])
-@pytest.mark.parametrize("resize", [lambda row: row[:-1],
-                                    lambda row: (*row, UP)],
-                         ids=["short", "long"])
-def test_a_row_off_its_window_is_refused_at_entry(monkeypatch, boundary,
-                                                  bad_step, resize):
+def test_stream_rows_are_aligned_with_each_window(boundary):
     init, stream = Configuration(-3, (1, 0, 1, 1, 0, 0, 1, 1)), UpdateStream(8)
-    rows = _aligned_rows(init, stream, 5, boundary)
-    assert rows == evolve(Model.C, init, stream, 5, boundary=boundary).rows
-    rows[bad_step] = resize(rows[bad_step])
-
-    def step(*args):
-        raise AssertionError("a row was stepped before every row was checked")
-
-    monkeypatch.setattr(lattice, "_step", step)
-    with pytest.raises(ValueError, match=f"update row {bad_step} has"):
-        evolve_with_rows(Model.C, init, rows, boundary=boundary)
-
-
-@pytest.mark.parametrize("boundary", ["line", "cycle"])
-@pytest.mark.parametrize("bad", [2, -1, None, [1]])
-def test_arrows_other_than_up_and_right_are_refused_at_entry(boundary, bad):
-    init = Configuration(0, (1, 1, 0, 1))
-    rows = _aligned_rows(init, UpdateStream(4), 2, boundary)
-    rows[1] = (*rows[1][:-1], bad)  # arrows compare by ==, never by order
-    with pytest.raises(ValueError, match="arrows must be UP or RIGHT"):
-        evolve_with_rows(Model.C, init, rows, boundary=boundary)
+    traj = evolve(Model.C, init, stream, 5, boundary=boundary)
+    assert traj.rows == _aligned_rows(init, stream, 5, boundary)
+    assert [len(row) for row in traj.rows] == list(map(len, traj.configs[:-1]))

@@ -3,8 +3,12 @@
 A name added to or dropped from ``pcalab/__init__.py`` fails this test, so
 the change is seen in review: export only what the CLI or the library's
 own code runs, and keep helpers that only tests call under ``tests/``.
+The second test checks the first half of that rule: every public name is
+read somewhere in the package's own modules.
 """
 
+import ast
+import pathlib
 import types
 
 import pcalab
@@ -13,7 +17,7 @@ PUBLIC = {
     # lattice and stream
     "BLUE", "EMPTY", "GREEN", "PARTICLE", "RIGHT", "UP", "Configuration",
     "MergeEvent", "MergeForest", "Model", "Trajectory", "UpdateStream",
-    "evolve", "evolve_with_rows", "particle_count", "trace_merges",
+    "evolve", "particle_count", "trace_merges",
     "render",
     # cylinder
     "CylinderMeasure", "TransitionFunction", "alternating_pair_measure",
@@ -36,3 +40,26 @@ def test_public_names_are_pinned():
              if not name.startswith("_")
              and not isinstance(value, types.ModuleType)}
     assert names == PUBLIC
+
+
+def _names_read(tree) -> set[str]:
+    """Names a module reads: a ``Name``, an ``Attribute`` or a string
+    constant, which is how ``verify.STATISTICAL`` names its suites."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_is_read_by_the_package():
+    package = pathlib.Path(pcalab.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            read |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(PUBLIC - read) == []

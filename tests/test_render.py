@@ -5,9 +5,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
-                            evolve, evolve_with_rows, trace_merges)
+                            evolve, trace_merges)
 from pcalab.render import HIGHLIGHT_COLOR, render
 from pcalab.stream import RIGHT, UP, UpdateStream
+
+from scalar_walk import FixedRows
 
 
 def test_alternating_run_renders_shifted_rows():
@@ -40,7 +42,7 @@ def test_arrow_overlay_interleaves_rows():
 
 def test_genealogy_overlay_marks_all_ancestors():
     init = Configuration(0, (1, 1, 0))
-    traj = evolve_with_rows(Model.C, init, [(RIGHT, UP, UP)])
+    traj = evolve(Model.C, init, FixedRows([(RIGHT, UP, UP)]), 1)
     marked = trace_merges(traj).lineage(2)
     # the two leaves at step 0 and their merged child at step 1
     assert marked == {(0, 0), (0, 1), (1, 0)}
