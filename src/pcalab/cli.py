@@ -157,19 +157,19 @@ def _cmd_verify(args) -> tuple[str, int]:
     if given and suite not in verify.STATISTICAL:
         raise ValueError(f"--{next(iter(given))} applies only to --suite "
                          + "|".join(verify.STATISTICAL))
-    seeded = ("periodic-orbit", *verify.STATISTICAL)
-    if args.seed is not None and suite not in seeded:  # not PCALAB_SEED
-        raise ValueError("--seed applies only to --suite " + "|".join(seeded))
-    seed = _resolve_seed(args.seed) if suite in seeded else None
+    if args.seed is not None and suite not in verify.STATISTICAL:
+        raise ValueError("--seed applies only to --suite "
+                         + "|".join(verify.STATISTICAL))
     if suite == "all":
         results = verify.run_all()
     elif suite in verify.STATISTICAL:
         run = getattr(verify, verify.STATISTICAL[suite])
         opts = {**_STATISTICAL_DEFAULTS, **given}
-        results = [run(opts["n"], opts["trials"], seed, opts["sites"])]
+        results = [run(opts["n"], opts["trials"], _resolve_seed(args.seed),
+                       opts["sites"])]
     elif suite == "periodic-orbit":
         width = args.width if args.width is not None else 6
-        results = [verify.verify_periodic_orbit(width, seed=seed)]
+        results = [verify.verify_periodic_orbit(width)]
     else:
         results = [verify.SUITES[suite]()]
     ok = all(r.passed for r in results)
@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all",
                    choices=("all", *verify.SUITES, *verify.STATISTICAL))
     p.add_argument("--width", type=int, default=None,
-                   help="cycle width for periodic-orbit")
+                   help="cycle width for periodic-orbit: even, from 4 "
+                        f"to {verify.ORBIT_WIDTH_CAP}, default 6")
     for key, default in _STATISTICAL_DEFAULTS.items():
         p.add_argument(f"--{key}", type=int, default=None,
                        help=f"statistical suites only, default {default}")

@@ -138,13 +138,6 @@ def lift_model(which: str) -> TransitionFunction:
     return TransitionFunction(alphabet, (-1, 0), rows)
 
 
-def _integers(ratios) -> tuple[list[int], int]:
-    """Integer numerators of ``ratios`` over their least common denominator."""
-    ratios = [Fraction(r) for r in ratios]
-    den = math.lcm(*(r.denominator for r in ratios))
-    return [r.numerator * (den // r.denominator) for r in ratios], den
-
-
 def _dtype(bound: int):
     """``int64`` for values that stay at most ``bound``, if it fits."""
     return np.int64 if bound < 2 ** 63 else object
@@ -155,41 +148,30 @@ class CylinderMeasure:
 
     ``numerators[i] / den`` is the probability of the word whose
     mixed-radix code is ``i``: the symbol at site ``start + j`` contributes
-    its alphabet index times ``len(alphabet)**j``.  Both are reduced by
-    their gcd, so equal measures compare equal; the numerators are
-    ``int64`` if ``den`` fits, Python integers otherwise.  ``weights`` are
-    rationals, or integer numerators over ``den`` when it is given.
+    its alphabet index times ``len(alphabet)**j``.  ``weights`` holds one
+    nonnegative integer numerator per word, summing to ``den``; both are
+    reduced by their gcd, and the numerators are ``int64`` if ``den``
+    fits, Python integers otherwise.
     """
 
     def __init__(self, alphabet: tuple, start: int, length: int, weights,
-                 den: int | None = None):
+                 den: int):
         states = _check_cap(alphabet, length)
-        if den is None:
-            weights, den = _integers(weights)
         # numpy would read a list with an int past 2**63 as float64
         num = (weights if isinstance(weights, np.ndarray)
                else np.array(weights, dtype=object))
         if num.shape != (states,):
             raise ValueError("weight vector has wrong length")
         exact = int(num.max()) * states < 2 ** 63  # an int64 sum cannot wrap
-        if (den < 1 or num.min() < 0
+        if (den < 1 or num.min() < 0 or not np.array_equal(num, num // 1)
                 or num.sum(dtype=None if exact else object) != den):
-            raise ValueError("weights must be nonnegative and sum to 1")
+            raise ValueError("weights must be nonnegative integers that sum "
+                             "to den")
         g = math.gcd(int(np.gcd.reduce(num)), den)
         self.alphabet, self.start, self.length = alphabet, start, length
         self.den = den // g
         self.numerators = (num // g).astype(_dtype(self.den))
         self.numerators.flags.writeable = False
-
-    def __eq__(self, other):
-        return (isinstance(other, CylinderMeasure)
-                and (self.alphabet, self.start, self.length, self.den)
-                == (other.alphabet, other.start, other.length, other.den)
-                and np.array_equal(self.numerators, other.numerators))
-
-    def __repr__(self) -> str:
-        return (f"CylinderMeasure({self.alphabet!r}, {self.start}, "
-                f"{self.length}, {self.numerators.tolist()}, {self.den})")
 
     @property
     def end(self) -> int:

@@ -1,7 +1,8 @@
 """Machine-checked certificates for the structural claims.
 
 Every suite returns a :class:`CaseReport`.  Those in :data:`SUITES`
-enumerate a finite case space exhaustively (no tolerance); those in
+enumerate a finite case space exhaustively (no tolerance), the periodic
+orbit on cycles of up to :data:`ORBIT_WIDTH_CAP` sites; those in
 :data:`STATISTICAL` (colour uniformity, the pair-statistic bounds) check
 four-standard-error bands and refuse runs with no standard error.  Suites
 regenerate their case tables from the kernels, looked up at call time as
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import density, stream
+from . import density
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, _walk, a_local,
                       b_local, blue_cell, c_local, d_local, occupied_cell,
                       pair_cell)
@@ -24,8 +25,10 @@ from .stream import RIGHT, UP
 
 ARROWS = (UP, RIGHT)
 
-#: Rows sampled by the periodic-orbit suite on widths past the exhaustive 8.
-ORBIT_SAMPLES = 256
+#: Widest cycle whose 2**width arrow rows the periodic-orbit suite walks:
+#: 0.2 s at width 14 and 0.6 s at 16 on a 2-vCPU Xeon VM.  Two more sites
+#: cost four times as much (2.6 s at 18), so wider cycles are refused.
+ORBIT_WIDTH_CAP = 16
 
 
 @dataclass
@@ -108,21 +111,17 @@ def verify_projection() -> CaseReport:
     return report
 
 
-def verify_periodic_orbit(width: int = 6, seed: int = 0) -> CaseReport:
+def verify_periodic_orbit(width: int = 6) -> CaseReport:
     """On an even cycle, one update maps each alternating word to the other
-    regardless of the arrows: the orbit has period 2.  Rows are exhaustive
-    for width <= 8, randomly sampled otherwise."""
-    if width % 2 != 0 or width < 4:
-        raise ValueError("the alternating orbit needs an even width >= 4")
+    regardless of the arrows: the orbit has period 2.  Every row of arrows
+    is checked, on even widths 4 to :data:`ORBIT_WIDTH_CAP`."""
+    if width % 2 != 0 or not 4 <= width <= ORBIT_WIDTH_CAP:
+        raise ValueError("the alternating orbit needs an even width from 4 "
+                         f"to {ORBIT_WIDTH_CAP}")
     alt0 = tuple(j % 2 for j in range(width))
     alt1 = alt0[1:] + alt0[:1]
     report = CaseReport("periodic-orbit")
-    if width <= 8:
-        rows = itertools.product(ARROWS, repeat=width)
-    else:
-        rows = (stream.bits_range(seed, trial, 0, 0, width).tolist()
-                for trial in range(ORBIT_SAMPLES))
-    for arrows in rows:
+    for arrows in itertools.product(ARROWS, repeat=width):
         report.record(f"u={''.join(str(a) for a in arrows)}", (alt1, alt0),
                       tuple(_walk(a_local, alt, (arrows,), True)
                             for alt in (alt0, alt1)))

@@ -1,8 +1,9 @@
 """Cylinder-measure helpers that only the tests use.
 
-``weight`` reads one word's probability, ``pushforward`` relabels the
-symbols of a measure word by word, and ``dump_rule_text`` writes a
-transition table in the plain-text format that
+``fields`` is what a measure is stored as, so two measures are equal when
+their fields are; ``weight`` reads one word's probability, ``pushforward``
+relabels the symbols of a measure word by word, and ``dump_rule_text``
+writes a transition table in the plain-text format that
 ``pcalab.cylinder.load_rule_text`` reads back.
 """
 
@@ -10,6 +11,14 @@ from fractions import Fraction
 
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction, _decode,
                              _encode)
+
+
+def fields(mu: CylinderMeasure) -> tuple:
+    """Alphabet, start, length, ``den`` and the numerators in code order:
+    the constructor reduces ``den`` and the numerators by their gcd, so
+    equal measures have equal fields."""
+    return (mu.alphabet, mu.start, mu.length, mu.den,
+            mu.numerators.tolist())
 
 
 def weight(mu: CylinderMeasure, word: tuple) -> Fraction:

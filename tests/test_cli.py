@@ -179,6 +179,20 @@ class TestVerifyCommand:
                        width])
         assert_one_error_line(status, capsys.readouterr())
 
+    @pytest.mark.parametrize("width", ["18", "1000000"])
+    def test_periodic_orbit_past_the_width_cap_walks_no_row(
+            self, capsys, monkeypatch, width):
+        def walk(*args):
+            raise AssertionError("a row of arrows was walked")
+
+        monkeypatch.setattr(verify, "_walk", walk)
+        status = main(["verify", "--suite", "periodic-orbit", "--width",
+                       width])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert captured.err == ("error: the alternating orbit needs an even "
+                                "width from 4 to 16\n")
+
     @pytest.mark.parametrize("option, suite", [
         *itertools.product(["--n", "--trials", "--sites"],
                            ["all", *verify.SUITES]),
@@ -196,12 +210,9 @@ class TestVerifyCommand:
     def test_seed_outside_a_seeded_suite_is_refused(self, capsys, suite):
         status = main(["verify", "--suite", suite, "--seed", "5"])
         captured = capsys.readouterr()
-        if suite == "periodic-orbit":
-            assert status == 0 and json.loads(captured.out)[0]["passed"]
-        else:
-            assert_one_error_line(status, captured)
-            assert captured.err.startswith("error: --seed applies only to "
-                                           "--suite periodic-orbit|")
+        assert_one_error_line(status, captured)
+        assert captured.err == ("error: --seed applies only to --suite "
+                                "color-uniformity|proposition-bounds\n")
 
     def test_environment_seed_is_never_refused(self, capsys, monkeypatch):
         _, plain = run(capsys, "verify", "--suite", "all")
@@ -521,7 +532,7 @@ class TestDeterminism:
     SEEDED = (["simulate", "--model", "c", "--steps", "2"],
               ["render", "--model", "d", "--steps", "2"],
               ["density", "--model", "b", "--n", "1", "--trials", "10"],
-              ["verify", "--suite", "periodic-orbit"],
+              ["density", "--model", "a", "--n", "1", "--trials", "10"],
               ["verify", "--suite", "color-uniformity", "--trials", "10"],
               ["verify", "--suite", "proposition-bounds", "--trials", "10"])
 
@@ -566,7 +577,8 @@ class TestDeterminism:
         [*SEEDED[0], "--seed", "3"], [*SEEDED[3], "--seed", "3"],
         ["verify", "--suite", "all"], ["verify", "--suite", "commutation"],
         ["oracle", "--which", "closed-form", "--n", "2"],
-        ["evolve-cylinder", "--steps", "1"]])
+        ["evolve-cylinder", "--steps", "1"],
+        ["verify", "--suite", "periodic-orbit"]])
     def test_a_run_that_reads_no_seed_ignores_a_malformed_one(
             self, capsys, monkeypatch, argv):
         plain = run(capsys, *argv)

@@ -6,9 +6,10 @@ runs, so a change to the report schema, to the CSV/JSON writers, to how an
 initial configuration or measure is built or to how a cylinder weight is
 printed could alter other outputs unseen.  These digests pin the CLI's
 stdout for ``simulate`` on models a-d over every init, on line and cycle,
-as text and JSON; for ``density`` on models a, b and c over their inits,
-at 1, 2 and 300 trials, as text, CSV and JSON; and for ``evolve-cylinder``
-under the plain, the lifted and a three-symbol rule-file rule from
+as text and JSON; for ``density`` on models a, b and c over their inits
+(``iid`` at the default and at ``--p 0.3``), at 1, 2 and 300 trials, as
+text, CSV and JSON; and for ``evolve-cylinder`` under the plain, the
+lifted and a three-symbol rule-file rule, with a comment line, from
 ``uniform``, ``alternating-mix`` and ``word:`` inits, as text and JSON,
 plain, with ``--residual`` and with ``--marginal``.
 """
@@ -27,7 +28,10 @@ SIMULATE_INITS = {"a": ("word:0110",), "b": ("word:#..#",),
 
 DENSITY_INITS = {"a": ("full", "alternating", "uniform", "ones", "zeros",
                        "word:0110", "0110"),
-                 "b": ("full", "iid"), "c": ("full", "iid")}
+                 "b": ("full", "iid", "iid0.3"),
+                 "c": ("full", "iid", "iid0.3")}
+#: density inits named for more than their ``--init`` value
+DENSITY_INIT_ARGS = {"iid0.3": ["--init", "iid", "--p", "0.3"]}
 
 #: rule flags -> the inits run under it, each with its window options
 CYLINDER_INITS = {
@@ -45,6 +49,7 @@ CYLINDER_RULES = {"a": [], "b": ["--lift", "b"], "c": ["--lift", "c"],
 #: stands in an argv.
 RULE_TEXT = """alphabet: x y z
 neighborhood: -1 0
+// rows list the probabilities of x, y and z
 xx : 1/2 1/4 1/4
 xy : 0 1 0
 xz : 1/3 1/3 1/3
@@ -76,7 +81,8 @@ def _density_cases():
         for init, trials, fmt in itertools.product(inits, (1, 2, 300),
                                                    ("text", "csv", "json")):
             yield (f"density-{model}-{init}-{trials}-{fmt}",
-                   ["density", "--model", model, "--init", init, "--n", "3",
+                   ["density", "--model", model,
+                    *DENSITY_INIT_ARGS.get(init, ["--init", init]), "--n", "3",
                     "--trials", str(trials), "--seed", "5", "--format", fmt])
 
 
@@ -94,7 +100,8 @@ ARGV = dict(itertools.chain(_simulate_cases(), _density_cases(),
                             _cylinder_cases()))
 
 #: Recorded before the density report serialized itself, the simulate and
-#: rule-file entries before every init became a tiled word or a product.
+#: rule-file entries before every init became a tiled word or a product,
+#: the ``iid0.3`` entries before the periodic-orbit suite became exhaustive.
 DIGESTS = {
     "density-a-full-1-text": "1137f5434fd62790f45096b8332d19148cb73229251d7e32869a0eebdf84d865",
     "density-a-full-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
@@ -177,6 +184,15 @@ DIGESTS = {
     "density-b-iid-300-text": "8f3a561f41a393cffe9c0ea3cd5f9be16a560f76e08d07ac3d70736e9894efe4",
     "density-b-iid-300-csv": "d52f71591992798c31d7896ca58ae13f16655ce64215ec1461dafc7708e5f3fa",
     "density-b-iid-300-json": "63d042d75f4836251a90950b240f330b8f76bf5416f8f1749b066abc3f34df33",
+    "density-b-iid0.3-1-text": "2cc804635e591e20090b969de641cad277efc7747a166e09986dd191a30e8096",
+    "density-b-iid0.3-1-csv": "9437fc9b2934311112e825b7d5982bb87d772f648040d03f0f2356b15809be3a",
+    "density-b-iid0.3-1-json": "054d82107973fa17da43e735f350bdcaadbf728e2eca117d96027d3dfb28a4c2",
+    "density-b-iid0.3-2-text": "132fb205717711e34ecbcf23ea70360746d1c95657cb62ea850234fcdc98fbed",
+    "density-b-iid0.3-2-csv": "27308e2525a6cb5f16cfb2487d32d80b25441e0e61d8c786085307e91cebabc8",
+    "density-b-iid0.3-2-json": "e0f0ffa43b7ac4f442d33c797dffa513d6df88ed04b4299614f785eeab93f188",
+    "density-b-iid0.3-300-text": "8f95eaf528f282903083d339a735bc4a6293435d33b67ac5d5af1ed64b65c994",
+    "density-b-iid0.3-300-csv": "570adf1de1cd4729281f196b4d55dd9a9b92c61047564a5b9839a8e089c4e5b1",
+    "density-b-iid0.3-300-json": "36fac9d6b44568be3352c9398dda1980d3c87fa4d3f2dd2181947dc8d85882dc",
     "density-c-full-1-text": "b2e1da880e044c6d7e06b1a1889ddb7973c8dfb33c382da3e4046b22759b8774",
     "density-c-full-1-csv": "95c3d5687cb32f72e1b5e70013abc69313327a3f278b1a4bb872135aa511ba42",
     "density-c-full-1-json": "61ed55bf0bd69a6381e2b0168b8819bca896d0862748dd29953d7070902dd348",
@@ -195,6 +211,15 @@ DIGESTS = {
     "density-c-iid-300-text": "75cbfec43204276b2958a23b870acc1d76a2c3612c6c57cc583a828e1094ec67",
     "density-c-iid-300-csv": "2e17a8a69486040ce9b5ba0b5b00cb193f67959f35a06efd30e335a292bfecba",
     "density-c-iid-300-json": "4345c27481c3c68a8709267dc23365b2cdcad1c7c243e5fc06dae674b14e8b09",
+    "density-c-iid0.3-1-text": "43f0bd49f1fa25bd6cd839125db6a824126e705331b2c5042077ff8ef939c2ae",
+    "density-c-iid0.3-1-csv": "d30e9b72e6d821dae860075015e789179fbdc43c741905ca82a3483eba1d2b77",
+    "density-c-iid0.3-1-json": "93b527ae9faac6fea84223a92dba2cedf5c0c52791d28006d8492de072d45b31",
+    "density-c-iid0.3-2-text": "4a8983007c0399c0a46b45122d7f268dbcbc4eac6dd91c9e97a5fb98a88d0b0a",
+    "density-c-iid0.3-2-csv": "c094eb1cc3516acb248e8f90b07800e40bdf5ae27e8f7cc52a8da67718ee2a4c",
+    "density-c-iid0.3-2-json": "2ac78e805b192d0174cac508213884e77d1c1ab670350561239c4a438159a3f6",
+    "density-c-iid0.3-300-text": "4cd8e4fc46215b11d3e06c8c4380bc2db9d7aa30c6d0ebdc7f52f9e4e1a5e63b",
+    "density-c-iid0.3-300-csv": "a5c61a39b9e4018a90a6505ad99a438dca40020c3e67afe0d443043889c8444f",
+    "density-c-iid0.3-300-json": "c3c96269289de71c7ca29f27c7abf0b2ff6a4bcc27bbda6de53a902fde2431b0",
     "cylinder-a-uniform-text-plain": "8a1eb38c99a50fcd7b9c8e32cd717a90bfc5b7edce6b9883d509b8a234c16840",
     "cylinder-a-uniform-text-residual": "e6125a4d52d80162cc0e6b6d874765cc5085363504e3390e3c895bfe3187f2f8",
     "cylinder-a-uniform-text-marginal": "b5565bacc4147aeff6d3f4b84994f8953d9e4fa5696f9dfcca93e86c1cc7a0c6",
