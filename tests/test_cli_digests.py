@@ -6,7 +6,9 @@ runs, so a change to the report schema, to the CSV/JSON writers, to how an
 initial configuration or measure is built or to how a cylinder weight is
 printed could alter other outputs unseen.  These digests pin the CLI's
 stdout for ``simulate`` on models a-d over every init, on line and cycle,
-as text and JSON; for ``density`` on models a, b and c over their inits
+as text and JSON, and on windows either side of the word edges at 64 and
+128 cells, on a cycle run for more steps than it has cells and at the
+largest trial; for ``density`` on models a, b and c over their inits
 (``iid`` at the default and at ``--p 0.3``), at 1, 2 and 300 trials, as
 text, CSV and JSON; and for ``evolve-cylinder`` under the plain, the
 lifted and a three-symbol rule-file rule, with a comment line, from
@@ -76,6 +78,30 @@ def _simulate_cases():
                     "--seed", "5", "--format", fmt])
 
 
+#: ``simulate`` window widths either side of a word edge
+EDGE_WIDTHS = (63, 64, 65, 129)
+MAX_TRIAL = str(2 ** 64 - 1)
+
+
+def _word_edge_cases():
+    for model, width, boundary in itertools.product("abcd", EDGE_WIDTHS,
+                                                    ("line", "cycle")):
+        yield (f"simulate-{model}-w{width}-{boundary}",
+               ["simulate", "--model", model, "--init", "uniform", "--width",
+                str(width), "--steps", "40", "--boundary", boundary,
+                "--seed", "5"])
+    for model in "abcd":
+        yield (f"simulate-{model}-w65-cycle-300-steps",
+               ["simulate", "--model", model, "--init", "uniform", "--width",
+                "65", "--steps", "300", "--boundary", "cycle", "--seed", "5"])
+        for boundary in ("line", "cycle"):
+            yield (f"simulate-{model}-w129-{boundary}-max-trial",
+                   ["simulate", "--model", model, "--init", "uniform",
+                    "--width", "129", "--steps", "100", "--boundary",
+                    boundary, "--trial", MAX_TRIAL, "--seed", "5",
+                    "--format", "json"])
+
+
 def _density_cases():
     for model, inits in DENSITY_INITS.items():
         for init, trials, fmt in itertools.product(inits, (1, 2, 300),
@@ -96,12 +122,13 @@ def _cylinder_cases():
                     *VARIANTS[variant]])
 
 
-ARGV = dict(itertools.chain(_simulate_cases(), _density_cases(),
-                            _cylinder_cases()))
+ARGV = dict(itertools.chain(_simulate_cases(), _word_edge_cases(),
+                            _density_cases(), _cylinder_cases()))
 
 #: Recorded before the density report serialized itself, the simulate and
 #: rule-file entries before every init became a tiled word or a product,
-#: the ``iid0.3`` entries before the periodic-orbit suite became exhaustive.
+#: the ``iid0.3`` entries before the periodic-orbit suite became exhaustive,
+#: the word-edge ``simulate`` entries before ``simulate`` stepped bit planes.
 DIGESTS = {
     "density-a-full-1-text": "1137f5434fd62790f45096b8332d19148cb73229251d7e32869a0eebdf84d865",
     "density-a-full-1-csv": "28ceb6b008a3eb98ff6f80ed68df884b324e205896d5a45594f8b7f68080e4ee",
@@ -374,6 +401,50 @@ DIGESTS = {
     "cylinder-file-word:zxyz-json-plain": "0860edb42c34a0173b66a771227afd04c8e54b816e16dae134af21345254c601",
     "cylinder-file-word:zxyz-json-residual": "7e505afb526f7e82dded7b2a87aa6bbec6a259016a0e028b0e17cd00141dec17",
     "cylinder-file-word:zxyz-json-marginal": "eef590d81b741f40e83af8605880d3cb6faf2b5f68c65043582aff1156df255b",
+    "simulate-a-w63-line": "a6102d119c4960f8c4ba521652715199dff281bc817e417b4a737b5ee0cf5b33",
+    "simulate-a-w63-cycle": "04d8c61f5604ff1986ee96e9df6343ac755881226cea7c9d09a69b06b64f9e6b",
+    "simulate-a-w64-line": "230f7d6459cc652d3dd8ed1063c0ee0c8cf58bf5f84e705176e919065504482c",
+    "simulate-a-w64-cycle": "00899f848818dc5df49546ba216e3c871cb15c4922ba21303e0ae1c0626a3996",
+    "simulate-a-w65-line": "418276ac0458e26f389805cbf907c81d21dac75a7d69f4455d12918ab7385997",
+    "simulate-a-w65-cycle": "a5573fcb73bd77bdf99896d1fdd93181407621076bf165c35f725d0545e3cddc",
+    "simulate-a-w129-line": "d965aca69f44eade6c77b90f9a378991bf90a8b2a875ad46d245ccefe905aa6a",
+    "simulate-a-w129-cycle": "eab4736e9f4a8b34c2ba129e9b93fdbc1d1b390bea57daf30aa9c38f23f1ba1a",
+    "simulate-b-w63-line": "aa3ef9985aee7eed06a55e5032499b5c9ed87f19513925bcc321a7d0e20a4f9f",
+    "simulate-b-w63-cycle": "912f53fc3206527761a8a0c1260204ba3e66aa8ea9a4b949e1a2bd8afed23421",
+    "simulate-b-w64-line": "c6fc75aba7adc554b0bdcdaa6b4ea2b0306a4265275b01e2b5b0b5b7819a36f2",
+    "simulate-b-w64-cycle": "c0fbf2fac363ba37fee061a880540e9dd3cfa1a31e3f4db3c60f829fdadf4e15",
+    "simulate-b-w65-line": "bd790fb92c20487e8cc27d2139f93c83a8070215931e6674f83c151c8349dd1f",
+    "simulate-b-w65-cycle": "484a1d74a512e47c54b0b7a213b331bdb5aef9fd47c529eb940e910433a1ac30",
+    "simulate-b-w129-line": "0d17c8fae6549af7098402e6454cb655133a23f6fc0ed277b73796ed4b952946",
+    "simulate-b-w129-cycle": "3547fe325b8e7f0f02d960b1e9f0e884de5f826d766196cd53ab1125ef25f4b8",
+    "simulate-c-w63-line": "26f0da719b131a2a29b936474edc6f8d87423995aba5be0b8e1a1f3b851f9a67",
+    "simulate-c-w63-cycle": "f9a133855216f90d9ed5d6cb98c8320c92c873fce5c6a8985cce6a56ca8d72da",
+    "simulate-c-w64-line": "9487d7ed90f63f69e7ae1b2dd0cba3abf420c682fd0fccbc2ee86f4f3570f5bf",
+    "simulate-c-w64-cycle": "74f456d6183bf51108e8b573a781e728cd8e858ec0324f48f7ed547cb7910b59",
+    "simulate-c-w65-line": "3162b55fe60090183e450bd78a92b5312b797eecca6345719135b499f791f1e8",
+    "simulate-c-w65-cycle": "5759f4a02b665b0ab725f9b411a79cc8272488387e0ae08a4364b2ea7baebbd9",
+    "simulate-c-w129-line": "c3309b7046cab9218f41d4b65137c078ef259ea15d16a4bf5199dc7c0857cc66",
+    "simulate-c-w129-cycle": "cdc01cc31dc0175fb362ad10031c08141891ba7460051d46a3e4ba8008623f67",
+    "simulate-d-w63-line": "8b4b1d13a90198a18a068b2fa747af7a41fe5534ee03dbb837fe023179107b93",
+    "simulate-d-w63-cycle": "7f8f21cecc213eefae65328bb31d86351fa37300dcaab8c81678471969b2b93d",
+    "simulate-d-w64-line": "f4b670eada445ee0140868bfd9e03961ee4da406400c2b791c239512c68c9e4e",
+    "simulate-d-w64-cycle": "d48496a8c39d553cf8482313d50c5a4dfbcdcd6b7ad825e76ff381f6ad1bf8d4",
+    "simulate-d-w65-line": "0cfce98b1ae1f43e851ada35bddb744e9cb589572a1d522d9f0cf9094a089d7a",
+    "simulate-d-w65-cycle": "178ab79eadcf31cf6f20ed45fd28fb7920a9000e43c02b5e997824bc713d975c",
+    "simulate-d-w129-line": "9a305a7f6972b30b06ac55f60a29f5892d07796dcb159f4b462adb1e01511931",
+    "simulate-d-w129-cycle": "d63e6b030a347f1d314d820690b2ec2140d20a9c02e7551f6654c458723bdb52",
+    "simulate-a-w65-cycle-300-steps": "e1947838b2189a403673441f3ca7ddd30a8b13d825d145966ba659371eb80f6d",
+    "simulate-a-w129-line-max-trial": "f98f5b8a6d599315510da90315a55ca922f2e021f0f21d1e58516a8ca3482aa4",
+    "simulate-a-w129-cycle-max-trial": "03e4ae68d9338687672f34984752c036dc634c67b3b96ea1191e09a7fd2ad78c",
+    "simulate-b-w65-cycle-300-steps": "e211a245b77938b12ffa55d6519e64b58ec18fe7ee40587615fff5686c213d63",
+    "simulate-b-w129-line-max-trial": "559f279ed7b4278ed9137c65e4eb340b5ae579e9eaab01cf595ba730fd386007",
+    "simulate-b-w129-cycle-max-trial": "b76efc410426902262122e0d624ffd195ce7f77d54a0969d6129b12060d5d9a0",
+    "simulate-c-w65-cycle-300-steps": "d356390dad47520e6b670a338864fcbd9c29cf33d05d5690bd4cb90a5da0d9eb",
+    "simulate-c-w129-line-max-trial": "b95b4997ee32a55847bba4ff0ddf6e464e227e784e750cee8768819387c35169",
+    "simulate-c-w129-cycle-max-trial": "c189065c8a80345de0df2e63c4ca1c36e59ba69999b2719e4339e1e9d4fcafc5",
+    "simulate-d-w65-cycle-300-steps": "380bb27fb4a5f00bdac7fac21030c6c093d5f3497f179d4a9e385b3b210d4ac7",
+    "simulate-d-w129-line-max-trial": "b43c3b0919be33752d6b04253eaee5427ea114ce460196835e73726aab8c7451",
+    "simulate-d-w129-cycle-max-trial": "ccdca9d69eb14737795a4a8e075ab5da38d752141813525788881b52aff188b4",
 }
 
 
