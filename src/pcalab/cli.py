@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import cylinder, density, verify
+from . import cylinder, density, packed, verify
 from .lattice import (BLUE, GREEN, Configuration, Model, evolve,
                       particle_count, trace_merges)
 from .render import GLYPHS, render
@@ -58,37 +58,37 @@ def _build_init(model: Model, init: str, width: int,
     return Configuration(0, tuple(tile[j % len(tile)] for j in range(width)))
 
 
-def _simulate_traj(args):
+def _run_args(args) -> tuple[Model, Configuration, UpdateStream]:
     model = Model(args.model)
     if args.trial not in range(2 ** 64):  # the stream reads it modulo 2^64
         raise ValueError(f"--trial must lie in [0, 2^64), got {args.trial}")
     stream = UpdateStream(_resolve_seed(args.seed), args.trial)
     width = args.width if args.width is not None else args.steps + 65
-    init = _build_init(model, args.init, width, stream)
-    return evolve(model, init, stream, args.steps, boundary=args.boundary)
+    return model, _build_init(model, args.init, width, stream), stream
 
 
 def _cmd_simulate(args) -> tuple[str, int]:
-    traj = _simulate_traj(args)
-    final = traj.final
-    cells = "".join(GLYPHS[traj.model][c] for c in final.cells)
+    model, init, stream = _run_args(args)
+    final = packed.evolve_final(model, init, stream, args.steps,
+                                boundary=args.boundary)
+    cells = "".join(GLYPHS[model][c] for c in final.cells)
     if args.format == "json":
         payload = {
-            "model": traj.model.value,
+            "model": model.value,
             "boundary": args.boundary,
             "steps": args.steps,
-            "seed": _resolve_seed(args.seed),
+            "seed": stream.seed,
             "offset": final.offset,
             "cells": cells,
             "particles": particle_count(final),
         }
         return json.dumps(payload, indent=2) + "\n", 0
-    return (f"{cells}\n# model={traj.model.value} steps={args.steps} "
+    return (f"{cells}\n# model={model.value} steps={args.steps} "
             f"offset={final.offset} particles={particle_count(final)}\n"), 0
 
 
 def _cmd_render(args) -> tuple[str, int]:
-    traj = _simulate_traj(args)
+    traj = evolve(*_run_args(args), args.steps, boundary=args.boundary)
     pid, site = args.highlight_particle, args.highlight_site
     marked = frozenset()
     if pid is not None or site is not None:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import packed, stream
 from .lattice import Model
+from .packed import CHUNK_WORDS
 
 EXACT_LIMIT = 512
 LOG_LIMIT = 10 ** 7  # density_log sums one log per factor, linear in n
@@ -129,12 +130,6 @@ def _summarize(per_trial: np.ndarray) -> tuple[float, float]:
         return est, math.inf
     sd = float(per_trial.std(ddof=1))
     return est, Z95 * sd / math.sqrt(per_trial.size)
-
-
-#: Trial-chunk budget in uint64 words: a Monte Carlo batch runs
-#: ``CHUNK_WORDS // words_per_trial`` trials at a time, which keeps one
-#: step's temporaries cache-sized and bounds them whatever the trial count.
-CHUNK_WORDS = 1 << 15
 
 
 def _chunks(trials: int, words_per_trial: int):

@@ -197,18 +197,9 @@ def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: tuple,
     return out, next_id
 
 
-def evolve(model: Model, init: Configuration, stream: UpdateStream,
-           steps: int, *, boundary: str = "line") -> Trajectory:
-    """Iterate a model ``steps`` times with rows drawn from the stream.
-
-    ``stream.rows(steps, offset, width, shed)`` must return one tuple of
-    ``UP``/``RIGHT`` arrows per step, aligned with that step's window: row
-    ``k`` covers ``width - shed*k`` sites from ``offset + shed*k``.
-    :class:`UpdateStream` builds them so, and they are stepped unchecked.
-    Line boundary sheds one site on the left per step; cycle boundary wraps
-    index arithmetic modulo the width.  :func:`trace_merges` replays the
-    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
-    """
+def check_run(model: Model, init: Configuration, steps: int,
+              boundary: str) -> tuple[Model, bool]:
+    """:func:`evolve`'s checks: the model, and whether it runs on a cycle."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     model = Model(model)
@@ -225,7 +216,22 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
             raise ValueError("cycle boundary needs width >= 2")
     else:
         raise ValueError(f"unknown boundary {boundary!r}")
-    cycle = boundary == "cycle"
+    return model, boundary == "cycle"
+
+
+def evolve(model: Model, init: Configuration, stream: UpdateStream,
+           steps: int, *, boundary: str = "line") -> Trajectory:
+    """Iterate a model ``steps`` times with rows drawn from the stream.
+
+    ``stream.rows(steps, offset, width, shed)`` must return one tuple of
+    ``UP``/``RIGHT`` arrows per step, aligned with that step's window: row
+    ``k`` covers ``width - shed*k`` sites from ``offset + shed*k``.
+    :class:`UpdateStream` builds them so, and they are stepped unchecked.
+    Line boundary sheds one site on the left per step; cycle boundary wraps
+    index arithmetic modulo the width.  :func:`trace_merges` replays the
+    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
+    """
+    model, cycle = check_run(model, init, steps, boundary)
     rows = stream.rows(steps, init.offset, len(init), 0 if cycle else 1)
     configs = [init]
     for row in rows:

@@ -15,8 +15,8 @@ from pcalab.density import (asymptotic_ratio, exact_density,
 from pcalab.cylinder import (CylinderMeasure, alternating_pair_measure,
                              evolve_measure, invariance_residual,
                              model_a_rule)
-from pcalab.lattice import Configuration, Model, _step
-from pcalab.packed import step_planes
+from pcalab.lattice import Configuration, Model, evolve
+from pcalab.packed import evolve_final
 from pcalab.stream import UpdateStream
 from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_domination, verify_monotonicity,
@@ -24,8 +24,6 @@ from pcalab.verify import (verify_color_uniformity, verify_commutation,
                            verify_proposition_bounds)
 
 from cylinder_helpers import weight
-from packed_window import (config_to_planes, evolve_packed, planes_to_config,
-                           row_words)
 
 _Z95 = 1.96
 
@@ -133,8 +131,8 @@ def _random_window_case(model, rng):
     width = int(rng.integers(2, 40))
     offset = int(rng.integers(-30, 30))
     cfg = Configuration(offset, tuple(int(c) for c in rng.integers(0, hi, width)))
-    row = tuple(int(a) for a in rng.integers(0, 2, width))
-    return cfg, row
+    trial = int(rng.integers(0, 2 ** 64, dtype=np.uint64))
+    return cfg, UpdateStream(int(rng.integers(0, 2 ** 40)), trial)
 
 
 def test_criterion_10_kernel_equivalence_and_light_cone():
@@ -142,13 +140,11 @@ def test_criterion_10_kernel_equivalence_and_light_cone():
     ok = True
     for model in Model:
         rng = np.random.default_rng(10 + ord(model.value))
-        for _ in range(10_000):
-            cfg, row = _random_window_case(model, rng)
-            planes = config_to_planes(cfg, model)
-            u = row_words(row)
-            packed_out = planes_to_config(step_planes(model, planes, u),
-                                          model, cfg.offset, len(cfg), skip=1)
-            if packed_out != _step(model, cfg, row, False):
+        for case in range(10_000):
+            cfg, stream = _random_window_case(model, rng)
+            boundary = ("line", "cycle")[case % 2]
+            if evolve_final(model, cfg, stream, 1, boundary=boundary) != \
+                    evolve(model, cfg, stream, 1, boundary=boundary).final:
                 ok = False
                 break
     rng = np.random.default_rng(99)
@@ -160,12 +156,13 @@ def test_criterion_10_kernel_equivalence_and_light_cone():
         wide = Configuration(-grow, tuple(
             int(c) for c in rng.integers(0, 2, width + 2 * grow)))
         narrow = Configuration(0, wide.cells[grow:grow + width])
-        wide_fin = evolve_packed(Model.C, wide, stream, steps)
-        narrow_fin = evolve_packed(Model.C, narrow, stream, steps)
+        wide_fin = evolve_final(Model.C, wide, stream, steps)
+        narrow_fin = evolve_final(Model.C, narrow, stream, steps)
         lo = narrow_fin.offset - wide_fin.offset
         if lo < 0 or wide_fin.cells[lo:lo + len(narrow_fin)] != \
                 narrow_fin.cells:
             ok = False
             break
-    report(10, ok, f"4x10^4 packed-vs-scalar windows, 10^3 widened pairs "
+    report(10, ok, f"4x10^4 packed-vs-scalar steps on lines and cycles, "
+                   f"10^3 widened pairs "
                    f"({time.perf_counter() - t0:.2f}s)")

@@ -293,8 +293,8 @@ class TestPropositionBounds:
     def test_broken_kernel_is_detected(self, monkeypatch):
         kernel_a = packed.kernel_a
 
-        def broken(x, u):  # (left, cell) = (1, 0) now yields 0
-            return kernel_a(x, u) & ~(packed.from_left(x) & ~x)
+        def broken(x, u, cycle=0):  # (left, cell) = (1, 0) now yields 0
+            return kernel_a(x, u, cycle) & ~(packed.from_left(x, cycle) & ~x)
 
         monkeypatch.setattr(packed, "kernel_a", broken)
         report = verify_proposition_bounds(3, 1200, seed=32,

@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import density, packed
+from pcalab import density, packed, stream as stream_module
 from pcalab.density import _run_batch
 from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
                             Model, _step, evolve)
-from pcalab.packed import pack_bits, step_planes, unpack_bits, words_for
+from pcalab.packed import (evolve_final, pack_bits, step_planes,
+                           unpack_bits, words_for)
 from pcalab.stream import DOMAIN_COLOR, UpdateStream, block_bits_vec
-
-from packed_window import (arrow_words, config_to_planes, evolve_packed,
-                           planes_to_config, row_words)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,59 +68,61 @@ def test_config_roundtrip_at_word_boundaries(width):
     for model in Model:
         hi = 3 if model is Model.D else 2
         cfg = Configuration(-7, tuple(int(c) for c in rng.integers(0, hi, width)))
-        planes = config_to_planes(cfg, model)
-        assert planes_to_config(planes, model, cfg.offset, width) == cfg
-
-
-def _packed_one_step(model, cfg, row):
-    planes = config_to_planes(cfg, model)
-    u = row_words(row)
-    out = step_planes(model, planes, u)
-    return planes_to_config(out, model, cfg.offset, len(cfg), skip=1)
+        # no step: the window is packed into planes and unpacked again
+        for boundary in ("line", "cycle") if width > 1 else ("line",):
+            assert evolve_final(model, cfg, UpdateStream(width), 0,
+                                boundary=boundary) == cfg
 
 
 @pytest.mark.parametrize("model", list(Model))
 def test_kernels_match_scalar_on_random_windows(model):
     rng = np.random.default_rng(hash(model.value) & 0xFFFF)
     hi = 3 if model is Model.D else 2
-    for _ in range(2000):
+    for case in range(2000):
         width = int(rng.integers(2, 90))
         offset = int(rng.integers(-64, 64))
         cfg = Configuration(offset,
                             tuple(int(c) for c in rng.integers(0, hi, width)))
-        row = tuple(int(a) for a in rng.integers(0, 2, width))
-        assert _packed_one_step(model, cfg, row) == _step(model, cfg, row,
-                                                          False)
+        stream = UpdateStream(int(rng.integers(0, 2 ** 40)), case)
+        row = stream.rows(1, offset, width, 1)[0]
+        assert evolve_final(model, cfg, stream, 1) == _step(model, cfg, row,
+                                                            False)
+        row = stream.rows(1, offset, width, 0)[0]
+        assert evolve_final(model, cfg, stream, 1, boundary="cycle") == \
+            _step(model, cfg, row, True)
 
 
-def _truth_table_misses(model):
+def _truth_table_misses(model, width=192, cycle=False):
     """Every neighbourhood ``(l, x, ul, u)`` of ``model`` at every cell
-    offset ``c`` in 1..191 of a 3-word window, one trial each: cells
-    ``c-1, c`` hold ``l, x`` and their arrows ``ul, u``, all else is 0.
-    One word-major :func:`step_planes` batch steps them all; returns the
-    trial count and the offsets whose new cell ``c`` differs from
-    ``lattice._LOCALS``."""
+    ``c`` of a ``width``-cell window, one trial each: cells ``c-1, c``
+    hold ``l, x`` and their arrows ``ul, u``, all else is 0.  On a line
+    ``c`` runs over ``1 .. width-1``; on a cycle over every cell, and the
+    left neighbour of cell 0 is cell ``width-1``.  One word-major
+    :func:`step_planes` batch steps them all; returns the trial count and
+    the cells ``c`` whose new value differs from ``lattice._LOCALS``."""
     hoods = np.array(list(itertools.product(model.alphabet, model.alphabet,
                                             (0, 1), (0, 1))))
     local = _LOCALS[model]
     want = np.array([local(l, x, u) if model is Model.A else
                      local(l, x, ul, u) for l, x, ul, u in hoods])
-    offsets = np.arange(1, 192)
+    offsets = np.arange(0 if cycle else 1, width)
     trials = np.arange(hoods.shape[0] * offsets.size)
     hood = np.repeat(hoods, offsets.size, axis=0)
     at = np.tile(offsets, hoods.shape[0])
-    cells = np.zeros((trials.size, 192), dtype=np.uint8)
+    cells = np.zeros((trials.size, width), dtype=np.uint8)
     arrows = np.zeros_like(cells)
+    # at c = 0 the index c - 1 = -1 is cell width - 1
     cells[trials, at - 1], cells[trials, at] = hood[:, 0], hood[:, 1]
     arrows[trials, at - 1], arrows[trials, at] = hood[:, 2], hood[:, 3]
 
-    def plane(bits):  # (trials, 192) cells -> word-major (3, trials)
+    def plane(bits):  # (trials, width) cells -> word-major (words, trials)
         return np.ascontiguousarray(pack_bits(bits).T)
 
     planes = ((plane(cells != EMPTY), plane(cells == BLUE))
               if model is Model.D else (plane(cells),))
-    out = [unpack_bits(pl.T, 192)[trials, at]
-           for pl in step_planes(model, planes, plane(arrows))]
+    out = [unpack_bits(pl.T, width)[trials, at]
+           for pl in step_planes(model, planes, plane(arrows),
+                                 width if cycle else 0)]
     got = (np.where(out[0] == 0, EMPTY, np.where(out[1] != 0, BLUE, GREEN))
            if model is Model.D else out[0])
     return trials.size, at[got != np.repeat(want, offsets.size)]
@@ -136,10 +136,19 @@ def test_kernels_equal_every_rule_at_every_cell_offset(model):
     assert misses.size == 0
 
 
+@pytest.mark.parametrize("width", [2, 63, 64, 65, 130])
+@pytest.mark.parametrize("model", list(Model))
+def test_kernels_equal_every_rule_around_a_cycle(model, width):
+    # cell 0 reads cell width-1, from another word once width > 64
+    trials, misses = _truth_table_misses(model, width, cycle=True)
+    assert trials == 4 * len(model.alphabet) ** 2 * width
+    assert misses.size == 0
+
+
 _kernel_a = packed.kernel_a
 
 
-def _kernel_a_without_carry(x, u):  # the left shift drops each word edge
+def _kernel_a_without_carry(x, u, cycle=0):  # the shift drops word edges
     left = x << np.uint64(1)
     diff = left ^ x
     return (diff & left) | (~diff & ~(x ^ u))
@@ -147,7 +156,8 @@ def _kernel_a_without_carry(x, u):  # the left shift drops each word edge
 
 @pytest.mark.parametrize("broken, edges_only", [
     (_kernel_a_without_carry, True),
-    (lambda x, u: _kernel_a(x, packed.from_left(u)), False)])
+    (lambda x, u, cycle=0: _kernel_a(x, packed.from_left(u, cycle), cycle),
+     False)])
 def test_truth_table_catches_a_broken_kernel(monkeypatch, broken,
                                              edges_only):
     monkeypatch.setattr(packed, "kernel_a", broken)
@@ -156,16 +166,31 @@ def test_truth_table_catches_a_broken_kernel(monkeypatch, broken,
     assert (set(misses.tolist()) == {64, 128}) == edges_only
 
 
-def test_color_plane_stays_inside_occupancy():
-    rng = np.random.default_rng(8)
-    stream = UpdateStream(8)
-    cells = tuple(int(c) for c in rng.integers(0, 3, 120))
-    planes = config_to_planes(Configuration(0, cells), Model.D)
-    for step in range(12):
-        u = arrow_words(stream, step, 0, 120)
-        planes = step_planes(Model.D, planes, u)
-        occ, blue = (unpack_bits(pl, 120) for pl in planes)
-        assert np.all(blue <= occ)
+@pytest.mark.parametrize("width", [2, 65, 130])
+def test_cycle_table_catches_a_shift_without_the_wrap(monkeypatch, width):
+    from_left = packed.from_left
+    monkeypatch.setattr(packed, "from_left",
+                        lambda words, cycle=0: from_left(words))
+    for model in Model:
+        _, misses = _truth_table_misses(model, width, cycle=True)
+        assert set(misses.tolist()) == {0}
+
+
+def test_color_plane_stays_inside_occupancy(monkeypatch):
+    cells = tuple(int(c) for c in np.random.default_rng(8).integers(0, 3,
+                                                                    120))
+    inside = []
+
+    def checked(model, planes, u, cycle=0):
+        occ, blue = out = step_planes(model, planes, u, cycle)
+        inside.append(not np.any(blue & ~occ))
+        return out
+
+    monkeypatch.setattr(packed, "step_planes", checked)
+    for boundary in ("line", "cycle"):
+        evolve_final(Model.D, Configuration(0, cells), UpdateStream(8), 12,
+                     boundary=boundary)
+    assert len(inside) == 24 and all(inside)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -173,14 +198,88 @@ def test_packed_evolution_matches_scalar_evolution(model):
     rng = np.random.default_rng(hash(model.value) & 0xFF)
     hi = 3 if model is Model.D else 2
     for case in range(40):
+        boundary = ("line", "cycle")[case % 2]
         width = int(rng.integers(6, 150))
         steps = int(rng.integers(0, min(width - 1, 12)))
         offset = int(rng.integers(-80, 80))
         cfg = Configuration(offset,
                             tuple(int(c) for c in rng.integers(0, hi, width)))
         stream = UpdateStream(int(rng.integers(0, 2 ** 40)), case)
-        assert evolve_packed(model, cfg, stream, steps) == \
-            evolve(model, cfg, stream, steps).final
+        assert evolve_final(model, cfg, stream, steps, boundary=boundary) \
+            == evolve(model, cfg, stream, steps, boundary=boundary).final
+
+
+#: window widths either side of the word edges at 64, 128 and 192 cells
+EDGE_WIDTHS = (2, 3, 62, 63, 64, 65, 66, 127, 128, 129, 130, 191, 192, 193)
+#: the trials at either end of the stream's range and at the sign bit
+TRIALS = (st.sampled_from((0, 2 ** 63, 2 ** 64 - 1))
+          | st.integers(0, 2 ** 64 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(Model)), st.sampled_from(("line", "cycle")),
+       st.sampled_from(EDGE_WIDTHS), st.integers(-200, 200), TRIALS,
+       st.data())
+def test_bit_plane_run_equals_the_scalar_final(model, boundary, width,
+                                               offset, trial, data):
+    # a cycle may run for more steps than it has cells
+    steps = data.draw(st.integers(0, width - 1 if boundary == "line"
+                                  else 2 * width + 5))
+    cells = data.draw(st.lists(st.sampled_from(range(len(model.alphabet))),
+                               min_size=width, max_size=width))
+    init = Configuration(offset, tuple(cells))
+    stream = UpdateStream(data.draw(st.integers(0, 2 ** 64 - 1)), trial)
+    assert evolve_final(model, init, stream, steps, boundary=boundary) == \
+        evolve(model, init, stream, steps, boundary=boundary).final
+
+
+@pytest.mark.parametrize("chunk_words", [1, 7, 40])
+@pytest.mark.parametrize("boundary", ["line", "cycle"])
+def test_blocks_of_steps_draw_bounded_windows(monkeypatch, chunk_words,
+                                              boundary):
+    # 140 cells take 4 arrow words a step (the window starts mid-block),
+    # so a block runs max(1, chunk_words // 4) steps
+    monkeypatch.setattr(packed, "CHUNK_WORDS", chunk_words)
+    draw, sizes = stream_module.block_bits_vec, []
+
+    def counted(*args):
+        out = draw(*args)
+        sizes.append(out.size)
+        return out
+
+    init = Configuration(-37, tuple(int(c) for c in np.random.default_rng(
+        chunk_words).integers(0, 3, 140)))
+    stream = UpdateStream(3, 2 ** 64 - 1)
+    want = evolve(Model.D, init, stream, 139, boundary=boundary).final
+    monkeypatch.setattr(stream_module, "block_bits_vec", counted)
+    got = evolve_final(Model.D, init, stream, 139, boundary=boundary)
+    assert got == want
+    per_block = max(1, chunk_words // 4)
+    assert len(sizes) == -(-139 // per_block)
+    assert max(sizes) == 4 * min(per_block, 139)
+
+
+@pytest.mark.parametrize("model, cells, steps, boundary", [
+    ("a", (0, 1, 0), -1, "line"),
+    ("e", (0, 1, 0), 1, "line"),
+    ("a", (0, 2, 0), 1, "line"),
+    ("d", (3, 0), 1, "cycle"),
+    ("c", (-1, 0), 1, "cycle"),
+    ("b", (0, 1, 1), 3, "line"),
+    ("c", (1,), 0, "cycle"),
+    ("a", (0, 1), 1, "torus")])
+def test_invalid_runs_raise_evolves_errors_before_any_draw(
+        monkeypatch, model, cells, steps, boundary):
+    def no_draw(*args):
+        raise AssertionError("drew before the checks")
+
+    monkeypatch.setattr(stream_module, "block_bits_vec", no_draw)
+    init, stream = Configuration(0, cells), UpdateStream(1, 2 ** 64 - 1)
+    with pytest.raises(ValueError) as want:
+        evolve(model, init, stream, steps, boundary=boundary)
+    with pytest.raises(ValueError) as got:
+        evolve_final(model, init, stream, steps, boundary=boundary)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -198,8 +297,8 @@ def test_light_cone_determinism_under_widening(model):
         wide = Configuration(offset - grow_l,
                              tuple(int(c) for c in wide_cells))
         narrow = Configuration(offset, wide.cells[grow_l:grow_l + width])
-        wide_final = evolve_packed(model, wide, stream, steps)
-        narrow_final = evolve_packed(model, narrow, stream, steps)
+        wide_final = evolve_final(model, wide, stream, steps)
+        narrow_final = evolve_final(model, narrow, stream, steps)
         lo = narrow_final.offset - wide_final.offset
         assert lo >= 0
         assert wide_final.cells[lo:lo + len(narrow_final)] == \
