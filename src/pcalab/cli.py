@@ -3,17 +3,21 @@
 Subcommands: simulate, density, oracle, verify, render, evolve-cylinder.
 The whole pipeline is a pure function of (argv, PCALAB_SEED): repeated
 invocations produce byte-identical output.  Exit status: 0 on success,
-1 when a verification suite fails, 2 on usage or input errors.
+1 when a verification suite fails, 2 on usage or input errors.  Each
+handler checks its input, then returns its output as an iterable of text
+chunks, which ``main`` writes as they are drawn.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import json.encoder
 import math
 import os
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 from . import cylinder, density, packed, verify
 from .lattice import (BLUE, GREEN, Configuration, Model, evolve,
@@ -67,7 +71,7 @@ def _run_args(args) -> tuple[Model, Configuration, UpdateStream]:
     return model, _build_init(model, args.init, width, stream), stream
 
 
-def _cmd_simulate(args) -> tuple[str, int]:
+def _cmd_simulate(args) -> tuple[Iterable[str], int]:
     model, init, stream = _run_args(args)
     final = packed.evolve_final(model, init, stream, args.steps,
                                 boundary=args.boundary)
@@ -82,12 +86,12 @@ def _cmd_simulate(args) -> tuple[str, int]:
             "cells": cells,
             "particles": particle_count(final),
         }
-        return json.dumps(payload, indent=2) + "\n", 0
+        return (json.dumps(payload, indent=2) + "\n",), 0
     return (f"{cells}\n# model={model.value} steps={args.steps} "
-            f"offset={final.offset} particles={particle_count(final)}\n"), 0
+            f"offset={final.offset} particles={particle_count(final)}\n",), 0
 
 
-def _cmd_render(args) -> tuple[str, int]:
+def _cmd_render(args) -> tuple[Iterable[str], int]:
     traj = evolve(*_run_args(args), args.steps, boundary=args.boundary)
     pid, site = args.highlight_particle, args.highlight_site
     marked = frozenset()
@@ -103,7 +107,7 @@ def _cmd_render(args) -> tuple[str, int]:
     return render(traj, args.format, args.arrows, marked), 0
 
 
-def _cmd_density(args) -> tuple[str, int]:
+def _cmd_density(args) -> tuple[Iterable[str], int]:
     model, seed = Model(args.model), _resolve_seed(args.seed)
     if args.p is not None and (model is Model.A or args.init != "iid"):
         raise ValueError("--p applies only to --model b|c --init iid")
@@ -118,29 +122,29 @@ def _cmd_density(args) -> tuple[str, int]:
                                  seed, args.sites,
                                  p=0.5 if args.p is None else args.p)
     if args.format == "json":
-        return json.dumps([rep.to_dict()], indent=2) + "\n", 0
+        return (json.dumps([rep.to_dict()], indent=2) + "\n",), 0
     if args.format == "csv":
         row = rep.to_dict()
         cells = ("" if v is None else str(v) for v in row.values())
-        return f"{','.join(row)}\n{','.join(cells)}\n", 0
+        return (f"{','.join(row)}\n{','.join(cells)}\n",), 0
     exact = "?" if rep.exact is None else str(rep.exact)
     return (f"model={rep.model} init={rep.init} n={rep.n} exact={exact} "
             f"estimate={rep.mc_estimate!r} halfwidth={rep.mc_halfwidth!r} "
-            f"trials={rep.trials} seed={rep.seed}\n"), 0
+            f"trials={rep.trials} seed={rep.seed}\n",), 0
 
 
-def _cmd_oracle(args) -> tuple[str, int]:
+def _cmd_oracle(args) -> tuple[Iterable[str], int]:
     which, n = args.which, args.n
     if which == "closed-form":
-        return f"{density.exact_density(n)}\n", 0
+        return (f"{density.exact_density(n)}\n",), 0
     if which == "hitting-time":
-        return f"{density.hitting_time_oracle(n)}\n", 0
+        return (f"{density.hitting_time_oracle(n)}\n",), 0
     if which == "interface-walk":
-        return f"{density.interface_walk_oracle(n)}\n", 0
+        return (f"{density.interface_walk_oracle(n)}\n",), 0
     if which == "log-density":
-        return f"{density.density_log(n)!r}\n", 0
+        return (f"{density.density_log(n)!r}\n",), 0
     if which == "asymptotic-ratio":
-        return f"{density.asymptotic_ratio(n)!r}\n", 0
+        return (f"{density.asymptotic_ratio(n)!r}\n",), 0
     raise ValueError(f"unknown oracle {which!r}")
 
 
@@ -148,7 +152,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
 _STATISTICAL_DEFAULTS = {"n": 3, "trials": 100_000, "sites": 64}
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
     suite = args.suite
     if args.width is not None and suite != "periodic-orbit":
         raise ValueError("--width applies only to --suite periodic-orbit")
@@ -179,7 +183,7 @@ def _cmd_verify(args) -> tuple[str, int]:
         lines = [f"{r.suite}: {'pass' if r.passed else 'FAIL'} "
                  f"({r.cases_passed}/{r.cases_total})" for r in results]
         text = "\n".join(lines) + "\n"
-    return text, 0 if ok else 1
+    return (text,), 0 if ok else 1
 
 
 def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
@@ -209,7 +213,7 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
     raise ValueError(f"unknown cylinder init {args.init!r}")
 
 
-def _cmd_evolve_cylinder(args) -> tuple[str, int]:
+def _cmd_evolve_cylinder(args) -> tuple[Iterable[str], int]:
     if args.steps < 0:
         raise ValueError("steps must be >= 0")
     if args.marginal:
@@ -235,15 +239,22 @@ def _cmd_evolve_cylinder(args) -> tuple[str, int]:
     weights = (("".join(w), f"{v // g}" if g == mu.den
                 else f"{v // g}/{mu.den // g}")
                for w, v in mu.items() for g in (math.gcd(v, mu.den),))
-    if args.format == "json":
-        payload = {"start": mu.start, "length": mu.length,
-                   "weights": dict(weights)}
-        if residual is not None:
-            payload["residual"] = str(residual)
-        return json.dumps(payload, indent=2) + "\n", 0
-    tail = "" if residual is None else f"residual {residual}\n"
-    return (f"window start={mu.start} length={mu.length}\n"
-            + "".join(f"{w} {p}\n" for w, p in weights) + tail), 0
+    if args.format == "json":  # json.dumps(payload, indent=2), by hand;
+        # json.dumps(s) of a str s is this call, at three times its cost
+        quote = json.encoder.encode_basestring_ascii
+        head = (f'{{\n  "start": {mu.start},\n  "length": {mu.length},\n'
+                f'  "weights": {{')
+        seps = itertools.chain(("\n",), itertools.repeat(",\n"))
+        body = (f"{sep}    {quote(w)}: {quote(p)}"
+                for sep, (w, p) in zip(seps, weights))
+        tail = ("\n  }" + ("" if residual is None else
+                           f',\n  "residual": {quote(str(residual))}')
+                + "\n}\n")
+    else:
+        head = f"window start={mu.start} length={mu.length}\n"
+        body = (f"{w} {p}\n" for w, p in weights)
+        tail = "" if residual is None else f"residual {residual}\n"
+    return itertools.chain((head,), body, (tail,)), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -338,24 +349,25 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    failure = "cannot read input"  # an input file that cannot be read
     try:
-        text, status = _HANDLERS[args.command](args)
+        chunks, status = _HANDLERS[args.command](args)
+        # --out is opened only once the handler has accepted the run; a
+        # failure while the chunks are drawn or written leaves them partial
+        failure = "cannot write output"
+        if args.out is None:
+            sys.stdout.writelines(chunks)
+        else:
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.writelines(chunks)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # an input file that cannot be read
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {failure}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
         print("error: not enough memory for this run", file=sys.stderr)
-        return 2
-    try:
-        if args.out is not None:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
-    except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     return status
 

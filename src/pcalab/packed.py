@@ -118,13 +118,16 @@ def evolve_final(model: Model, init: Configuration,
     # an occupancy plane, and model d's blue plane
     planes = (pack_bits(cells != EMPTY),
               pack_bits(cells == BLUE))[:2 if model is Model.D else 1]
-    blocks = np.arange(first, first + words_for(width) + 1)
+    # the window starts at bit r of its first block, and spills into one
+    # more block unless r is 0
+    blocks = np.arange(first, first + words_for(width) + (r > 0))
     per_block = max(1, CHUNK_WORDS // blocks.size)
     for lo in range(0, steps, per_block):
         rows = np.arange(lo, min(lo + per_block, steps))[:, None]
         w = _stream.block_bits_vec(stream.seed, stream.trial, rows, blocks)
-        # the window starts at bit r of its first block
-        for u in (w[:, :-1] >> np.uint64(r)) | (w[:, 1:] << np.uint64(64 - r)):
+        if r:
+            w = (w[:, :-1] >> np.uint64(r)) | (w[:, 1:] << np.uint64(64 - r))
+        for u in w:
             planes = step_planes(model, planes, u, width if cycle else 0)
     skip = 0 if cycle else steps  # a line keeps cells ``steps ..``
     occ, *blue = (unpack_bits(pl, width)[skip:] for pl in planes)

@@ -2,13 +2,17 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from pcalab import density, lattice, packed, verify
+import pcalab
+from pcalab import cli, cylinder, density, lattice, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.verify import CaseReport
@@ -500,6 +504,136 @@ class TestEvolveCylinderCommand:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert repr(argv[-1][5:]) in captured.err
+
+
+def _payload(table, mu, steps, residual, marginal):
+    """The report of ``evolve-cylinder --format json``, as ``json.dumps``
+    of the payload writes it, built from the measure's own items."""
+    res = cylinder.invariance_residual(mu, table) if residual else None
+    for _ in range(steps):
+        mu = cylinder.evolve_measure(mu, table)
+    if marginal is not None:
+        mu = cylinder.marginal(mu, *marginal)
+    payload = {"start": mu.start, "length": mu.length,
+               "weights": {"".join(w): str(Fraction(v, mu.den))
+                           for w, v in mu.items()}}
+    if res is not None:
+        payload["residual"] = str(res)
+    return json.dumps(payload, indent=2) + "\n"
+
+
+#: Symbols whose JSON form needs an escape: a quote, a backslash, non-ASCII.
+ODD_RULE = ("alphabet: \" \\ \u00e9\nneighborhood: -1 0\n"
+            + "".join(f"{a}{b} : 1/2 1/4 1/4\n" for a in '"\\\u00e9'
+                      for b in '"\\\u00e9'))
+
+
+class TestStreamedOutput:
+    """Each handler checks its input, then hands ``main`` text chunks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "a", "--steps", "3"],
+        ["render", "--model", "c", "--steps", "3"],
+        ["render", "--model", "d", "--steps", "3", "--format", "svg"],
+        ["density", "--model", "c", "--n", "1", "--trials", "10"],
+        ["oracle", "--which", "closed-form", "--n", "3"],
+        ["verify", "--suite", "commutation"],
+        ["evolve-cylinder", "--length", "3"],
+        ["evolve-cylinder", "--length", "3", "--format", "json"],
+    ])
+    def test_every_handler_returns_chunks_not_one_str(self, argv):
+        # writelines would write a bare str one character at a time
+        args = cli.build_parser().parse_args(argv)
+        chunks, status = cli._HANDLERS[args.command](args)
+        assert status == 0 and not isinstance(chunks, str)
+        chunks = list(chunks)
+        assert chunks and all(isinstance(c, str) for c in chunks)
+
+    @pytest.mark.parametrize("argv", [
+        ["--marginal", "3"],
+        ["--length", "4", "--marginal", "2:5"],  # refused after evolving
+        ["--length", "21"],  # past STATE_CAP
+    ])
+    def test_refused_run_leaves_stdout_empty_and_out_untouched(
+            self, capsys, tmp_path, argv):
+        out = tmp_path / "x"
+        out.write_bytes(b"kept\n")
+        status = main(["evolve-cylinder", *argv])
+        assert_one_error_line(status, capsys.readouterr())
+        status = main(["evolve-cylinder", *argv, "--out", str(out)])
+        assert_one_error_line(status, capsys.readouterr())
+        assert out.read_bytes() == b"kept\n"
+        assert not (tmp_path / "y").exists()
+        main(["evolve-cylinder", *argv, "--out", str(tmp_path / "y")])
+        capsys.readouterr()
+        assert not (tmp_path / "y").exists()
+
+    def test_failure_while_drawing_is_one_error_line(self, capsys,
+                                                     monkeypatch):
+        def exhausted(*args):
+            yield "<svg>\n"
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "render", exhausted)
+        status = main(["render", "--model", "c", "--steps", "3"])
+        captured = capsys.readouterr()
+        # the chunks drawn before the failure are written; that is all
+        assert status == 2 and captured.out == "<svg>\n"
+        assert captured.err == "error: not enough memory for this run\n"
+
+    @pytest.mark.parametrize("residual", [False, True])
+    @pytest.mark.parametrize("argv, steps, marginal", [
+        (["--length", "3"], 1, None),
+        (["--length", "6", "--start", "-2"], 2, (0, 3)),
+        (["--init", "word:0110"], 1, None),
+        (["--init", "alternating-mix", "--length", "5"], 1, (1, 2)),
+        (["--lift", "c", "--length", "3"], 2, None),
+        (["--lift", "c", "--init", "word:#.#"], 1, (1, 1)),
+        (["--rule-file", "ODD", "--length", "2"], 1, None),
+        (["--rule-file", "ODD", "--init", "word:\u00e9\"\\"], 0, (1, 2)),
+    ])
+    def test_json_report_is_json_dumps_byte_for_byte(
+            self, capsys, tmp_path, argv, steps, marginal, residual):
+        rule = tmp_path / "odd.txt"
+        rule.write_text(ODD_RULE, encoding="utf-8")
+        argv = [str(rule) if a == "ODD" else a for a in argv]
+        args = cli.build_parser().parse_args(["evolve-cylinder", *argv])
+        table = (cylinder.load_rule_file(args.rule_file) if args.rule_file
+                 else cylinder.lift_model(args.lift) if args.lift
+                 else cylinder.model_a_rule())
+        want = _payload(table, cli._parse_cylinder_init(args, table), steps,
+                        residual, marginal)
+        extra = ["--steps", str(steps), "--format", "json"]
+        if residual:
+            extra.append("--residual")
+        if marginal is not None:
+            extra += ["--marginal", f"{marginal[0]}:{marginal[1]}"]
+        status, out = run(capsys, "evolve-cylinder", *argv, *extra)
+        assert status == 0 and out == want
+
+    def test_peak_memory_does_not_grow_with_the_output(self):
+        # each run in a fresh interpreter, stdout to the null device; the
+        # child reports its own peak resident set in MB
+        code = ("import os, resource, sys\n"
+                "from pcalab.cli import main\n"
+                "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss"
+                " / 1024, file=sys.stderr)\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(
+            os.path.dirname(pcalab.__file__))}
+        cylinder_argv = ["evolve-cylinder", "--model", "a", "--init",
+                         "uniform", "--length", "18"]
+        runs = [subprocess.Popen([sys.executable, "-c", code, *argv],
+                                 env=env, stderr=subprocess.PIPE, text=True)
+                for argv in (["render", "--model", "c", "--steps", "1000",
+                              "--format", "svg"],
+                             cylinder_argv,
+                             [*cylinder_argv, "--format", "json"])]
+        svg, text, as_json = (float(p.communicate(timeout=60)[1])
+                              for p in runs)
+        assert svg < 80  # 236 MB when the SVG was joined before writing
+        assert as_json <= text + 4
 
 
 class TestDeterminism:

@@ -259,6 +259,28 @@ def test_blocks_of_steps_draw_bounded_windows(monkeypatch, chunk_words,
     assert max(sizes) == 4 * min(per_block, 139)
 
 
+@pytest.mark.parametrize("offset", [0, 64, 1, -63])
+@pytest.mark.parametrize("boundary", ["line", "cycle"])
+def test_a_window_on_a_block_edge_draws_no_spare_block(monkeypatch, offset,
+                                                        boundary):
+    # 130 cells span 3 words; a window that starts inside a block spills
+    # into a 4th, one that starts on a block edge does not
+    draw, shapes = stream_module.block_bits_vec, []
+
+    def counted(*args):
+        out = draw(*args)
+        shapes.append(out.shape)
+        return out
+
+    init = Configuration(offset, tuple(int(c) for c in np.random.default_rng(
+        offset % 64).integers(0, 2, 130)))
+    stream = UpdateStream(5, 7)
+    want = evolve(Model.C, init, stream, 20, boundary=boundary).final
+    monkeypatch.setattr(stream_module, "block_bits_vec", counted)
+    assert evolve_final(Model.C, init, stream, 20, boundary=boundary) == want
+    assert shapes == [(20, 3 if offset % 64 == 0 else 4)]
+
+
 @pytest.mark.parametrize("model, cells, steps, boundary", [
     ("a", (0, 1, 0), -1, "line"),
     ("e", (0, 1, 0), 1, "line"),

@@ -14,7 +14,7 @@ from scalar_walk import FixedRows
 
 def test_alternating_run_renders_shifted_rows():
     traj = evolve(Model.A, Configuration(0, (0, 1) * 5), UpdateStream(1), 3)
-    lines = render(traj).splitlines()
+    lines = "".join(render(traj)).splitlines()
     assert len(lines) == 4  # initial row plus one per step
     assert lines[0] == "0101010101"
     for k in range(1, 4):
@@ -26,7 +26,7 @@ def test_alternating_run_renders_shifted_rows():
 def test_particle_rows_never_gain_particles():
     traj = evolve(Model.C, Configuration(0, (PARTICLE,) * 30), UpdateStream(4),
                   12)
-    lines = render(traj).splitlines()
+    lines = "".join(render(traj)).splitlines()
     counts = [line.count("#") for line in lines]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -34,8 +34,8 @@ def test_particle_rows_never_gain_particles():
 def test_arrow_overlay_interleaves_rows():
     traj = evolve(Model.B, Configuration(0, (PARTICLE,) * 8), UpdateStream(2),
                   2)
-    plain = render(traj).splitlines()
-    overlaid = render(traj, arrows=True).splitlines()
+    plain = "".join(render(traj)).splitlines()
+    overlaid = "".join(render(traj, arrows=True)).splitlines()
     assert len(overlaid) == len(plain) + 2
     assert set(overlaid[1]) <= {"↑", "↗", " "}
 
@@ -46,14 +46,15 @@ def test_genealogy_overlay_marks_all_ancestors():
     marked = trace_merges(traj).lineage(2)
     # the two leaves at step 0 and their merged child at step 1
     assert marked == {(0, 0), (0, 1), (1, 0)}
-    text = render(traj, marked=marked)
+    text = "".join(render(traj, marked=marked))
     assert text.count("*") == 3
 
-    svg = render(traj, fmt="svg", marked=marked)
+    svg = "".join(render(traj, fmt="svg", marked=marked))
     assert svg.count(HIGHLIGHT_COLOR) == 3
 
 
 def test_empty_trajectory_is_rejected():
+    # raised at the call, before any chunk is drawn
     hollow = Trajectory(Model.C, "line", [])
     with pytest.raises(ValueError):
         render(hollow)
@@ -67,14 +68,14 @@ def test_empty_trajectory_is_rejected():
 def test_svg_is_wellformed_and_counts_cells():
     traj = evolve(Model.D, Configuration(0, (1, 2, 0, 1, 2, 0)),
                   UpdateStream(3), 2)
-    svg = render(traj, fmt="svg")
+    svg = "".join(render(traj, fmt="svg"))
     root = ET.fromstring(svg)
     assert root.tag.endswith("svg")
     rects = [el for el in root.iter() if el.tag.endswith("rect")]
     cells = sum(len(c) for c in traj.configs)
     assert len(rects) == cells + 1  # one background rect
 
-    arrows = render(traj, fmt="svg", arrows=True)
+    arrows = "".join(render(traj, fmt="svg", arrows=True))
     lines = [el for el in ET.fromstring(arrows).iter()
              if el.tag.endswith("line")]
     assert len(lines) == sum(len(r) for r in traj.rows)
@@ -83,5 +84,5 @@ def test_svg_is_wellformed_and_counts_cells():
 def test_rendering_is_deterministic():
     traj = evolve(Model.C, Configuration(0, (PARTICLE,) * 16), UpdateStream(9),
                   5)
-    assert render(traj, fmt="svg") == render(traj, fmt="svg")
-    assert render(traj) == render(traj)
+    assert "".join(render(traj, fmt="svg")) == "".join(render(traj, fmt="svg"))
+    assert "".join(render(traj)) == "".join(render(traj))
