@@ -240,7 +240,7 @@ def _cmd_evolve_cylinder(args) -> tuple[Iterable[str], int]:
                 else f"{v // g}/{mu.den // g}")
                for w, v in mu.items() for g in (math.gcd(v, mu.den),))
     if args.format == "json":  # json.dumps(payload, indent=2), by hand;
-        # json.dumps(s) of a str s is this call, at three times its cost
+        # json.dumps(s) returns quote(s) for a str s, at three times the cost
         quote = json.encoder.encode_basestring_ascii
         head = (f'{{\n  "start": {mu.start},\n  "length": {mu.length},\n'
                 f'  "weights": {{')

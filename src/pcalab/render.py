@@ -25,7 +25,7 @@ COLORS = {Model.A: _GREYS, Model.B: _GREYS, Model.C: _GREYS,
           Model.D: ("#f4f4f4", "#1f5fd6", "#2e9e4f")}
 
 
-def _text(traj: Trajectory, arrows: bool, marked):
+def _text(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
     glyphs = GLYPHS[traj.model]
     base = traj.configs[0].offset
     for step, cfg in enumerate(traj.configs):
@@ -38,7 +38,7 @@ def _text(traj: Trajectory, arrows: bool, marked):
                                 for a in traj.rows[step]) + "\n"
 
 
-def _svg(traj: Trajectory, arrows: bool, marked):
+def _svg(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
     base = traj.configs[0].offset
     width = max(cfg.end for cfg in traj.configs) - base
     height = len(traj.configs)
