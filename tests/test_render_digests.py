@@ -4,7 +4,8 @@ The benchmark's render digest covers one unhighlighted diagram only, so a
 change to the merge genealogy could alter every ancestry overlay unseen.
 These digests pin the CLI's stdout for models ``c`` and ``d`` on line and
 cycle, as text and SVG, highlighted by site, by particle id and by particle
-id under the arrow overlay, at two seeds.
+id under the arrow overlay, at two seeds.  Models ``a`` and ``b``, which
+have no genealogy, are pinned under the arrow overlay alone.
 """
 
 import contextlib
@@ -107,3 +108,47 @@ def test_highlighted_render_is_pinned(case):
     mark = HIGHLIGHT_GLYPH if "-text-" in case else HIGHLIGHT_COLOR
     assert mark in out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[case]
+
+
+#: Models without a genealogy, by (model, init): drawn with ``--arrows``.
+PLAIN_INITS = (("a", "uniform"), ("a", "alternating"), ("b", "full"))
+
+PLAIN_CASES = [f"{m}-{i}-{b}-{f}-{s}" for (m, i), b, f, s in itertools.product(
+    PLAIN_INITS, ("line", "cycle"), ("text", "svg"), (0, 1))]
+
+#: Recorded before the rows were built by one join per row.
+PLAIN_DIGESTS = {
+    "a-uniform-line-text-0": "dab12601d443a4ce3d56b14af8ab737ba6be7f4f27eb1dbb1dcc1353cd3d1219",
+    "a-uniform-line-text-1": "5af74f11f6901c21a3e232eb3004cb9c5277709abaea93914685413db5226315",
+    "a-uniform-line-svg-0": "89359d4ae437c5db79ea8f4c7274f9212b47eb6269a5aa47a13f2397ab8b17cd",
+    "a-uniform-line-svg-1": "b5a51f78e8ec7d35930a6996f4cc7b7e3e3ab234941046ee9624f8f47e579c5c",
+    "a-uniform-cycle-text-0": "ed89b15b4c77e137101b268d8e07628beaff207cbd11fa70eb3ba01a3ac03e83",
+    "a-uniform-cycle-text-1": "5f57862b9c42f0b96038c65d2efcdb167451b5cdf91badbb22bce5076a71dfb5",
+    "a-uniform-cycle-svg-0": "40d03893bd4bdabdd70fe66d3715f7c65aecbdbf5a995a1f22e1c0b352cd5294",
+    "a-uniform-cycle-svg-1": "b519cf9b451c11ffb825e25b63634debba71ff267e2e277de9465237aaa8231e",
+    "a-alternating-line-text-0": "e7c32b9558a805d5b717b83a9e86bd325357a049325193143f5b2e827d5dde48",
+    "a-alternating-line-text-1": "d3a021ff9fdcf087b94a970e8c3132febf4ef51acfdff795d9b90275a9efe790",
+    "a-alternating-line-svg-0": "fe1b14804bb62b6ae91f3003a3c071c25c6815c1b9f1d30ada5a424acf624ee6",
+    "a-alternating-line-svg-1": "be29329ec856190d93d338ab8cbaf24912c354306721ddb520d9dab62e1007a7",
+    "a-alternating-cycle-text-0": "b352158e1a021dffa3106d75f0e8d2ea1b90efdb0641c7a3532e53553635b0be",
+    "a-alternating-cycle-text-1": "3073fbf1ed3ad775d37e60544b5a0f6f1f7e051b344e398b28503782315755eb",
+    "a-alternating-cycle-svg-0": "0ad14769a5556ba027de39c3326732b3891471916ea5db705bb2694084290254",
+    "a-alternating-cycle-svg-1": "0fb872b75af7914f1a055bdd15f5327978ca01304c993548b65dc5d406697dcb",
+    "b-full-line-text-0": "ea35a3f89bdc521613f876bed1f20bc8870eaac94ddbf8bf8dbe358907bd0356",
+    "b-full-line-text-1": "d6cbbcba1de44c0c03e73364abb34dfbafc40a286ddeaf24848bd54bdf08fc01",
+    "b-full-line-svg-0": "7b7f7d2b2fe1104414c922f1ed202af2187d5aa67ccdd73bd42fbcb9d5b03e57",
+    "b-full-line-svg-1": "4231cacf59823a25e33c837ad87e840528716dd7e781a5bc0ed18c911a611c35",
+    "b-full-cycle-text-0": "6eccb9314c6f23baf5387f103c05ea9e97cf80a2652eaae023df31861e38695f",
+    "b-full-cycle-text-1": "26c734baa331be6159b97dd98c79fa4e1e39d1d956d1513da8af4a2df4a4eec6",
+    "b-full-cycle-svg-0": "f9e41d12048652f90da9c2bbb5003a4a207d690967b67335c23fa9b7c1250bf9",
+    "b-full-cycle-svg-1": "961b13f0bab865458e8498afca1b9397ed5bb5988a9bc306408e96fa4f87d482",
+}
+
+
+@pytest.mark.parametrize("case", PLAIN_CASES)
+def test_plain_render_is_pinned(case):
+    model, init, boundary, fmt, seed = case.split("-")
+    out = _stdout(["render", "--model", model, "--init", init,
+                   "--boundary", boundary, "--format", fmt, "--seed", seed,
+                   "--width", "30", "--steps", "12", "--arrows"])
+    assert hashlib.sha256(out.encode()).hexdigest() == PLAIN_DIGESTS[case]
