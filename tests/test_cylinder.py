@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import density
+from pcalab import cylinder, density
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction,
                              alternating_pair_measure, evolve_measure,
                              invariance_residual, lift_model, load_rule_text,
@@ -539,6 +539,16 @@ class TestRuleFiles:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("block", [1, 3, 7, 64, 2 ** 16])
+    def test_items_convert_the_numerators_a_block_at_a_time(
+            self, block, monkeypatch):
+        mu = evolve_measure(alternating_pair_measure(0, 9), model_a_rule())
+        words = itertools.product(mu.alphabet, repeat=mu.length)
+        expected = [(w[::-1], v) for w, v in
+                    zip(words, mu.numerators.tolist()) if v]
+        monkeypatch.setattr(cylinder, "_ITEMS_BLOCK", block)
+        assert list(mu.items()) == expected
+
     def test_state_cap(self):
         with pytest.raises(ValueError):
             CylinderMeasure.uniform(BITS, 0, 25)
