@@ -32,7 +32,9 @@ from .stream import RIGHT, UP
 #: ``/dev/null`` on a 2-vCPU Xeon VM: 0.2 s to start, 0.2 s to build and
 #: evolve the measure, the rest to print its 2**19 lines, one ``math.gcd``
 #: each.  Each further site doubles both, so larger windows are refused
-#: before any weight is built.
+#: before any weight is built.  A rule's transfer table has one entry per
+#: word of its span, never more than the window has: a binary rule file
+#: with ``neighborhood: 0 19`` at length 20 runs in about 0.5 s.
 STATE_CAP = 2 ** 20
 _ITEMS_BLOCK = 2 ** 16  # numerators items() turns into ints at a time
 
@@ -251,15 +253,15 @@ def _transfer(f: TransitionFunction) -> tuple[np.ndarray, int]:
     base, lo = len(f.alphabet), f.neighborhood[0]
     span = f.neighborhood[-1] - lo
     den = math.lcm(*(p.denominator for row in f.rows.values() for p in row))
-    table = np.empty((base ** span, base, base), dtype=object)
-    for low in range(base ** span):
-        for x in range(base):
-            digits = (x,) + _decode(range(base), span, low)
-            row = f.rows[tuple(f.alphabet[digits[v - lo]]
-                               for v in f.neighborhood)]
-            table[low, :, x] = [p.numerator * (den // p.denominator)
-                                for p in row]
-    return table, den
+    words = itertools.product(f.alphabet, repeat=len(f.neighborhood))
+    rows = np.array([[p.numerator * (den // p.denominator) for p in f.rows[w]]
+                     for w in words], dtype=object)
+    # each span code's row: product() makes the last neighbor the low digit
+    code = np.arange(base ** (span + 1))
+    word = sum(code // base ** (v - lo) % base * base ** j
+               for j, v in enumerate(reversed(f.neighborhood)))
+    return (rows[word].reshape(base ** span, base, base).transpose(0, 2, 1),
+            den)
 
 
 def evolve_measure(mu: CylinderMeasure,

@@ -165,20 +165,13 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
 
     A trial is a window anchored at site 0 and ``n + sites_per_trial + 1``
     cells wide, so that its cells ``n ..`` stay valid for ``n`` steps.
-    Trials run in chunks of at most ``CHUNK_WORDS`` words.  Each chunk is
-    built by ``init(ids, n_words, width)``, which returns the model's planes
-    for the trial ids ``ids``, word-major: shape ``(n_words, len(ids))``,
-    row ``k`` holding word ``k`` of every trial.  The chunk is then
-    stepped, and ``stat(lo, hi, *planes)`` reduces the stepped planes, still
-    packed and trimmed, whose cells ``lo .. hi-1`` are each trial's valid
-    cells, to one row per trial before the next chunk starts, so only those
+    Trials run in chunks of at most ``CHUNK_WORDS`` words:
+    ``init(ids, n_words, width)`` builds the word-major ``(n_words,
+    len(ids))`` planes of trial ids ``ids``, :func:`packed.run_planes`
+    steps them, and ``stat(lo, hi, *planes)`` reduces the stepped planes,
+    still packed and trimmed, whose cells ``lo .. hi-1`` are the valid
+    ones, to one row per trial before the next chunk starts, so only those
     rows grow with ``trials``.
-    At step ``s`` the words wholly left of the valid window (below
-    ``s >> 6``) are neither drawn nor stepped: they are leading rows, so the
-    trimmed planes stay contiguous views, and information flows rightward
-    only, so the valid cells never read them.  Every draw is a pure function
-    of its coordinates, so the result is bit for bit that of stepping every
-    word of every trial at once.
     """
     if trials < 1 or sites_per_trial < 1 or n < 0:
         raise ValueError("need trials >= 1, sites_per_trial >= 1, n >= 0")
@@ -187,14 +180,8 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
     rows = []
     for lo, hi in _chunks(trials, n_words):
         ids = np.arange(lo, hi, dtype=np.int64)
-        planes = init(ids, n_words, width)
-        base = 0  # word of the full window at column 0 of ``planes``
-        for s in range(n):
-            first = s >> 6
-            u = packed.batch_arrow_words(seed, ids, s, n_words, first)
-            planes = packed.step_planes(
-                model, tuple(pl[first - base:] for pl in planes), u)
-            base = first
+        planes, base = packed.run_planes(model, init(ids, n_words, width),
+                                         seed, ids, n)
         rows.append(stat(n - 64 * base, width - 64 * base, *planes))
     return np.concatenate(rows)
 

@@ -1,13 +1,10 @@
 """Word-parallel bit-plane kernels.
 
 Cells pack 64 per uint64 word, least significant bit first: cell ``c``
-lives in word ``c >> 6`` at bit ``c & 63``.  Kernels act on the first axis
-of a word array and broadcast over trailing axes, so the same code steps a
-single window (shape ``(K,)``) or a whole batch of Monte Carlo trials laid
-out word-major (shape ``(K, T)``): each word row holds one word of every
-trial, so the draws and shifts of a step run on rows ``T`` long.
-Monte Carlo statistics read such planes as they are: :func:`count_cells`
-counts a cell range of every trial with one popcount per word.
+lives in word ``c >> 6`` at bit ``c & 63``.  Planes are word-major, shape
+``(K, T)``: row ``k`` holds word ``k`` of each of ``T`` trials (one for a
+single window), so the draws and shifts of a step run on rows ``T`` long,
+and :func:`count_cells` counts a cell range of every trial at once.
 
 Information flows rightward only (cell ``i`` reads ``i-1`` and ``i``), so
 garbage below a line's shrinking valid window never contaminates it; on a
@@ -25,10 +22,9 @@ _ONE = np.uint64(1)
 _S63 = np.uint64(63)
 _ALL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
-#: Block budget in uint64 words.  A Monte Carlo batch steps
-#: ``CHUNK_WORDS // words_per_trial`` trials at a time, and one window
-#: draws the arrows of ``CHUNK_WORDS // words_per_step`` steps at a time,
-#: so temporaries stay cache-sized and bounded whatever the count.
+#: Block budget in uint64 words: a Monte Carlo chunk holds ``CHUNK_WORDS //
+#: words_per_trial`` trials and a draw of :func:`run_planes` covers
+#: ``CHUNK_WORDS // words_per_step`` steps, so temporaries stay cache-sized.
 CHUNK_WORDS = 1 << 15
 
 
@@ -105,54 +101,69 @@ def step_planes(model: Model, planes: tuple[np.ndarray, ...],
     return kernel_c(planes[0], u, cycle), kernel_b(planes[1], u, cycle)
 
 
+def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
+               trials, steps: int, offset: int = 0,
+               cycle: int = 0) -> tuple[tuple[np.ndarray, ...], int]:
+    """Step ``(words, T)`` planes ``steps`` times; return them and
+    ``base``, the window word at their row 0.
+
+    Column ``t`` is trial ``trials[t]`` (int64 ids), or the one trial
+    ``trials`` (an int, ``T = 1``); bit ``c`` of word ``k`` is the cell at
+    site ``offset + 64k + c``.  One draw covers ``CHUNK_WORDS // (blocks
+    * T)`` steps.  On a line, the words wholly left of the valid window
+    at a draw's first step ``s`` (below ``s >> 6``) are neither drawn nor
+    stepped: as leading rows they leave the planes contiguous views, and
+    the valid cells never read them.  Every draw is a pure function of its
+    coordinates, so the cells are bit for bit those of untrimmed steps.
+    """
+    first, r = offset >> 6, offset & 63
+    n_blocks = planes[0].shape[0] + (r > 0)
+    per_draw = max(1, CHUNK_WORDS // (n_blocks * planes[0].shape[1]))
+    base = 0
+    for lo in range(0, steps, per_draw):
+        trim = 0 if cycle else lo >> 6
+        planes, base = tuple(pl[trim - base:] for pl in planes), trim
+        u = batch_arrow_words(seed, trials,
+                              np.arange(lo, min(lo + per_draw, steps)),
+                              np.arange(first + base, first + n_blocks))
+        if r:
+            u = (u[:, :-1] >> np.uint64(r)) | (u[:, 1:] << np.uint64(64 - r))
+        for row in u:
+            planes = step_planes(model, planes, row, cycle)
+    return planes, base
+
+
 def evolve_final(model: Model, init: Configuration,
                  stream: _stream.UpdateStream, steps: int, *,
                  boundary: str = "line") -> Configuration:
-    """``lattice.evolve(...).final``, after its checks, on bit planes.  A
-    block of steps draws at most ``CHUNK_WORDS`` arrow words in one call;
-    bit ``c`` of word ``k`` is the arrow at site ``init.offset + 64k + c``.
-    """
+    """``lattice.evolve(...).final``, after its checks: :func:`run_planes`
+    on the one trial of ``stream``."""
     model, cycle = check_run(model, init, steps, boundary)
-    width, first, r = len(init), init.offset >> 6, init.offset & 63
+    width = len(init)
     cells = np.asarray(init.cells, dtype=np.uint8)
-    # an occupancy plane, and model d's blue plane
-    planes = (pack_bits(cells != EMPTY),
-              pack_bits(cells == BLUE))[:2 if model is Model.D else 1]
-    # the window starts at bit r of its first block, and spills into one
-    # more block unless r is 0
-    blocks = np.arange(first, first + words_for(width) + (r > 0))
-    per_block = max(1, CHUNK_WORDS // blocks.size)
-    for lo in range(0, steps, per_block):
-        rows = np.arange(lo, min(lo + per_block, steps))[:, None]
-        w = _stream.block_bits_vec(stream.seed, stream.trial, rows, blocks)
-        if r:
-            w = (w[:, :-1] >> np.uint64(r)) | (w[:, 1:] << np.uint64(64 - r))
-        for u in w:
-            planes = step_planes(model, planes, u, width if cycle else 0)
+    # an occupancy plane, and model d's blue plane, each (words, 1)
+    planes = (pack_bits(cells != EMPTY)[:, None],
+              pack_bits(cells == BLUE)[:, None])[:2 if model is Model.D else 1]
+    planes, base = run_planes(model, planes, stream.seed, stream.trial, steps,
+                              init.offset, width if cycle else 0)
     skip = 0 if cycle else steps  # a line keeps cells ``steps ..``
-    occ, *blue = (unpack_bits(pl, width)[skip:] for pl in planes)
+    occ, *blue = (unpack_bits(pl[:, 0], width - 64 * base)[skip - 64 * base:]
+                  for pl in planes)
     cells = occ * (GREEN - blue[0]) if blue else occ  # BLUE on a blue bit
     return Configuration(init.offset + skip, tuple(cells.tolist()))
 
 
-def batch_arrow_words(seed: int, trials: np.ndarray, step: int,
-                      n_words: int, first: int = 0) -> np.ndarray:
-    """Arrow planes for a batch of trials, window anchored at site 0.
-
-    Returns a C-contiguous array of shape ``(n_words - first, len(trials))``:
-    row ``j`` is word ``first + j`` of every trial, whose bit ``c`` is the
-    arrow at site ``64(first + j) + c``, identical to per-site scalar
-    queries.  One broadcast draw spans the whole block, so each trial's
-    ``(seed, trial, step)`` prefix is mixed once rather than once per word.
-    """
-    blocks = np.arange(first, n_words, dtype=np.int64)
-    return _stream.block_bits_vec(seed, trials[None, :], step, blocks[:, None])
+def batch_arrow_words(seed: int, trials, steps: np.ndarray,
+                      blocks: np.ndarray) -> np.ndarray:
+    """Words ``[i, k, t] = block_bits_vec(seed, trials[t], steps[i],
+    blocks[k])`` in one broadcast draw; an int ``trials`` gives ``T = 1``."""
+    return _stream.block_bits_vec(seed, trials, steps[:, None, None],
+                                  blocks[:, None])
 
 
 def batch_cell_words(seed: int, trials: np.ndarray, n_words: int,
                      domain: int = _stream.DOMAIN_CELL) -> np.ndarray:
     """Initialization planes for a batch of trials (window at site 0):
     shape ``(n_words, len(trials))``, row ``k`` is word ``k`` of each trial."""
-    blocks = np.arange(n_words, dtype=np.int64)
-    return _stream.block_bits_vec(seed, trials[None, :], 0, blocks[:, None],
-                                  domain)
+    return _stream.block_bits_vec(seed, trials, 0,
+                                  np.arange(n_words)[:, None], domain)

@@ -1,0 +1,61 @@
+"""The package has one arrow draw path and one bit-plane stepping loop.
+
+Read from the source by AST: ``stream.block_bits_vec`` is called only by
+the functions that turn its words into rows or planes, and
+``packed.step_planes`` only by ``packed.run_planes``.  A second draw path
+or a second stepping loop fails this test, so it is seen in review.
+"""
+
+import ast
+import pathlib
+
+import pcalab
+
+DRAWERS = {"stream.bits_range", "packed.batch_arrow_words",
+           "packed.batch_cell_words", "density._iid_plane"}
+STEPPERS = {"packed.run_planes"}
+
+
+def _functions(tree):
+    """``(qualified name, node)`` of each top-level function and method."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{top.name}.{item.name}", item
+
+
+def callers(sources: dict[str, str], name: str) -> set[str]:
+    """``module.function`` of every top-level function or method whose
+    body calls ``name``, bare or as an attribute, at any depth."""
+    return {f"{module}.{qualified}"
+            for module, text in sources.items()
+            for qualified, func in _functions(ast.parse(text))
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and name in (
+                getattr(node.func, "id", None),
+                getattr(node.func, "attr", None))}
+
+
+def _package_sources() -> dict[str, str]:
+    package = pathlib.Path(pcalab.__file__).parent
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(package.glob("*.py"))}
+
+
+def test_one_draw_path_and_one_stepping_loop():
+    sources = _package_sources()
+    assert callers(sources, "block_bits_vec") == DRAWERS
+    assert callers(sources, "step_planes") == STEPPERS
+
+
+def test_the_guard_sees_a_second_loop():
+    second = ("def twin(model, planes, rows):\n"
+              "    for u in rows:\n"
+              "        planes = packed.step_planes(model, planes, u)\n"
+              "    return planes\n")
+    sources = _package_sources()
+    sources["density"] += "\n\n" + second
+    assert callers(sources, "step_planes") == STEPPERS | {"density.twin"}

@@ -259,26 +259,48 @@ def test_blocks_of_steps_draw_bounded_windows(monkeypatch, chunk_words,
     assert max(sizes) == 4 * min(per_block, 139)
 
 
+def _spied_draws(monkeypatch):
+    """Record the ``(steps, blocks)`` of every :func:`batch_arrow_words`
+    call, and check that none draws more than ``CHUNK_WORDS`` words."""
+    draw, calls = packed.batch_arrow_words, []
+
+    def spied(seed, trials, steps, blocks):
+        out = draw(seed, trials, steps, blocks)
+        assert out.size <= packed.CHUNK_WORDS
+        calls.append((steps.tolist(), blocks.tolist()))
+        return out
+
+    monkeypatch.setattr(packed, "batch_arrow_words", spied)
+    return calls
+
+
 @pytest.mark.parametrize("offset", [0, 64, 1, -63])
 @pytest.mark.parametrize("boundary", ["line", "cycle"])
 def test_a_window_on_a_block_edge_draws_no_spare_block(monkeypatch, offset,
                                                         boundary):
     # 130 cells span 3 words; a window that starts inside a block spills
-    # into a 4th, one that starts on a block edge does not
-    draw, shapes = stream_module.block_bits_vec, []
-
-    def counted(*args):
-        out = draw(*args)
-        shapes.append(out.shape)
-        return out
-
+    # into a 4th, one that starts on a block edge does not.  A budget of 8
+    # words gives the line 2 steps a draw, so it trims at steps 64 and 128;
+    # one of 40 gives the cycle 10 or 13.
+    budget = 8 if boundary == "line" else 40
+    monkeypatch.setattr(packed, "CHUNK_WORDS", budget)
     init = Configuration(offset, tuple(int(c) for c in np.random.default_rng(
         offset % 64).integers(0, 2, 130)))
     stream = UpdateStream(5, 7)
-    want = evolve(Model.C, init, stream, 20, boundary=boundary).final
-    monkeypatch.setattr(stream_module, "block_bits_vec", counted)
-    assert evolve_final(Model.C, init, stream, 20, boundary=boundary) == want
-    assert shapes == [(20, 3 if offset % 64 == 0 else 4)]
+    steps = 129 if boundary == "line" else 200
+    want = evolve(Model.C, init, stream, steps, boundary=boundary).final
+    calls = _spied_draws(monkeypatch)
+    assert evolve_final(Model.C, init, stream, steps,
+                        boundary=boundary) == want
+    n_blocks = 3 if offset % 64 == 0 else 4
+    last = (offset >> 6) + n_blocks
+    assert [s for drawn, _ in calls for s in drawn] == list(range(steps))
+    for drawn, blocks in calls:
+        # a line's draw starts at the word holding its light cone's first
+        # cell, a cycle's at the window's first word
+        lead = drawn[0] >> 6 if boundary == "line" else 0
+        assert blocks == list(range((offset >> 6) + lead, last))
+    assert len(calls) == -(-steps // (budget // n_blocks))
 
 
 @pytest.mark.parametrize("model, cells, steps, boundary", [
@@ -345,18 +367,53 @@ def test_batched_trials_match_per_trial_scalar_runs():
 
 @pytest.mark.parametrize("first", [0, 2])
 def test_broadcast_arrow_words_equal_per_word_draws(first):
-    seed, trials, step, n_words = 77, np.arange(5, 40), 130, 5
-    words = packed.batch_arrow_words(seed, trials, step, n_words, first)
-    assert words.shape == (n_words - first, trials.size)
+    seed, trials, n_words = 77, np.arange(5, 40), 5
+    steps, blocks = np.array([130, 0, 7]), np.arange(first, n_words)
+    words = packed.batch_arrow_words(seed, trials, steps, blocks)
+    assert words.shape == (steps.size, n_words - first, trials.size)
     assert words.flags.c_contiguous
-    for j, k in enumerate(range(first, n_words)):
-        assert np.array_equal(words[j],
-                              block_bits_vec(seed, trials, step, k))
+    # one int trial, the last one of the stream, draws one column
+    last = packed.batch_arrow_words(seed, 2 ** 64 - 1, steps, blocks)
+    assert last.shape == (steps.size, n_words - first, 1)
+    for i, step in enumerate(steps.tolist()):
+        for j, k in enumerate(blocks.tolist()):
+            assert np.array_equal(words[i, j],
+                                  block_bits_vec(seed, trials, step, k))
+            assert last[i, j, 0] == block_bits_vec(seed, 2 ** 64 - 1, step, k)
     cells = packed.batch_cell_words(seed, trials, n_words, DOMAIN_COLOR)
     assert cells.shape == (n_words, trials.size)
     for k in range(n_words):
         assert np.array_equal(cells[k],
                               block_bits_vec(seed, trials, 0, k, DOMAIN_COLOR))
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("boundary, width, offset, steps", [
+    ("line", 200, -37, 150), ("cycle", 100, 70, 250)])
+def test_one_batched_run_equals_separate_window_runs(monkeypatch, model,
+                                                     boundary, width, offset,
+                                                     steps):
+    # a window off the block edges, stepped as one (words, T) batch: the
+    # line trims at steps 64 and 128 with two steps a draw, the cycle of
+    # two words wraps its carry for more steps than it has cells
+    monkeypatch.setattr(packed, "CHUNK_WORDS", 40)
+    seed, ids = 99, np.array([0, 3, 2 ** 40, 2 ** 63 - 1], dtype=np.int64)
+    rng = np.random.default_rng(width + ord(model.value))
+    cells = rng.integers(0, len(model.alphabet), (ids.size, width))
+    planes = (pack_bits(cells != EMPTY).T, pack_bits(cells == BLUE).T)
+    planes, base = packed.run_planes(
+        model, planes[:2 if model is Model.D else 1], seed, ids, steps,
+        offset, width if boundary == "cycle" else 0)
+    skip = steps if boundary == "line" else 0
+    occ, *blue = (unpack_bits(pl.T, width - 64 * base)[:, skip - 64 * base:]
+                  for pl in planes)
+    got = occ * (GREEN - blue[0]) if blue else occ
+    for t, trial in enumerate(ids.tolist()):
+        init = Configuration(offset, tuple(cells[t].tolist()))
+        want = evolve_final(model, init, UpdateStream(seed, trial), steps,
+                            boundary=boundary)
+        assert want.offset == offset + skip
+        assert tuple(got[t].tolist()) == want.cells
 
 
 @settings(max_examples=150, deadline=None)
@@ -398,10 +455,12 @@ def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
                                                       monkeypatch):
     # 130 steps trim word 0 at step 64 and word 1 at step 128, so a trim
     # even one step early would reach the valid cells; 3 words per trial,
-    # so chunk_words=3 runs one trial per chunk, on (words, 1) planes
+    # so chunk_words=3 runs one trial per chunk, on (words, 1) planes, and
+    # at 48 the last chunk, of 5 trials, draws 3 steps at a time
     seed, width, steps = 31, 139, 130
     if chunk_words is not None:
-        monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
+        for module in (density, packed):  # the chunk and the draw budgets
+            monkeypatch.setattr(module, "CHUNK_WORDS", chunk_words)
     per_chunk = max(1, density.CHUNK_WORDS // words_for(width))
     trials = 2 * per_chunk + 5 if chunk_words else per_chunk + 5
 
