@@ -102,22 +102,22 @@ def step_planes(model: Model, planes: tuple[np.ndarray, ...],
 
 
 def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
-               trials, steps: int, offset: int = 0,
+               trials: int | np.ndarray, steps: int, offset: int = 0,
                cycle: int = 0) -> tuple[tuple[np.ndarray, ...], int]:
     """Step ``(words, T)`` planes ``steps`` times; return them and
     ``base``, the window word at their row 0.
 
-    Column ``t`` is trial ``trials[t]`` (int64 ids), or the one trial
-    ``trials`` (an int, ``T = 1``); bit ``c`` of word ``k`` is the cell at
-    site ``offset + 64k + c``.  One draw covers ``CHUNK_WORDS // (blocks
-    * T)`` steps.  On a line, the words wholly left of the valid window
-    at a draw's first step ``s`` (below ``s >> 6``) are neither drawn nor
+    Column ``t`` is trial ``trials[t]``, or the one int ``trials`` if
+    ``T = 1``; bit ``c`` of word ``k`` is the cell at site
+    ``offset + 64k + c``.  A draw covers ``CHUNK_WORDS // (blocks * T)``
+    steps.  On a line the words wholly left of the valid window at a
+    draw's first step ``s`` (below ``s >> 6``) are neither drawn nor
     stepped: as leading rows they leave the planes contiguous views, and
-    the valid cells never read them.  Every draw is a pure function of its
-    coordinates, so the cells are bit for bit those of untrimmed steps.
+    the valid cells never read them.  Every draw is a pure function of
+    its coordinates, so the cells are bit for bit those of untrimmed steps.
     """
     first, r = offset >> 6, offset & 63
-    n_blocks = planes[0].shape[0] + (r > 0)
+    n_blocks = planes[0].shape[0] + (r > 0)  # a window off a block edge spills
     per_draw = max(1, CHUNK_WORDS // (n_blocks * planes[0].shape[1]))
     base = 0
     for lo in range(0, steps, per_draw):
@@ -153,8 +153,8 @@ def evolve_final(model: Model, init: Configuration,
     return Configuration(init.offset + skip, tuple(cells.tolist()))
 
 
-def batch_arrow_words(seed: int, trials, steps: np.ndarray,
-                      blocks: np.ndarray) -> np.ndarray:
+def batch_arrow_words(seed: int, trials: int | np.ndarray,
+                      steps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Words ``[i, k, t] = block_bits_vec(seed, trials[t], steps[i],
     blocks[k])`` in one broadcast draw; an int ``trials`` gives ``T = 1``."""
     return _stream.block_bits_vec(seed, trials, steps[:, None, None],

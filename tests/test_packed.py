@@ -404,6 +404,8 @@ def test_one_batched_run_equals_separate_window_runs(monkeypatch, model,
     planes, base = packed.run_planes(
         model, planes[:2 if model is Model.D else 1], seed, ids, steps,
         offset, width if boundary == "cycle" else 0)
+    # the line's last draw starts at step 148, in word 2
+    assert base == (2 if boundary == "line" else 0)
     skip = steps if boundary == "line" else 0
     occ, *blue = (unpack_bits(pl.T, width - 64 * base)[:, skip - 64 * base:]
                   for pl in planes)
