@@ -20,8 +20,9 @@ import sys
 from collections.abc import Iterable
 
 from . import cylinder, density, packed, verify
-from .lattice import (BLUE, GREEN, Configuration, Model, evolve,
-                      particle_count, trace_merges)
+from .lattice import (BLUE, GREEN, Configuration, Model, particle_count,
+                      trace_merges)
+from .packed import evolve_trajectory as evolve  # traced as cli.evolve
 from .render import GLYPHS, render
 from .stream import DOMAIN_COLOR, UpdateStream
 

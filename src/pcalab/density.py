@@ -13,7 +13,9 @@ four lattice models sit alongside, batched over trials on bit planes.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +25,6 @@ import numpy as np
 
 from . import packed, stream
 from .lattice import Model
-from .packed import CHUNK_WORDS
 
 EXACT_LIMIT = 512
 LOG_LIMIT = 10 ** 7  # density_log sums one log per factor, linear in n
@@ -133,8 +134,8 @@ def _summarize(per_trial: np.ndarray) -> tuple[float, float]:
 
 
 def _chunks(trials: int, words_per_trial: int):
-    """``(lo, hi)`` trial ranges of at most ``CHUNK_WORDS`` words each."""
-    size = max(1, CHUNK_WORDS // words_per_trial)
+    """``(lo, hi)`` trial ranges of at most ``packed.CHUNK_WORDS`` words."""
+    size = max(1, packed.CHUNK_WORDS // words_per_trial)
     for lo in range(0, trials, size):
         yield lo, min(lo + size, trials)
 
@@ -165,7 +166,7 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
 
     A trial is a window anchored at site 0 and ``n + sites_per_trial + 1``
     cells wide, so that its cells ``n ..`` stay valid for ``n`` steps.
-    Trials run in chunks of at most ``CHUNK_WORDS`` words:
+    Trials run in chunks of at most ``packed.CHUNK_WORDS`` words:
     ``init(ids, n_words, width)`` builds the word-major ``(n_words,
     len(ids))`` planes of trial ids ``ids``, :func:`packed.run_planes`
     steps them, and ``stat(lo, hi, *planes)`` reduces the stepped planes,
@@ -180,8 +181,10 @@ def _run_batch(model: Model, seed: int, trials: int, sites_per_trial: int,
     rows = []
     for lo, hi in _chunks(trials, n_words):
         ids = np.arange(lo, hi, dtype=np.int64)
-        planes, base = packed.run_planes(model, init(ids, n_words, width),
-                                         seed, ids, n)
+        run = packed.run_planes(model, init(ids, n_words, width), seed, ids, n)
+        # keep no step's yield: it would hold that step's planes and draw on
+        deque(itertools.islice(run, n), maxlen=0)
+        [(planes, _, base)] = run  # the last yield, and the end of the run
         rows.append(stat(n - 64 * base, width - 64 * base, *planes))
     return np.concatenate(rows)
 
@@ -230,7 +233,7 @@ def mc_density(model: Model | str, init: str, n: int, trials: int, seed: int,
         raise ValueError(f"unknown init {init!r}")
     per_trial = _run_batch(
         model, seed, trials, sites_per_trial, n, planes,
-        lambda lo, hi, x: packed.unpack_bits(x.T, hi)[:, lo:].mean(axis=1))
+        lambda lo, hi, x: packed.count_cells(x, lo, hi) / (hi - lo))
     return _report(model.value, init if init == "full" else f"iid({p})", n,
                    per_trial, seed)
 
@@ -254,9 +257,10 @@ def mc_pair_statistic_A(init: str, n: int, trials: int, seed: int,
             return (np.broadcast_to(row[:, None], (n_words, ids.size)),)
     else:
         raise ValueError(f"unknown init {init!r}")
-    per_trial = _run_batch(  # adjacent valid cells agree iff their diff is 0
+    per_trial = _run_batch(  # cell c agrees with c - 1 on a 0 xor bit
         Model.A, seed, trials, sites_per_trial, n, planes, lambda lo, hi, x:
-        (np.diff(packed.unpack_bits(x.T, hi)[:, lo:]) == 0).mean(axis=1))
+        packed.count_cells(~(x ^ packed.from_left(x)), lo + 1, hi)
+        / (hi - lo - 1))
     return _report("a", init, n, per_trial, seed)
 
 

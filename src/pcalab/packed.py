@@ -2,9 +2,9 @@
 
 Cells pack 64 per uint64 word, least significant bit first: cell ``c``
 lives in word ``c >> 6`` at bit ``c & 63``.  Planes are word-major, shape
-``(K, T)``: row ``k`` holds word ``k`` of each of ``T`` trials (one for a
-single window), so the draws and shifts of a step run on rows ``T`` long,
-and :func:`count_cells` counts a cell range of every trial at once.
+``(K, T)``: row ``k`` holds word ``k`` of each of ``T`` trials, so the
+draws and shifts of a step run on rows ``T`` long, and :func:`count_cells`
+counts a cell range of every trial at once.  A single window is ``(K,)``.
 
 Information flows rightward only (cell ``i`` reads ``i-1`` and ``i``), so
 garbage below a line's shrinking valid window never contaminates it; on a
@@ -13,10 +13,15 @@ cycle of ``w`` cells, kernels take ``cycle=w`` and cell 0 reads cell ``w-1``.
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
+from collections.abc import Iterator
+
 import numpy as np
 
 from . import stream as _stream
-from .lattice import BLUE, EMPTY, GREEN, Configuration, Model, check_run
+from .lattice import (BLUE, EMPTY, GREEN, Configuration, Model, Trajectory,
+                      check_run)
 
 _ONE = np.uint64(1)
 _S63 = np.uint64(63)
@@ -103,12 +108,13 @@ def step_planes(model: Model, planes: tuple[np.ndarray, ...],
 
 def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
                trials: int | np.ndarray, steps: int, offset: int = 0,
-               cycle: int = 0) -> tuple[tuple[np.ndarray, ...], int]:
-    """Step ``(words, T)`` planes ``steps`` times; return them and
-    ``base``, the window word at their row 0.
+               cycle: int = 0) -> Iterator[tuple]:
+    """Step ``(words, T)`` planes ``steps`` times, yielding ``(planes, u,
+    base)`` before each step and after the last, with ``u`` None: the
+    planes, the arrow words that step them and the window word at row 0.
 
-    Column ``t`` is trial ``trials[t]``, or the one int ``trials`` if
-    ``T = 1``; bit ``c`` of word ``k`` is the cell at site
+    Column ``t`` is trial ``trials[t]``, and one int ``trials`` steps
+    ``(words,)`` planes; bit ``c`` of word ``k`` is the cell at site
     ``offset + 64k + c``.  A draw covers ``CHUNK_WORDS // (blocks * T)``
     steps.  On a line the words wholly left of the valid window at a
     draw's first step ``s`` (below ``s >> 6``) are neither drawn nor
@@ -118,7 +124,7 @@ def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
     """
     first, r = offset >> 6, offset & 63
     n_blocks = planes[0].shape[0] + (r > 0)  # a window off a block edge spills
-    per_draw = max(1, CHUNK_WORDS // (n_blocks * planes[0].shape[1]))
+    per_draw = max(1, CHUNK_WORDS // (n_blocks * np.size(trials)))
     base = 0
     for lo in range(0, steps, per_draw):
         trim = 0 if cycle else lo >> 6
@@ -129,36 +135,67 @@ def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
         if r:
             u = (u[:, :-1] >> np.uint64(r)) | (u[:, 1:] << np.uint64(64 - r))
         for row in u:
+            yield planes, row, base
             planes = step_planes(model, planes, row, cycle)
-    return planes, base
+    yield planes, None, base
+
+
+def _trajectory(model: Model, init: Configuration,
+                stream: _stream.UpdateStream, steps: int, boundary: str,
+                keep) -> Trajectory:
+    """``lattice.evolve``'s checks, then the steps ``keep`` takes of the
+    numbered :func:`run_planes` on the one trial of ``stream``, unpacked a
+    block of steps at one ``base`` and of about ``CHUNK_WORDS`` cells at a
+    time."""
+    model, cycle = check_run(model, init, steps, boundary)
+    cells = np.asarray(init.cells, dtype=np.uint8)
+    # an occupancy plane, and model d's blue plane, each (words,)
+    planes = (pack_bits(cells != EMPTY),
+              pack_bits(cells == BLUE))[:2 if model is Model.D else 1]
+    run = run_planes(model, planes, stream.seed, stream.trial, steps,
+                     init.offset, len(init) if cycle else 0)
+    traj = Trajectory(model, boundary, [])
+    per_block = CHUNK_WORDS // len(init) + 1  # steps, at least one
+    for (base, _), block in itertools.groupby(
+            keep(enumerate(run)), lambda y: (y[1][2], y[0] // per_block)):
+        ns, yields = zip(*block)
+        planes, u, _ = zip(*yields)
+        width = len(init) - 64 * base
+        occ, *blue = (unpack_bits(np.array(pl), width) for pl in zip(*planes))
+        cells = occ * (GREEN - blue[0]) if blue else occ  # BLUE on a blue bit
+        # the run's last yield, after its last step, has no arrows
+        arrows = unpack_bits(np.array(u[:steps - ns[0]], np.uint64), width)
+        lo = [(0 if cycle else n) - 64 * base for n in ns]
+        # tuples from one list per block, whose release leaves render's row
+        # joins room low in the heap (per-row copies: 7 MB more peak RSS)
+        traj.configs += (Configuration(init.offset + i + 64 * base, tuple(
+            row[i:])) for i, row in zip(lo, cells.tolist()))
+        traj.rows += (tuple(row[i:]) for i, row in zip(lo, arrows.tolist()))
+    return traj
 
 
 def evolve_final(model: Model, init: Configuration,
                  stream: _stream.UpdateStream, steps: int, *,
                  boundary: str = "line") -> Configuration:
-    """``lattice.evolve(...).final``, after its checks: :func:`run_planes`
-    on the one trial of ``stream``."""
-    model, cycle = check_run(model, init, steps, boundary)
-    width = len(init)
-    cells = np.asarray(init.cells, dtype=np.uint8)
-    # an occupancy plane, and model d's blue plane, each (words, 1)
-    planes = (pack_bits(cells != EMPTY)[:, None],
-              pack_bits(cells == BLUE)[:, None])[:2 if model is Model.D else 1]
-    planes, base = run_planes(model, planes, stream.seed, stream.trial, steps,
-                              init.offset, width if cycle else 0)
-    skip = 0 if cycle else steps  # a line keeps cells ``steps ..``
-    occ, *blue = (unpack_bits(pl[:, 0], width - 64 * base)[skip - 64 * base:]
-                  for pl in planes)
-    cells = occ * (GREEN - blue[0]) if blue else occ  # BLUE on a blue bit
-    return Configuration(init.offset + skip, tuple(cells.tolist()))
+    """``lattice.evolve(...).final``: the run's last planes unpacked."""
+    return _trajectory(model, init, stream, steps, boundary,
+                       lambda run: deque(run, maxlen=1)).final
+
+
+def evolve_trajectory(model: Model, init: Configuration,
+                      stream: _stream.UpdateStream, steps: int, *,
+                      boundary: str = "line") -> Trajectory:
+    """``lattice.evolve(...)``: every step of the run unpacked."""
+    return _trajectory(model, init, stream, steps, boundary, iter)
 
 
 def batch_arrow_words(seed: int, trials: int | np.ndarray,
                       steps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Words ``[i, k, t] = block_bits_vec(seed, trials[t], steps[i],
-    blocks[k])`` in one broadcast draw; an int ``trials`` gives ``T = 1``."""
-    return _stream.block_bits_vec(seed, trials, steps[:, None, None],
-                                  blocks[:, None])
+    blocks[k])`` in one broadcast draw; an int ``trials`` gives ``[i, k]``."""
+    if np.ndim(trials):
+        steps, blocks = steps[:, None], blocks[:, None]
+    return _stream.block_bits_vec(seed, trials, steps[:, None], blocks)
 
 
 def batch_cell_words(seed: int, trials: np.ndarray, n_words: int,

@@ -606,11 +606,12 @@ class TestStreamedOutput:
         status, out = run(capsys, "evolve-cylinder", *argv, *extra)
         assert status == 0 and out == want
 
-    def test_peak_memory_does_not_grow_with_the_output(self):
-        # each run in a fresh interpreter, stdout to the null device; the
-        # child reports the peak resident set of its own image in MB
-        # (VmHWM: its ru_maxrss would start at this process's peak, which
-        # Linux carries across the fork and exec)
+    @staticmethod
+    def fresh_peaks(*argvs):
+        """Each argv run at once in a fresh interpreter, stdout to the null
+        device; each child reports the peak resident set of its own image
+        in MB (VmHWM: its ru_maxrss would start at this process's peak,
+        which Linux carries across the fork and exec)."""
         code = ("import os, sys\n"
                 "from pcalab.cli import main\n"
                 "sys.stdout = open(os.devnull, 'w', encoding='utf-8')\n"
@@ -620,19 +621,30 @@ class TestStreamedOutput:
                 "           if line.startswith('VmHWM:')), file=sys.stderr)\n")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(
             os.path.dirname(pcalab.__file__))}
-        cylinder_argv = ["evolve-cylinder", "--model", "a", "--init",
-                         "uniform", "--length", "18"]
         runs = [subprocess.Popen([sys.executable, "-c", code, *argv],
                                  env=env, stderr=subprocess.PIPE, text=True)
-                for argv in (["render", "--model", "c", "--steps", "1000",
-                              "--format", "svg"],
-                             cylinder_argv,
-                             [*cylinder_argv, "--format", "json"])]
-        svg, text, as_json = (float(p.communicate(timeout=60)[1])
-                              for p in runs)
+                for argv in argvs]
+        return [float(p.communicate(timeout=60)[1]) for p in runs]
+
+    def test_peak_memory_does_not_grow_with_the_output(self):
+        cylinder_argv = ["evolve-cylinder", "--model", "a", "--init",
+                         "uniform", "--length", "18"]
+        svg, text, as_json = self.fresh_peaks(
+            ["render", "--model", "c", "--steps", "1000", "--format", "svg"],
+            cylinder_argv, [*cylinder_argv, "--format", "json"])
         # joined before writing: 236 MB, and 53 (text) and 85 MB (JSON)
         assert svg < 80 and text < 50
         assert as_json <= text + 4
+
+    def test_a_long_render_holds_its_run_and_no_more(self):
+        # a render keeps every configuration and arrow row of its run, 4000
+        # steps of a 4065-cell window here: about 130 MB of tuples.  The
+        # scalar run peaked at 156.8 MB (text) and 158.4 MB (SVG); the bit
+        # planes, unpacked a block of steps at a time, add the 0.3 MB the
+        # bit-plane path adds to any run, and unpacked all at once, 38 MB
+        argv = ["render", "--model", "c", "--steps", "4000"]
+        text, svg = self.fresh_peaks(argv, [*argv, "--format", "svg"])
+        assert text < 158.5 and svg < 160
 
 
 class TestDeterminism:

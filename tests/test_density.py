@@ -187,7 +187,7 @@ class TestMcDensity:
                                np.arange(width)[None, :], DOMAIN_UNIFORM)
         bits = ((words >> np.uint64(11)) * 2.0 ** -53) < p
         want = pack_bits(bits.astype(np.uint8))
-        monkeypatch.setattr(density, "CHUNK_WORDS", 3 * width)
+        monkeypatch.setattr(packed, "CHUNK_WORDS", 3 * width)
         got = density._iid_plane(seed, ids, words_for(width), width, p)
         assert np.array_equal(got, want.T)
 

@@ -3,8 +3,9 @@
 The colour-uniformity suite prints only a verdict, so a wrong count could
 pass unseen; these digests pin the exact per-trial counts and means of
 every Monte Carlo estimator over a grid of ``n`` and window sizes whose
-windows cross word, trim and (with a small ``CHUNK_WORDS``) chunk
-boundaries.  Any change to a draw, a kernel or a reduction changes them.
+windows cross word, trim and (with a small ``packed.CHUNK_WORDS``, the
+one budget of trial chunks and of draws) chunk and draw boundaries.  Any
+change to a draw, a kernel or a reduction changes them.
 """
 
 import hashlib
@@ -12,12 +13,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from pcalab import density
+from pcalab import density, packed
 
 NS = (0, 16, 65, 130)
 SITES = (1, 64, 1024)
 TRIALS = 5
-CHUNK_WORDS = 40  # the 1024-site windows (17-19 words) run 2 trials a chunk
+#: the 1024-site windows (17-19 words) run 2 trials a chunk, 1 step a draw
+CHUNK_WORDS = 40
 
 
 def _digest(arrays) -> str:
@@ -95,7 +97,7 @@ DIGESTS = {
 
 @pytest.mark.parametrize("case", sorted(RUNNERS))
 def test_monte_carlo_per_trial_arrays_are_pinned(case, monkeypatch):
-    monkeypatch.setattr(density, "CHUNK_WORDS", CHUNK_WORDS)
+    monkeypatch.setattr(packed, "CHUNK_WORDS", CHUNK_WORDS)
     arrays = []
     for n in NS:
         for sites in SITES:

@@ -3,11 +3,15 @@
 Read from the source by AST: ``stream.block_bits_vec`` is called only by
 the functions that turn its words into rows or planes, and
 ``packed.step_planes`` only by ``packed.run_planes``.  A second draw path
-or a second stepping loop fails this test, so it is seen in review.
+or a second stepping loop fails this test, so it is seen in review.  So
+does a call of the scalar reference ``lattice.evolve``, which the package
+keeps for the tests alone: every run steps bit planes.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 import pcalab
 
@@ -39,6 +43,27 @@ def callers(sources: dict[str, str], name: str) -> set[str]:
                 getattr(node.func, "attr", None))}
 
 
+def scalar_evolve_callers(sources: dict[str, str]) -> set[str]:
+    """``module.function`` of every function that calls ``lattice.evolve``:
+    as ``lattice.evolve``, under a name imported from ``.lattice``, or by
+    its own name inside ``lattice``."""
+    out = set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        names = {alias.asname or alias.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)
+                 and node.module == "lattice"
+                 for alias in node.names if alias.name == "evolve"}
+        if module == "lattice":
+            names.add("evolve")
+        out |= {f"{module}.{qualified}"
+                for qualified, func in _functions(tree)
+                for node in ast.walk(func) if isinstance(node, ast.Call)
+                and (getattr(node.func, "id", None) in names
+                     or ast.unparse(node.func) == "lattice.evolve")}
+    return out
+
+
 def _package_sources() -> dict[str, str]:
     package = pathlib.Path(pcalab.__file__).parent
     return {path.stem: path.read_text(encoding="utf-8")
@@ -59,3 +84,18 @@ def test_the_guard_sees_a_second_loop():
     sources = _package_sources()
     sources["density"] += "\n\n" + second
     assert callers(sources, "step_planes") == STEPPERS | {"density.twin"}
+
+
+def test_no_run_falls_back_to_the_scalar_reference():
+    assert scalar_evolve_callers(_package_sources()) == set()
+
+
+@pytest.mark.parametrize("fallback", [
+    "from .lattice import evolve as scalar\n\n\n"
+    "def twin(args):\n    return scalar(*args)\n",
+    "from . import lattice\n\n\n"
+    "def twin(args):\n    return lattice.evolve(*args)\n"])
+def test_the_guard_sees_a_scalar_fallback(fallback):
+    sources = _package_sources()
+    sources["cli"] += "\n\n" + fallback
+    assert scalar_evolve_callers(sources) == {"cli.twin"}

@@ -1,18 +1,19 @@
 """Bit-plane kernels against the scalar reference, bit for bit."""
 
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab import density, packed, stream as stream_module
+from pcalab import packed, stream as stream_module
 from pcalab.density import _run_batch
 from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
-                            Model, _step, evolve)
-from pcalab.packed import (evolve_final, pack_bits, step_planes,
-                           unpack_bits, words_for)
+                            Model, _step, evolve, trace_merges)
+from pcalab.packed import (evolve_final, evolve_trajectory, pack_bits,
+                           step_planes, unpack_bits, words_for)
 from pcalab.stream import DOMAIN_COLOR, UpdateStream, block_bits_vec
 
 
@@ -233,6 +234,45 @@ def test_bit_plane_run_equals_the_scalar_final(model, boundary, width,
         evolve(model, init, stream, steps, boundary=boundary).final
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(list(Model)), st.sampled_from(("line", "cycle")),
+       st.sampled_from(EDGE_WIDTHS), st.integers(-200, 200), TRIALS,
+       st.sampled_from((1, 3, 8, 40, packed.CHUNK_WORDS)), st.data())
+def test_bit_plane_trajectory_equals_the_scalar_trajectory(
+        model, boundary, width, offset, trial, chunk_words, data):
+    # a small budget ends draws and unpacked blocks mid-run, and on a line
+    # trims the planes between them
+    steps = data.draw(st.integers(0, width - 1 if boundary == "line"
+                                  else 2 * width + 5))
+    cells = data.draw(st.lists(st.sampled_from(range(len(model.alphabet))),
+                               min_size=width, max_size=width))
+    init = Configuration(offset, tuple(cells))
+    stream = UpdateStream(data.draw(st.integers(0, 2 ** 64 - 1)), trial)
+    want = evolve(model, init, stream, steps, boundary=boundary)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packed, "CHUNK_WORDS", chunk_words)
+        got = evolve_trajectory(model, init, stream, steps,
+                                boundary=boundary)
+    assert got.configs == want.configs and got.rows == want.rows
+    assert (got.model, got.boundary) == (want.model, want.boundary)
+    if model in (Model.C, Model.D):
+        assert trace_merges(got) == trace_merges(want)
+
+
+def test_one_trial_steps_one_dimensional_planes(monkeypatch):
+    # so the cycle carry of from_left runs on numpy scalars
+    step, shapes = packed.step_planes, []
+
+    def spied(model, planes, u, cycle=0):
+        shapes.append((tuple(pl.shape for pl in planes), u.shape))
+        return step(model, planes, u, cycle)
+
+    monkeypatch.setattr(packed, "step_planes", spied)
+    init = Configuration(5, (1, 0, 2) * 50)  # 3 words, off a block edge
+    evolve_trajectory(Model.D, init, UpdateStream(3), 40, boundary="cycle")
+    assert shapes == [(((3,), (3,)), (3,))] * 40
+
+
 @pytest.mark.parametrize("chunk_words", [1, 7, 40])
 @pytest.mark.parametrize("boundary", ["line", "cycle"])
 def test_blocks_of_steps_draw_bounded_windows(monkeypatch, chunk_words,
@@ -372,14 +412,14 @@ def test_broadcast_arrow_words_equal_per_word_draws(first):
     words = packed.batch_arrow_words(seed, trials, steps, blocks)
     assert words.shape == (steps.size, n_words - first, trials.size)
     assert words.flags.c_contiguous
-    # one int trial, the last one of the stream, draws one column
+    # one int trial, the last one of the stream, draws no trial axis
     last = packed.batch_arrow_words(seed, 2 ** 64 - 1, steps, blocks)
-    assert last.shape == (steps.size, n_words - first, 1)
+    assert last.shape == (steps.size, n_words - first)
     for i, step in enumerate(steps.tolist()):
         for j, k in enumerate(blocks.tolist()):
             assert np.array_equal(words[i, j],
                                   block_bits_vec(seed, trials, step, k))
-            assert last[i, j, 0] == block_bits_vec(seed, 2 ** 64 - 1, step, k)
+            assert last[i, j] == block_bits_vec(seed, 2 ** 64 - 1, step, k)
     cells = packed.batch_cell_words(seed, trials, n_words, DOMAIN_COLOR)
     assert cells.shape == (n_words, trials.size)
     for k in range(n_words):
@@ -401,9 +441,9 @@ def test_one_batched_run_equals_separate_window_runs(monkeypatch, model,
     rng = np.random.default_rng(width + ord(model.value))
     cells = rng.integers(0, len(model.alphabet), (ids.size, width))
     planes = (pack_bits(cells != EMPTY).T, pack_bits(cells == BLUE).T)
-    planes, base = packed.run_planes(
+    planes, _, base = deque(packed.run_planes(
         model, planes[:2 if model is Model.D else 1], seed, ids, steps,
-        offset, width if boundary == "cycle" else 0)
+        offset, width if boundary == "cycle" else 0), maxlen=1)[0]
     # the line's last draw starts at step 148, in word 2
     assert base == (2 if boundary == "line" else 0)
     skip = steps if boundary == "line" else 0
@@ -460,10 +500,9 @@ def test_chunked_trimmed_batch_matches_reference_loop(model, chunk_words,
     # so chunk_words=3 runs one trial per chunk, on (words, 1) planes, and
     # at 48 the last chunk, of 5 trials, draws 3 steps at a time
     seed, width, steps = 31, 139, 130
-    if chunk_words is not None:
-        for module in (density, packed):  # the chunk and the draw budgets
-            monkeypatch.setattr(module, "CHUNK_WORDS", chunk_words)
-    per_chunk = max(1, density.CHUNK_WORDS // words_for(width))
+    if chunk_words is not None:  # the chunk and the draw budget
+        monkeypatch.setattr(packed, "CHUNK_WORDS", chunk_words)
+    per_chunk = max(1, packed.CHUNK_WORDS // words_for(width))
     trials = 2 * per_chunk + 5 if chunk_words else per_chunk + 5
 
     def init(ids, n_words, w):
@@ -490,7 +529,7 @@ def test_each_chunk_is_built_and_reduced_alone(monkeypatch):
     # no steps, so a trial's valid cells are its init cells: the init
     # writes each trial id into its first 8 cells and the stat reads it back
     trials, sites, chunk_words = 23, 150, 8
-    monkeypatch.setattr(density, "CHUNK_WORDS", chunk_words)
+    monkeypatch.setattr(packed, "CHUNK_WORDS", chunk_words)
     per_chunk = chunk_words // words_for(sites + 1)
     built, reduced = [], []
 
