@@ -253,8 +253,7 @@ def test_bit_plane_trajectory_equals_the_scalar_trajectory(
         patch.setattr(packed, "CHUNK_WORDS", chunk_words)
         got = evolve_trajectory(model, init, stream, steps,
                                 boundary=boundary)
-    assert got.configs == want.configs and got.rows == want.rows
-    assert (got.model, got.boundary) == (want.model, want.boundary)
+    assert got == want  # model, boundary, configurations and arrow rows
     if model in (Model.C, Model.D):
         assert trace_merges(got) == trace_merges(want)
 
