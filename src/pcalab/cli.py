@@ -20,10 +20,10 @@ import sys
 from collections.abc import Iterable
 
 from . import cylinder, density, packed, verify
-from .lattice import (BLUE, GREEN, Configuration, Model, particle_count,
-                      trace_merges)
+from .lattice import (BLUE, GLYPHS, GREEN, Configuration, Model,
+                      particle_count, trace_merges)
 from .packed import evolve_trajectory as evolve  # traced as cli.evolve
-from .render import GLYPHS, render
+from .render import render
 from .stream import DOMAIN_COLOR, UpdateStream
 
 def _resolve_seed(seed: int | None) -> int:
@@ -157,13 +157,10 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     suite = args.suite
     if args.width is not None and suite != "periodic-orbit":
         raise ValueError("--width applies only to --suite periodic-orbit")
-    given = {k: getattr(args, k) for k in _STATISTICAL_DEFAULTS
+    given = {k: getattr(args, k) for k in (*_STATISTICAL_DEFAULTS, "seed")
              if getattr(args, k) is not None}
     if given and suite not in verify.STATISTICAL:
         raise ValueError(f"--{next(iter(given))} applies only to --suite "
-                         + "|".join(verify.STATISTICAL))
-    if args.seed is not None and suite not in verify.STATISTICAL:
-        raise ValueError("--seed applies only to --suite "
                          + "|".join(verify.STATISTICAL))
     if suite == "all":
         results = verify.run_all()
@@ -222,12 +219,8 @@ def _cmd_evolve_cylinder(args) -> tuple[Iterable[str], int]:
             start, length = (int(t) for t in args.marginal.split(":"))
         except ValueError:
             raise ValueError("--marginal must be START:LENGTH") from None
-    if args.rule_file:
-        table = cylinder.load_rule_file(args.rule_file)
-    elif args.lift:
-        table = cylinder.lift_model(args.lift)
-    else:
-        table = cylinder.model_a_rule()
+    table = (cylinder.load_rule_file(args.rule_file) if args.rule_file
+             else cylinder.fair_rule(args.lift or args.model))
     mu = _parse_cylinder_init(args, table)
     residual = None
     if args.residual:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import a_local, b_local, c_local
+from .lattice import _LOCALS, GLYPHS, Model
 from .stream import RIGHT, UP
 
 #: Largest number of words a window may span (2**20 matches a length-20
@@ -37,6 +37,7 @@ from .stream import RIGHT, UP
 #: with ``neighborhood: 0 19`` at length 20 runs in about 0.5 s.
 STATE_CAP = 2 ** 20
 _ITEMS_BLOCK = 2 ** 16  # numerators items() turns into ints at a time
+_ARROWS = "ur"  # a lifted symbol's arrow glyph, by value: UP = 0, RIGHT = 1
 
 
 def _encode(alphabet: tuple, word: tuple) -> int:
@@ -99,45 +100,31 @@ class TransitionFunction:
                 raise ValueError(f"row {word!r} is not a probability vector")
 
 
-def model_a_rule() -> TransitionFunction:
-    """The binary keep/switch rule on neighborhood {-1, 0}.
+def fair_rule(model: Model) -> TransitionFunction:
+    """A model's ``lattice._LOCALS`` rule under fair arrows, on neighborhood
+    {-1, 0}, over its ``lattice.GLYPHS``.
 
-    Each row is ``lattice.a_local`` read off under a fair arrow.
+    Model ``a`` reads only its own arrow, a fresh fair coin, so its symbols
+    are the bare glyphs.  A particle model also reads its left neighbour's
+    arrow, so it is lifted: a symbol is a glyph then the arrow that drives
+    its *next* update (``u`` or ``r``), the new glyph is the local rule read
+    off both arrows, and the new arrow is a fresh fair coin.
     """
-    alphabet = ("0", "1")
+    model = Model(model)
+    local, glyphs = _LOCALS[model], GLYPHS[model]
+    lifted = model is not Model.A
+    alphabet = (tuple(g + a for g in glyphs for a in _ARROWS) if lifted
+                else tuple(glyphs))
     half = Fraction(1, 2)
     rows = {}
-    for left in alphabet:
-        for cell in alphabet:
-            probs = [Fraction(0), Fraction(0)]
-            for arrow in (UP, RIGHT):
-                probs[a_local(int(left), int(cell), arrow)] += half
-            rows[(left, cell)] = tuple(probs)
-    return TransitionFunction(alphabet, (-1, 0), rows)
-
-
-def lift_model(which: str) -> TransitionFunction:
-    """Present model ``b`` or ``c`` as a genuine PCA on symbol-arrow pairs.
-
-    Symbols are two characters: occupancy ('.' or '#') then the arrow that
-    will drive the *next* update ('u' or 'r').  The new occupancy is the
-    deterministic local rule read off the neighborhood's arrows; the new
-    arrow component is a fresh fair coin, so every entry is 0 or 1/2.
-    """
-    local = {"b": b_local, "c": c_local}.get(which)
-    if local is None:
-        raise ValueError("which must be 'b' or 'c'")
-    alphabet = tuple(occ + arr for occ in ".#" for arr in "ur")
-    half = Fraction(1, 2)
-    rows = {}
-    for left in alphabet:
-        for right in alphabet:
-            occ = local(int(left[0] == "#"), int(right[0] == "#"),
-                        RIGHT if left[1] == "r" else UP,
-                        RIGHT if right[1] == "r" else UP)
-            glyph = "#" if occ else "."
-            rows[(left, right)] = tuple(
-                half if s.startswith(glyph) else Fraction(0) for s in alphabet)
+    for pair in itertools.product(alphabet, repeat=2):
+        cells = [glyphs.index(s[0]) for s in pair]
+        if lifted:
+            new = glyphs[local(*cells, *(_ARROWS.index(s[1]) for s in pair))]
+            out = [new + a for a in _ARROWS]
+        else:
+            out = [glyphs[local(*cells, arrow)] for arrow in (UP, RIGHT)]
+        rows[pair] = tuple(half * out.count(s) for s in alphabet)
     return TransitionFunction(alphabet, (-1, 0), rows)
 
 

@@ -40,6 +40,10 @@ class Model(str, Enum):
         return (EMPTY, PARTICLE, GREEN) if self is Model.D else (0, 1)
 
 
+#: Per model, the glyph of each symbol, by its value.
+GLYPHS = {Model.A: "01", Model.B: ".#", Model.C: ".#", Model.D: ".BG"}
+
+
 @dataclass(frozen=True)
 class Configuration:
     """A finite window of lattice symbols with an absolute site offset.

@@ -57,13 +57,14 @@ def unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
 
 
 def count_cells(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Set cells ``lo .. hi-1`` of each column of a word-major ``(K, T)``
-    plane: ``unpack_bits(words.T, hi)[:, lo:].sum(axis=1)``, as uint64."""
+    """Set cells ``lo .. hi-1`` per column of a ``(K, T)`` plane, or of a
+    ``(K,)`` one: ``unpack_bits(words.T, hi)[..., lo:].sum(-1)``, uint64."""
     k0, k1 = lo >> 6, words_for(hi)
     mask = np.full(k1 - k0, _ALL)
     mask[0] &= _ALL << np.uint64(lo & 63)
     mask[-1] &= _ALL >> np.uint64(-hi & 63)
-    return np.bitwise_count(words[k0:k1] & mask[:, None]).sum(axis=0)
+    # summed over axis 0, word-major: over axis -1, mc-wide ran 15% slower
+    return np.bitwise_count(words[k0:k1].T & mask).T.sum(axis=0)
 
 
 def from_left(words: np.ndarray, cycle: int = 0) -> np.ndarray:

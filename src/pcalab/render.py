@@ -13,15 +13,14 @@ import itertools
 import operator
 from collections.abc import Iterator
 
-from .lattice import Model, Trajectory
+from .lattice import GLYPHS, Model, Trajectory
 from .stream import RIGHT, UP
 
 CELL = 14  # pixel pitch of one lattice cell in SVG output
 HIGHLIGHT_COLOR = "#ff8c00"  # highlighted cell fill in SVG output
 HIGHLIGHT_GLYPH = "*"  # highlighted cell glyph in text output
 
-#: Per model, the text glyph and the SVG fill of each symbol, by its value.
-GLYPHS = {Model.A: "01", Model.B: ".#", Model.C: ".#", Model.D: ".BG"}
+#: Per model, the SVG fill of each symbol, by its value.
 _GREYS = ("#f4f4f4", "#222222")
 COLORS = {Model.A: _GREYS, Model.B: _GREYS, Model.C: _GREYS,
           Model.D: ("#f4f4f4", "#1f5fd6", "#2e9e4f")}

@@ -13,8 +13,7 @@ from pcalab.density import (asymptotic_ratio, exact_density,
                             hitting_time_oracle, interface_walk_oracle,
                             mc_density)
 from pcalab.cylinder import (CylinderMeasure, alternating_pair_measure,
-                             evolve_measure, invariance_residual,
-                             model_a_rule)
+                             evolve_measure, fair_rule, invariance_residual)
 from pcalab.lattice import Configuration, Model, evolve
 from pcalab.packed import evolve_final
 from pcalab.stream import UpdateStream
@@ -79,7 +78,7 @@ def test_criterion_04_lemma_suites():
 
 def test_criterion_05_invariance_of_the_alternating_mixture():
     t0 = time.perf_counter()
-    rule = model_a_rule()
+    rule = fair_rule("a")
     ok = all(invariance_residual(alternating_pair_measure(0, length), rule) == 0
              for length in (2, 4, 6, 8, 10, 12, 14))
     report(5, ok, f"alternating mixture residual exactly 0 on even windows "
@@ -88,7 +87,7 @@ def test_criterion_05_invariance_of_the_alternating_mixture():
 
 def test_criterion_06_exact_one_step_pair_marginals():
     t0 = time.perf_counter()
-    rule = model_a_rule()
+    rule = fair_rule("a")
     uniform = evolve_measure(CylinderMeasure.uniform(("0", "1"), -1, 3), rule)
     from_uniform = weight(uniform, ("0", "0")) + weight(uniform, ("1", "1"))
     ones = evolve_measure(

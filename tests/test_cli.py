@@ -407,9 +407,9 @@ class TestEvolveCylinderCommand:
 
     def test_rule_file_round_trip(self, capsys, tmp_path):
         from cylinder_helpers import dump_rule_text
-        from pcalab.cylinder import model_a_rule
+        from pcalab.cylinder import fair_rule
         path = tmp_path / "rule.txt"
-        path.write_text(dump_rule_text(model_a_rule()), encoding="utf-8")
+        path.write_text(dump_rule_text(fair_rule("a")), encoding="utf-8")
         status, out = run(capsys, "evolve-cylinder", "--rule-file", str(path),
                           "--init", "word:01", "--start", "-1", "--steps", "1",
                           "--format", "json")
@@ -594,8 +594,8 @@ class TestStreamedOutput:
         argv = [str(rule) if a == "ODD" else a for a in argv]
         args = cli.build_parser().parse_args(["evolve-cylinder", *argv])
         table = (cylinder.load_rule_file(args.rule_file) if args.rule_file
-                 else cylinder.lift_model(args.lift) if args.lift
-                 else cylinder.model_a_rule())
+                 else cylinder.fair_rule(args.lift) if args.lift
+                 else cylinder.fair_rule("a"))
         want = _payload(table, cli._parse_cylinder_init(args, table), steps,
                         residual, marginal)
         extra = ["--steps", str(steps), "--format", "json"]

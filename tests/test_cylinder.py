@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from pcalab import cylinder, density
 from pcalab.cylinder import (CylinderMeasure, TransitionFunction,
                              alternating_pair_measure, evolve_measure,
-                             invariance_residual, lift_model, load_rule_text,
-                             marginal, model_a_rule, output_window,
-                             total_variation)
+                             fair_rule, invariance_residual, load_rule_text,
+                             marginal, output_window, total_variation)
 from pcalab.density import exact_density
-from pcalab.lattice import a_local, b_local, c_local
+from pcalab.lattice import GLYPHS, a_local, b_local, c_local, d_local
 from pcalab.stream import RIGHT, UP
 
 from cylinder_helpers import dump_rule_text, fields, pushforward, weight
@@ -175,7 +174,7 @@ class TestModelARule:
             ("1", "0"): (Fraction(0), Fraction(1)),
             ("1", "1"): (HALF, HALF),
         }
-        f = model_a_rule()
+        f = fair_rule("a")
         assert f == TransitionFunction(BITS, (-1, 0), hand)
         assert dump_rule_text(f) == ("alphabet: 0 1\n"
                                      "neighborhood: -1 0\n"
@@ -185,26 +184,26 @@ class TestModelARule:
                                      "11 : 1/2 1/2\n")
 
     def test_deterministic_rows(self):
-        f = model_a_rule()
+        f = fair_rule("a")
         assert f.rows[("1", "0")] == (Fraction(0), Fraction(1))
         assert f.rows[("0", "1")] == (Fraction(1), Fraction(0))
 
     def test_coin_rows_and_row_sums(self):
-        f = model_a_rule()
+        f = fair_rule("a")
         assert f.rows[("0", "0")] == (HALF, HALF)
         assert f.rows[("1", "1")] == (HALF, HALF)
         assert all(sum(row) == 1 for row in f.rows.values())
 
     def test_table_validation(self):
-        rows = model_a_rule().rows.copy()
+        rows = fair_rule("a").rows.copy()
         rows[("0", "0")] = (HALF, HALF, HALF)
         with pytest.raises(ValueError):
             TransitionFunction(BITS, (-1, 0), rows)
-        rows = model_a_rule().rows.copy()
+        rows = fair_rule("a").rows.copy()
         del rows[("0", "0")]
         with pytest.raises(ValueError):
             TransitionFunction(BITS, (-1, 0), rows)
-        rows = model_a_rule().rows.copy()
+        rows = fair_rule("a").rows.copy()
         rows[("0", "0")] = (HALF, Fraction(1, 3))
         with pytest.raises(ValueError):
             TransitionFunction(BITS, (-1, 0), rows)
@@ -213,23 +212,23 @@ class TestModelARule:
 class TestEvolveMeasure:
     def test_delta_pair_moves_deterministically(self):
         mu = dirac(BITS, -1, "01")
-        out = evolve_measure(mu, model_a_rule())
+        out = evolve_measure(mu, fair_rule("a"))
         assert out.start == 0 and out.length == 1
         assert weight(out, ("0",)) == 1
 
     def test_uniform_three_site_pair_statistic(self):
         mu = CylinderMeasure.uniform(BITS, -1, 3)
-        out = evolve_measure(mu, model_a_rule())
+        out = evolve_measure(mu, fair_rule("a"))
         assert _pair_agrees(out) == Fraction(3, 8)
 
     def test_uniform_two_site_marginal(self):
         mu = CylinderMeasure.uniform(BITS, -1, 2)
-        out = evolve_measure(mu, model_a_rule())
+        out = evolve_measure(mu, fair_rule("a"))
         assert weight(out, ("1",)) == HALF
 
     def test_all_ones_pair_statistic(self):
         mu = dirac(BITS, -1, "111")
-        out = evolve_measure(mu, model_a_rule())
+        out = evolve_measure(mu, fair_rule("a"))
         assert _pair_agrees(out) == HALF
 
     @pytest.mark.parametrize("length", [2, 3, 4, 5])
@@ -237,7 +236,7 @@ class TestEvolveMeasure:
         rng = np.random.default_rng(length)
         raw = [int(v) for v in rng.integers(1, 9, 2 ** length)]
         mu = CylinderMeasure(BITS, 0, length, raw, sum(raw))
-        out = evolve_measure(mu, model_a_rule())
+        out = evolve_measure(mu, fair_rule("a"))
         brute = brute_update_a(mu)
         assert sum(out.weights) == 1
         for word, p in brute.items():
@@ -246,12 +245,12 @@ class TestEvolveMeasure:
     def test_window_too_small(self):
         mu = CylinderMeasure.uniform(BITS, 0, 1)
         with pytest.raises(ValueError):
-            evolve_measure(mu, model_a_rule())
+            evolve_measure(mu, fair_rule("a"))
 
     def test_alphabet_mismatch(self):
         mu = CylinderMeasure.uniform((".", "#"), 0, 3)
         with pytest.raises(ValueError):
-            evolve_measure(mu, model_a_rule())
+            evolve_measure(mu, fair_rule("a"))
 
 
 class TestMarginal:
@@ -280,7 +279,7 @@ class TestMarginal:
         rng = np.random.default_rng(42)
         raw = [int(v) for v in rng.integers(1, 7, 2 ** 5)]
         mu = CylinderMeasure(BITS, 0, 5, raw, sum(raw))
-        f = model_a_rule()
+        f = fair_rule("a")
         big = evolve_measure(mu, f)
         for start, length in ((0, 3), (1, 3), (2, 3), (1, 4)):
             small = evolve_measure(marginal(mu, start, length), f)
@@ -292,11 +291,11 @@ class TestInvariance:
     @pytest.mark.parametrize("length", [2, 4, 6, 8, 10, 12])
     def test_alternating_mixture_is_invariant(self, length):
         mu = alternating_pair_measure(0, length)
-        assert invariance_residual(mu, model_a_rule()) == 0
+        assert invariance_residual(mu, fair_rule("a")) == 0
 
     def test_all_ones_is_not_invariant(self):
         mu = dirac(BITS, 0, "1111")
-        assert invariance_residual(mu, model_a_rule()) > 0
+        assert invariance_residual(mu, fair_rule("a")) > 0
 
     def test_total_variation_requires_matching_windows(self):
         with pytest.raises(ValueError):
@@ -325,15 +324,15 @@ def brute_particle_step(local, word, length_out):
 
 class TestLiftedModels:
     def test_entries_are_zero_or_half(self):
-        for which in ("b", "c"):
-            table = lift_model(which)
-            assert len(table.alphabet) == 4
+        for which in ("b", "c", "d"):
+            table = fair_rule(which)
+            assert len(table.alphabet) == 2 * len(GLYPHS[which])
             values = {p for row in table.rows.values() for p in row}
             assert values == {Fraction(0), HALF}
             assert all(sum(row) == 1 for row in table.rows.values())
 
     def test_single_rows(self):
-        table = lift_model("b")
+        table = fair_rule("b")
         carried = dict(zip(table.alphabet, table.rows[("#r", "#r")]))
         # both particles hop together: occupied for sure, fresh fair arrow
         assert carried == {".u": 0, ".r": 0, "#u": HALF, "#r": HALF}
@@ -342,7 +341,7 @@ class TestLiftedModels:
 
     @pytest.mark.parametrize("which,local", [("b", b_local), ("c", c_local)])
     def test_one_step_occupancy_matches_enumeration(self, which, local):
-        table = lift_model(which)
+        table = fair_rule(which)
         for bits in itertools.product(".#", repeat=3):
             word = "".join(bits)
             mu = occupancy_word_measure(table, 0, word)
@@ -353,27 +352,46 @@ class TestLiftedModels:
                 assert weight(out, w) == p
 
     def test_full_line_turns_uniform(self):
-        table = lift_model("b")
+        table = fair_rule("b")
         mu = occupancy_word_measure(table, 0, "####")
         out = pushforward(evolve_measure(mu, table), lambda s: s[0],
                           (".", "#"))
         assert fields(out) == fields(CylinderMeasure.uniform((".", "#"), 1,
                                                              3))
 
-    @pytest.mark.parametrize("which,local", [("b", b_local), ("c", c_local)])
+    @pytest.mark.parametrize("which,local", [("b", b_local), ("c", c_local),
+                                             ("d", d_local)])
     def test_point_masses_evolve_deterministically(self, which, local):
-        # fixing the arrow components pins the next occupancy completely
-        table = lift_model(which)
+        # fixing the arrow components pins the next glyphs completely
+        table, glyphs = fair_rule(which), tuple(GLYPHS[which])
         for word in itertools.product(table.alphabet, repeat=3):
             mu = dirac(table.alphabet, 0, word)
             out = pushforward(evolve_measure(mu, table), lambda s: s[0],
-                              (".", "#"))
-            cells = [int(s[0] == "#") for s in word]
+                              glyphs)
+            cells = [glyphs.index(s[0]) for s in word]
             arrows = [RIGHT if s[1] == "r" else UP for s in word]
-            want = tuple("#" if local(cells[j], cells[j + 1],
-                                      arrows[j], arrows[j + 1]) else "."
+            want = tuple(glyphs[local(cells[j], cells[j + 1],
+                                      arrows[j], arrows[j + 1])]
                          for j in range(2))
-            assert fields(out) == fields(dirac((".", "#"), 1, want))
+            assert fields(out) == fields(dirac(glyphs, 1, want))
+
+    @pytest.mark.parametrize("which, glyph", [
+        ("c", lambda g: "." if g == "." else "#"),
+        ("b", lambda g: "#" if g == "B" else ".")])
+    def test_colour_rows_lump_onto_the_particle_rows(self, which, glyph):
+        # verify --suite projection on measures: model d's occupancy is
+        # model c's, and its blue particles are model b's
+        colour, particle = fair_rule("d"), fair_rule(which)
+
+        def project(s):
+            return glyph(s[0]) + s[1]
+
+        for (left, cell), row in colour.rows.items():
+            out = dict.fromkeys(particle.alphabet, Fraction(0))
+            for s, p in zip(colour.alphabet, row):
+                out[project(s)] += p
+            assert (tuple(out.values())
+                    == particle.rows[(project(left), project(cell))])
 
 
 class TestClosedForm:
@@ -381,13 +399,27 @@ class TestClosedForm:
     def test_lifted_coalescing_occupancy_is_the_closed_form(self, n):
         # full occupancy with fair arrows on n + 1 sites; after n steps only
         # the last site is left, and it is occupied with d(n) exactly
-        table = lift_model("c")
+        table = fair_rule("c")
         mu = occupancy_word_measure(table, 0, "#" * (n + 1))
         for _ in range(n):
             mu = evolve_measure(mu, table)
         assert (mu.start, mu.length) == (n, 1)
         occupied = weight(mu, ("#u",)) + weight(mu, ("#r",))
         assert occupied == Fraction(math.comb(2 * n + 1, n), 4 ** n)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_lifted_colours_split_the_closed_form_evenly(self, n):
+        # full occupancy with fair colours and fair arrows on n + 1 sites:
+        # after n steps the last site is blue with d(n)/2, green likewise
+        table = fair_rule("d")
+        mu = CylinderMeasure.product(
+            table.alphabet, 0, [[int(s[0] != ".") for s in table.alphabet]]
+            * (n + 1))
+        mu = _evolved(table, mu, n)
+        assert (mu.start, mu.length) == (n, 1)
+        for glyph in "BG":
+            assert (weight(mu, (glyph + "u",)) + weight(mu, (glyph + "r",))
+                    == exact_density(n) / 2)
 
 
 def _evolved(table, mu, n):
@@ -410,13 +442,13 @@ def _model_a(init):
     def value(n):
         mu = (CylinderMeasure.uniform(BITS, 0, n + 2) if init is None
               else dirac(BITS, 0, init * (n + 2)))
-        return _pair_agrees(_evolved(model_a_rule(), mu, n))
+        return _pair_agrees(_evolved(fair_rule("a"), mu, n))
     return value
 
 
 def _lifted(which, full):
     def value(n):
-        table = lift_model(which)
+        table = fair_rule(which)
         mu = (occupancy_word_measure(table, 0, "#" * (n + 1)) if full
               else CylinderMeasure.uniform(table.alphabet, 0, n + 1))
         return _last_site_occupied(_evolved(table, mu, n))
@@ -457,7 +489,7 @@ class TestMonteCarloConsistency:
         length = steps + 3
         mu = CylinderMeasure.uniform(BITS, 0, length)
         for _ in range(steps):
-            mu = evolve_measure(mu, model_a_rule())
+            mu = evolve_measure(mu, fair_rule("a"))
         assert mu.length == 3
 
         trials = 4000
@@ -478,7 +510,7 @@ class TestMonteCarloConsistency:
 
 class TestRuleFiles:
     def test_round_trip(self):
-        f = model_a_rule()
+        f = fair_rule("a")
         again = load_rule_text(dump_rule_text(f))
         assert again == f
 
@@ -542,7 +574,7 @@ class TestGuards:
     @pytest.mark.parametrize("block", [1, 3, 7, 64, 2 ** 16])
     def test_items_convert_the_numerators_a_block_at_a_time(
             self, block, monkeypatch):
-        mu = evolve_measure(alternating_pair_measure(0, 9), model_a_rule())
+        mu = evolve_measure(alternating_pair_measure(0, 9), fair_rule("a"))
         words = itertools.product(mu.alphabet, repeat=mu.length)
         expected = [(w[::-1], v) for w, v in
                     zip(words, mu.numerators.tolist()) if v]

@@ -63,6 +63,16 @@ def test_count_cells_word_edges_and_views(lo, hi):
                           _unpacked_counts(tiled, lo, hi))
 
 
+def test_count_cells_counts_a_one_trial_plane_as_one_window():
+    # a (words,) plane, as one int trial steps it, is one count, not one
+    # per word; a (words, 1) plane is one count per column
+    words = np.array([0b1011, 1], dtype=np.uint64)
+    got = packed.count_cells(words, 0, 128)
+    assert got.shape == () and got.dtype == np.uint64 and got == 4
+    got = packed.count_cells(words.reshape(2, 1), 0, 128)
+    assert got.dtype == np.uint64 and got.tolist() == [4]
+
+
 @pytest.mark.parametrize("width", [1, 2, 63, 64, 65, 127, 128, 129])
 def test_config_roundtrip_at_word_boundaries(width):
     rng = np.random.default_rng(width)
