@@ -19,7 +19,6 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 import numpy as np
 
@@ -57,19 +56,46 @@ def density_log(n: int) -> float:
         math.log((n + 1 + k) / (4.0 * k)) for k in range(1, n + 1)))
 
 
+def _carry(limbs: np.ndarray) -> None:
+    """Keep each limb's low 32 bits and add the rest to the row above;
+    every limb but the top one, which keeps all its bits, ends below 2**33."""
+    high = limbs[:-1] >> 32
+    limbs[:-1] &= 0xFFFFFFFF
+    limbs[1:] += high
+
+
+def _total(limbs: np.ndarray) -> int:
+    """The sum of every count in ``limbs``; its carry keeps each row's sum
+    inside 64 bits."""
+    _carry(limbs)
+    return sum(int(row) << 32 * k
+               for k, row in enumerate(limbs.sum(axis=1).tolist()))
+
+
 def hitting_time_oracle(n: int) -> Fraction:
     """P(a simple symmetric walk from 0 stays below 2 for 2n steps).
 
     Pure path-counting DP over positions <= 1; no closed form involved.
-    ``counts[i]`` is the number of surviving paths at position ``lo + i``,
-    where ``lo`` drops by one per step and the last entry is position 1.
+    After step ``t``, column ``1 + k`` holds the surviving paths at position
+    ``2k - t`` in 32-bit limbs, one per row; column 0 stays zero.  A step
+    at most doubles a limb, hence a carry every 30 steps; the counts stay
+    below ``2**(t+1)``, so the rows in use grow with ``t`` and the top one
+    never carries out.
     """
     _check_exact_range(n)
-    counts = [1, 0]  # positions 0 and 1
-    for _ in range(2 * n):
-        # from q - 1 (up) and from q + 1 (down); q = 2 is killed
-        counts = list(map(add, [0, 0] + counts[:-1], counts + [0]))
-    return Fraction(sum(counts), 4 ** n)
+    counts = np.zeros((2 * n // 32 + 1, n + 2), dtype=np.uint64)
+    nxt = counts.copy()
+    counts[0, 1] = 1  # position 0
+    for t in range(2 * n):
+        rows, width = (t + 1) // 32 + 1, t // 2 + 2
+        # from q - 1 (up) and from q + 1 (down); the column of q = 2 is
+        # never written, which kills the paths that reach it
+        np.add(counts[:rows, :width], counts[:rows, 1:width + 1],
+               out=nxt[:rows, 1:width + 1])
+        counts, nxt = nxt, counts
+        if t % 30 == 29:
+            _carry(counts[:rows])
+    return Fraction(_total(counts), 4 ** n)
 
 
 def interface_walk_oracle(n: int) -> Fraction:
@@ -77,18 +103,26 @@ def interface_walk_oracle(n: int) -> Fraction:
     -1, 0, +1 with probabilities 1/4, 1/2, 1/4, started at 1 and absorbed
     at 0: the interface walk of the coalescing model.
 
-    Exact DP over the reachable positions, weighted in quarters:
-    ``weights[i]`` is the weight of the surviving paths at position ``1 + i``.
+    Exact DP over the reachable positions, weighted in quarters: column
+    ``p`` holds the surviving weight at position ``p`` in 32-bit limbs, one
+    per row, and column 0, never written, absorbs the walk.  The weights
+    1, 2, 1 are two neighbour sums; a step at most quadruples a limb, hence
+    a carry every 15 steps; the weights stay below ``4**(t+1)`` after step
+    ``t``, so the rows in use grow with ``t`` and the top one never carries.
     """
     _check_exact_range(n)
-    weights = np.ones(1, dtype=object)
-    for _ in range(n):
-        nxt = np.zeros(weights.size + 1, dtype=object)
-        nxt[1:] += weights  # +1
-        nxt[:-1] += weights * 2  # stay
-        nxt[:-2] += weights[1:]  # -1; a step from 1 onto 0 dies
-        weights = nxt
-    return Fraction(int(weights.sum()), 4 ** n)
+    weights = np.zeros((n // 16 + 1, n + 3), dtype=np.uint64)
+    pairs = np.zeros_like(weights)
+    weights[0, 1] = 1
+    for t in range(n):
+        rows, width = (t + 1) // 16 + 1, t + 3
+        np.add(weights[:rows, :width], weights[:rows, 1:width + 1],
+               out=pairs[:rows, :width])
+        np.add(pairs[:rows, :width - 1], pairs[:rows, 1:width],
+               out=weights[:rows, 1:width])
+        if t % 15 == 14:
+            _carry(weights[:rows])
+    return Fraction(_total(weights), 4 ** n)
 
 
 def asymptotic_ratio(n: int) -> float:

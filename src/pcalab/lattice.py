@@ -37,7 +37,7 @@ class Model(str, Enum):
 
     @property
     def alphabet(self) -> tuple[int, ...]:
-        return (EMPTY, PARTICLE, GREEN) if self is Model.D else (0, 1)
+        return tuple(range(len(GLYPHS[self])))
 
 
 #: Per model, the glyph of each symbol, by its value.

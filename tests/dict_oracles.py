@@ -2,7 +2,7 @@
 
 These are the recurrences of ``pcalab.density.hitting_time_oracle`` and
 ``interface_walk_oracle`` kept as sparse position -> count maps; the
-library runs the same recurrences over dense arrays, and the tests
+library runs the same recurrences over 32-bit limbs, and the tests
 require the two forms to agree exactly.
 """
 

@@ -6,6 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from pcalab import density, packed
 from pcalab.density import (EXACT_LIMIT, asymptotic_ratio, density_log,
@@ -108,10 +111,20 @@ def test_dense_oracles_equal_the_dict_references_at_large_n(n):
 
 
 def test_triple_oracle_identity():
-    for n in range(65):
+    # every carry pass of the first 260 steps, and the widest arrays
+    for n in itertools.chain(range(131), range(500, EXACT_LIMIT + 1)):
         d = exact_density(n)
         assert hitting_time_oracle(n) == d
         assert interface_walk_oracle(n) == d
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.uint64, array_shapes(min_dims=2, max_dims=2, max_side=40),
+              elements=st.integers(0, 2 ** 62 - 1)))
+def test_limb_total_is_the_sum_of_every_count(limbs):
+    limbs[-1] >>= 30  # the top row never carries out: below 2**32
+    want = sum(int(v) << 32 * k for k, row in enumerate(limbs) for v in row)
+    assert density._total(limbs) == want
 
 
 class TestDensityLog:

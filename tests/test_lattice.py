@@ -47,6 +47,12 @@ class TestLocalRules:
         assert d_local(GREEN, EMPTY, RIGHT, UP) == GREEN  # lone hop keeps color
 
 
+@pytest.mark.parametrize("model, symbols", [
+    ("a", (0, 1)), ("b", (0, 1)), ("c", (0, 1)), ("d", (0, 1, 2))])
+def test_alphabet_is_one_symbol_per_glyph(model, symbols):
+    assert Model(model).alphabet == symbols
+
+
 class TestSteps:
     def test_step_a_propagates_the_left_cell(self):
         x = Configuration(0, (1, 0))
