@@ -77,22 +77,24 @@ def hitting_time_oracle(n: int) -> Fraction:
 
     Pure path-counting DP over positions <= 1; no closed form involved.
     After step ``t``, column ``1 + k`` holds the surviving paths at position
-    ``2k - t`` in 32-bit limbs, one per row; column 0 stays zero.  A step
-    at most doubles a limb, hence a carry every 30 steps; the counts stay
-    below ``2**(t+1)``, so the rows in use grow with ``t`` and the top one
-    never carries out.
+    ``2k - t`` in 32-bit limbs, one per row of ``n + 3`` columns.  A step
+    is one add over the flat rows in use: their column 0 and last column
+    are zero, so no row mixes with the next.  It at most doubles a limb,
+    hence a carry every 30 steps; the counts stay below ``2**(t+1)``, so
+    the rows in use grow with ``t`` and the top one never carries out.
     """
     _check_exact_range(n)
-    counts = np.zeros((2 * n // 32 + 1, n + 2), dtype=np.uint64)
+    counts = np.zeros((2 * n // 32 + 1, n + 3), dtype=np.uint64)
     nxt = counts.copy()
+    flat, nxt_flat = counts.reshape(-1), nxt.reshape(-1)
     counts[0, 1] = 1  # position 0
     for t in range(2 * n):
-        rows, width = (t + 1) // 32 + 1, t // 2 + 2
-        # from q - 1 (up) and from q + 1 (down); the column of q = 2 is
-        # never written, which kills the paths that reach it
-        np.add(counts[:rows, :width], counts[:rows, 1:width + 1],
-               out=nxt[:rows, 1:width + 1])
-        counts, nxt = nxt, counts
+        rows = (t + 1) // 32 + 1
+        end = rows * (n + 3)
+        # from q - 1 (up) and from q + 1 (down)
+        np.add(flat[:end - 1], flat[1:end], out=nxt_flat[1:end])
+        nxt[:rows, t // 2 + 3] = 0  # position 2: kill the paths there
+        counts, nxt, flat, nxt_flat = nxt, counts, nxt_flat, flat
         if t % 30 == 29:
             _carry(counts[:rows])
     return Fraction(_total(counts), 4 ** n)
@@ -105,21 +107,23 @@ def interface_walk_oracle(n: int) -> Fraction:
 
     Exact DP over the reachable positions, weighted in quarters: column
     ``p`` holds the surviving weight at position ``p`` in 32-bit limbs, one
-    per row, and column 0, never written, absorbs the walk.  The weights
-    1, 2, 1 are two neighbour sums; a step at most quadruples a limb, hence
-    a carry every 15 steps; the weights stay below ``4**(t+1)`` after step
-    ``t``, so the rows in use grow with ``t`` and the top one never carries.
+    per row of ``n + 2`` columns.  The weights 1, 2, 1 are two neighbour
+    sums, each one add over the flat rows in use; column 0, zeroed after
+    each step, absorbs the walk and keeps each row apart from the next.
+    A step at most quadruples a limb, hence a carry every 15 steps; the
+    weights stay below ``4**(t+1)`` after step ``t``, so the rows in use
+    grow with ``t`` and the top one never carries.
     """
     _check_exact_range(n)
-    weights = np.zeros((n // 16 + 1, n + 3), dtype=np.uint64)
-    pairs = np.zeros_like(weights)
+    weights = np.zeros((n // 16 + 1, n + 2), dtype=np.uint64)
+    flat, pairs = weights.reshape(-1), np.zeros(weights.size, np.uint64)
     weights[0, 1] = 1
     for t in range(n):
-        rows, width = (t + 1) // 16 + 1, t + 3
-        np.add(weights[:rows, :width], weights[:rows, 1:width + 1],
-               out=pairs[:rows, :width])
-        np.add(pairs[:rows, :width - 1], pairs[:rows, 1:width],
-               out=weights[:rows, 1:width])
+        rows = (t + 1) // 16 + 1
+        end = rows * (n + 2)
+        np.add(flat[:end - 1], flat[1:end], out=pairs[:end - 1])
+        np.add(pairs[:end - 1], pairs[1:end], out=flat[1:end])
+        weights[:rows, 0] = 0
         if t % 15 == 14:
             _carry(weights[:rows])
     return Fraction(_total(weights), 4 ** n)

@@ -137,6 +137,9 @@ def verify_color_uniformity(n: int = 3, trials: int = 100_000,
 
     A run that cannot form a standard error (fewer than two trials keep a
     particle, or no band varies between trials) raises ``ValueError``."""
+    if not 0 <= n <= density.EXACT_LIMIT:
+        raise ValueError(f"color uniformity needs n in the exact regime [0, "
+                         f"{density.EXACT_LIMIT}]; got n={n}")
     half_density = float(density.exact_density(n)) / 2.0
     occ_counts, blue_counts = density.color_density_batch(
         n, trials, seed, sites_per_trial)
@@ -169,10 +172,11 @@ def verify_proposition_bounds(n: int, trials: int, seed: int,
     """Model ``a``'s pair statistic from the uniform, all-ones and
     all-zeros starts lies in [0, d(n)], the coalescing density, and from
     all ones reaches d(n-1)/2; a violation counts beyond four standard
-    errors.  ``n < 1`` or fewer than two trials raise ``ValueError``."""
-    if n < 1 or trials < 2:
+    errors.  n outside [1, EXACT_LIMIT] or trials < 2 raise ``ValueError``."""
+    if not 1 <= n <= density.EXACT_LIMIT or trials < 2:
         raise ValueError("proposition bounds need n >= 1 and at least two "
-                         "trials for a standard error")
+                         "trials for a standard error, and n <= "
+                         f"{density.EXACT_LIMIT}, the exact regime; got n={n}")
     lower = float(density.exact_density(n - 1) / 2)
     upper = float(density.exact_density(n))
     report = CaseReport("proposition-bounds")

@@ -177,6 +177,22 @@ class TestVerifyCommand:
         status = main(["verify", "--suite", "proposition-bounds", *argv])
         assert_one_error_line(status, capsys.readouterr())
 
+    @pytest.mark.parametrize("suite, n", [("proposition-bounds", "514"),
+                                          ("color-uniformity", "600")])
+    def test_n_past_the_exact_limit_names_the_n_given(self, capsys,
+                                                      monkeypatch, suite, n):
+        def never(*args):
+            raise AssertionError("a refused run was simulated")
+
+        monkeypatch.setattr(density, "mc_pair_statistic_A", never)
+        monkeypatch.setattr(density, "color_density_batch", never)
+        status = main(["verify", "--suite", suite, "--n", n, "--trials",
+                       "10"])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert f"n={n}" in captured.err and "512" in captured.err
+        assert "density_log" not in captured.err
+
     @pytest.mark.parametrize("width", ["0", "2", "5", "-4"])
     def test_periodic_orbit_width_errors(self, capsys, width):
         status = main(["verify", "--suite", "periodic-orbit", "--width",
