@@ -10,9 +10,8 @@ from .cylinder import (CylinderMeasure, TransitionFunction,
 from .density import (DensityReport, asymptotic_ratio, density_log,
                       exact_density, hitting_time_oracle,
                       interface_walk_oracle, mc_density, mc_pair_statistic_A)
-from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
-                      MergeEvent, MergeForest, Model, Trajectory,
-                      particle_count, trace_merges)
+from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration, Model,
+                      Trajectory, lineage, particle_count)
 from .packed import evolve_trajectory as evolve
 from .render import render
 from .stream import RIGHT, UP, UpdateStream

@@ -20,8 +20,8 @@ import sys
 from collections.abc import Iterable
 
 from . import cylinder, density, packed, verify
-from .lattice import (BLUE, GLYPHS, GREEN, Configuration, Model,
-                      particle_count, trace_merges)
+from .lattice import (BLUE, GLYPHS, GREEN, Configuration, Model, lineage,
+                      particle_count)
 from .packed import evolve_trajectory as evolve  # traced as cli.evolve
 from .render import render
 from .stream import DOMAIN_COLOR, UpdateStream
@@ -97,14 +97,7 @@ def _cmd_render(args) -> tuple[Iterable[str], int]:
     pid, site = args.highlight_particle, args.highlight_site
     marked = frozenset()
     if pid is not None or site is not None:
-        forest = trace_merges(traj)
-        if site is not None:
-            final = traj.final
-            pid = (forest.id_rows[-1][site - final.offset]
-                   if final.offset <= site < final.end else -1)
-            if pid < 0:
-                raise ValueError(f"no surviving particle at site {site}")
-        marked = forest.lineage(pid)
+        marked = lineage(traj, pid, site)
     return render(traj, args.format, args.arrows, marked), 0
 
 

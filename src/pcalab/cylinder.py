@@ -48,14 +48,6 @@ def _encode(alphabet: tuple, word: tuple) -> int:
     return idx
 
 
-def _decode(alphabet: tuple, length: int, idx: int) -> tuple:
-    base, out = len(alphabet), []
-    for _ in range(length):
-        idx, digit = divmod(idx, base)
-        out.append(alphabet[digit])
-    return tuple(out)
-
-
 def _check_cap(alphabet: tuple, length: int) -> int:
     if length < 1:
         raise ValueError("window must contain at least one site")

@@ -18,6 +18,7 @@ for the word-parallel kernels in :mod:`pcalab.packed`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -142,18 +143,6 @@ def occupied_cell(c: int) -> int:
     return PARTICLE if c != EMPTY else EMPTY
 
 
-@dataclass(frozen=True)
-class MergeEvent:
-    """A collision: ``left_parent`` hopped onto ``right_parent`` at
-    (step, site), producing particle ``child``."""
-
-    step: int
-    site: int
-    left_parent: int
-    right_parent: int
-    child: int
-
-
 @dataclass
 class Trajectory:
     """``rows[k]`` holds one arrow per cell of ``configs[k]``, aligned
@@ -167,38 +156,6 @@ class Trajectory:
     @property
     def final(self) -> Configuration:
         return self.configs[-1]
-
-
-def _initial_ids(cfg: Configuration) -> tuple[tuple[int, ...], int]:
-    ids, nxt = [], 0
-    for c in cfg.cells:
-        if c != EMPTY:
-            ids.append(nxt)
-            nxt += 1
-        else:
-            ids.append(-1)
-    return tuple(ids), nxt
-
-
-def _advance_ids(cfg: Configuration, ids: tuple[int, ...], row: tuple,
-                 step_index: int, next_id: int, events: list[MergeEvent],
-                 cycle: bool):
-    """Particle ids one step on: a particle that hops in or stays keeps its
-    id; a collision logs a :class:`MergeEvent` and takes the next fresh id."""
-    def local(left, here, left_arrow, arrow):
-        nonlocal next_id
-        (left_cell, left_id, _), (cell, cell_id, site) = left, here
-        arrive, stay = _moves(left_cell, cell, left_arrow, arrow)
-        if arrive and stay:
-            events.append(MergeEvent(step_index, site, left_id, cell_id,
-                                     next_id))
-            next_id += 1
-            return next_id - 1
-        return left_id if arrive else cell_id if stay else -1
-
-    sites = tuple(zip(cfg.cells, ids, range(cfg.offset, cfg.end)))
-    out = _walk(local, sites, _pairs(row, cycle), cycle)
-    return out, next_id
 
 
 def check_run(model: Model, init: Configuration, steps: int,
@@ -232,8 +189,8 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     ``k`` covers ``width - shed*k`` sites from ``offset + shed*k``.
     :class:`UpdateStream` builds them so, and they are stepped unchecked.
     Line boundary sheds one site on the left per step; cycle boundary wraps
-    index arithmetic modulo the width.  :func:`trace_merges` replays the
-    merge genealogy of models ``c`` and ``d`` from the trajectory on demand.
+    index arithmetic modulo the width.  :func:`lineage` walks the merge
+    genealogy of models ``c`` and ``d`` back through the trajectory.
     """
     model, cycle = check_run(model, init, steps, boundary)
     rows = stream.rows(steps, init.offset, len(init), 0 if cycle else 1)
@@ -243,61 +200,78 @@ def evolve(model: Model, init: Configuration, stream: UpdateStream,
     return Trajectory(model, boundary, configs, rows)
 
 
-@dataclass(frozen=True)
-class MergeForest:
-    """Genealogy of particle merges.
-
-    ``id_rows[t]`` holds each cell's particle id at step ``t``, -1 for an
-    empty cell.  The ``k`` initial particles, ids ``0 .. k-1``, are leaves;
-    each collision adds one internal node, so ``k - len(merges)`` lines of
-    descent stay alive: on a cycle, the particles of ``id_rows[-1]``.
-    """
-
-    merges: tuple[MergeEvent, ...]
-    id_rows: tuple[tuple[int, ...], ...]
-
-    def ancestors(self, particle: int) -> set[int]:
-        """The particle itself plus every particle that merged into it."""
-        leaves = sum(pid >= 0 for pid in self.id_rows[0])
-        if not 0 <= particle < leaves + len(self.merges):
-            raise ValueError(f"no particle has id {particle}")
-        parents = {ev.child: (ev.left_parent, ev.right_parent)
-                   for ev in self.merges}
-        out, stack = set(), [particle]
-        while stack:
-            p = stack.pop()
-            if p in out:
-                continue
-            out.add(p)
-            stack.extend(parents.get(p, ()))
-        return out
-
-    def lineage(self, particle: int) -> set[tuple[int, int]]:
-        """The ``(step, index)`` cells the particle's ancestors occupy,
-        ``index`` counted from the left end of that step's window."""
-        keep = self.ancestors(particle)
-        return {(step, j) for step, ids in enumerate(self.id_rows)
-                for j, pid in enumerate(ids) if pid in keep}
+#: A byte per symbol: 1 for a particle of either colour, 0 for an empty cell.
+_OCCUPIED = bytes([EMPTY, PARTICLE, PARTICLE]).ljust(256, b"\0")
 
 
-def trace_merges(traj: Trajectory) -> MergeForest:
-    """The merge forest of a model ``c`` or ``d`` trajectory, replayed."""
+def _births(traj: Trajectory):
+    """Per step, one byte per cell of its window, 1 where a particle is
+    born: each particle of step 0, then each cell where a particle hops
+    onto one that stays.  Cell ``j`` of a row is byte ``j`` of an int, so
+    a step is a few C-level operations."""
+    yield bytes(traj.configs[0].cells).translate(_OCCUPIED)
+    for cfg, row, nxt in zip(traj.configs, traj.rows, traj.configs[1:]):
+        occupied = int.from_bytes(bytes(cfg.cells).translate(_OCCUPIED),
+                                  "little")
+        hop = occupied & int.from_bytes(bytes(row), "little")  # RIGHT is 1
+        stay = occupied ^ hop
+        merged = ((hop << 8 | hop >> 8 * len(cfg) - 8) & stay
+                  if traj.boundary == "cycle" else hop & stay >> 8)
+        yield merged.to_bytes(len(nxt), "little")
+
+
+def lineage(traj: Trajectory, particle: int | None = None,
+            site: int | None = None) -> set[tuple[int, int]]:
+    """The ``(step, index)`` cells that a particle of a model ``c`` or ``d``
+    run and every particle merged into it occupy, ``index`` counted from
+    the left end of that step's window.  The particle is named by its id
+    (the initial particles from the left, then the merges in (step, index)
+    order) or by its ``site`` in the final window.
+
+    A particle at site ``x`` moves to ``x + arrow`` (``RIGHT`` is 1), a map
+    that never lets two particles cross, so the sites it maps into a run of
+    sites ``[lo, hi]`` form a run again, at most the ring on a cycle.  The
+    particle's ancestors are the occupied cells of such a run in each row,
+    walked back from the particle's last cell."""
     if traj.model not in (Model.C, Model.D):
         raise ValueError(f"model {traj.model.value} trajectories carry no "
                          "merge log; use model c or d")
-    ids, next_id = _initial_ids(traj.configs[0])
-    id_rows, events = [ids], []
-    for n, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
-        ids, next_id = _advance_ids(cfg, ids, row, n + 1, next_id, events,
-                                    traj.boundary == "cycle")
-        id_rows.append(ids)
-    merged = set()
-    for ev in events:
-        for parent in (ev.left_parent, ev.right_parent):
-            if parent in merged:
-                raise ValueError(f"particle {parent} merges twice")
-            merged.add(parent)
-    return MergeForest(tuple(events), tuple(id_rows))
+    cycle = traj.boundary == "cycle"
+
+    def index(cfg: Configuration, x: int) -> int:
+        return (x - cfg.offset) % len(cfg) if cycle else x - cfg.offset
+
+    step, x, births, final = len(traj.rows), site, _births(traj), traj.final
+    if site is None:  # its birth cell, then on until it merges or leaves
+        rank = particle
+        for step, born in enumerate(births if rank >= 0 else ()):
+            if rank < born.count(1):
+                x = traj.configs[step].offset + next(itertools.islice(
+                    itertools.compress(itertools.count(), born), rank, None))
+                break
+            rank -= born.count(1)
+        else:
+            raise ValueError(f"no particle has id {particle}")
+        for born, nxt in zip(births, traj.configs[step + 1:]):
+            on = x + traj.rows[step][index(traj.configs[step], x)]
+            k = index(nxt, on)
+            if not (cycle or 0 <= k < len(nxt)) or born[k]:  # gone or merged
+                break
+            step, x = step + 1, on
+    elif not (final.offset <= site < final.end
+              and final.cells[site - final.offset]):
+        raise ValueError(f"no surviving particle at site {site}")
+    out, lo, hi = set(), x, x
+    for t in reversed(range(step + 1)):  # its ancestors, one run a row
+        cfg, w = traj.configs[t], len(traj.configs[t])
+        if t < step:  # the sites whose arrows step into [lo, hi]
+            lo -= traj.rows[t][index(cfg, lo - 1)]
+            hi -= traj.rows[t][index(cfg, hi)]
+        a, n = index(cfg, lo), hi - lo + 1
+        for start, stop in ((a, min(a + n, w)), (0, a + n - w)):
+            out.update(zip(itertools.repeat(t), itertools.compress(
+                range(start, stop), cfg.cells[start:stop])))
+    return out
 
 
 def particle_count(cfg: Configuration) -> int:

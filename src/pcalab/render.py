@@ -3,8 +3,7 @@
 One row per time step, time increasing downward.  The update arrows can be
 overlaid (vertical stroke for UP, north-east stroke for RIGHT), and any set
 of ``(step, index)`` cells can be highlighted; for models ``c`` and ``d``
-that is usually a particle's ancestry,
-:meth:`~pcalab.lattice.MergeForest.lineage`.
+that is usually a particle's ancestry, :func:`~pcalab.lattice.lineage`.
 """
 
 from __future__ import annotations

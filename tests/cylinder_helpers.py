@@ -9,8 +9,16 @@ writes a transition table in the plain-text format that
 
 from fractions import Fraction
 
-from pcalab.cylinder import (CylinderMeasure, TransitionFunction, _decode,
-                             _encode)
+from pcalab.cylinder import CylinderMeasure, TransitionFunction, _encode
+
+
+def _decode(alphabet: tuple, length: int, idx: int) -> tuple:
+    """Inverse of ``cylinder._encode``: the word of code ``idx``."""
+    base, out = len(alphabet), []
+    for _ in range(length):
+        idx, digit = divmod(idx, base)
+        out.append(alphabet[digit])
+    return tuple(out)
 
 
 def fields(mu: CylinderMeasure) -> tuple:

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import pcalab
-from pcalab import cli, cylinder, density, lattice, packed, verify
+from pcalab import cli, cylinder, density, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.verify import CaseReport
@@ -388,21 +388,26 @@ class TestSimulateAndRender:
         assert_one_error_line(status, captured)
         assert "no particle" in captured.err
 
-    @pytest.mark.parametrize("highlight", [["--highlight-site", "18"],
-                                           ["--highlight-particle", "35"]])
-    def test_highlight_replays_the_ids_once(self, capsys, monkeypatch,
-                                            highlight):
-        calls = []
-        advance = lattice._advance_ids
-
-        def counted(*args):
-            calls.append(args)
-            return advance(*args)
-
-        monkeypatch.setattr(lattice, "_advance_ids", counted)
-        status, _ = run(capsys, "render", "--model", "c", "--width", "30",
-                        "--steps", "12", *highlight)
-        assert status == 0 and len(calls) == 12
+    @pytest.mark.parametrize("argv, message", [
+        (["--model", model, highlight, "4"], "carry no merge log")
+        for model in "ab"
+        for highlight in ("--highlight-site", "--highlight-particle")
+    ] + [
+        # an empty cell, and one site past each end of the final window
+        (["--model", "c", "--init", "zeros", "--highlight-site", "5"],
+         "no surviving particle at site 5"),
+        (["--model", "c", "--highlight-site", "2"],
+         "no surviving particle at site 2"),
+        (["--model", "c", "--highlight-site", "12"],
+         "no surviving particle at site 12"),
+    ])
+    def test_genealogy_refusals_name_their_cause(self, capsys, argv,
+                                                 message):
+        # the window is sites 0 .. 11, and sites 3 .. 11 after three steps
+        status = main(["render", "--width", "12", "--steps", "3", *argv])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert message in captured.err
 
     def test_highlight_site_and_particle_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -661,6 +666,12 @@ class TestStreamedOutput:
         argv = ["render", "--model", "c", "--steps", "4000"]
         text, svg = self.fresh_peaks(argv, [*argv, "--format", "svg"])
         assert text < 158.5 and svg < 160
+        # the last survivor's ancestry walked back one run of sites a row
+        # adds its 16,274 marked cells, about 3 MB; a replay of every
+        # particle id of every cell peaked at 224 MB
+        argv += ["--highlight-site", "4064"]
+        text, svg = self.fresh_peaks(argv, [*argv, "--format", "svg"])
+        assert text < 165 and svg < 165
 
 
 class TestDeterminism:

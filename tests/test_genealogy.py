@@ -1,4 +1,5 @@
-"""Merge genealogy: forests, ancestries, counting identities."""
+"""Merge genealogy: the backward walk ``lineage`` against the replayed
+merge forest of ``scalar_walk``, and the forest's counting identities."""
 
 import itertools
 
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model,
-                            _initial_ids, evolve, particle_count,
-                            trace_merges)
+import pcalab
+from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model, evolve,
+                            lineage, particle_count)
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import scalar_walk
+from scalar_walk import trace_merges
 
 
 def _live(ids):
@@ -40,6 +42,10 @@ def test_two_adjacent_particles_merge_into_one_root():
     # leaves 0 and 1 at step 0; the merged child alone survives the step
     assert forest.id_rows == ((0, 1, -1), (2, -1))
     assert forest.ancestors(2) == {0, 1, 2}
+    # the walk: both leaves at step 0, then the child; each leaf alone
+    assert lineage(traj, 2) == lineage(traj, site=1) == {(0, 0), (0, 1),
+                                                         (1, 0)}
+    assert lineage(traj, 0) == {(0, 0)} and lineage(traj, 1) == {(0, 1)}
 
 
 def test_merge_log_is_consistent_with_occupancy():
@@ -91,6 +97,9 @@ def test_wrong_model_has_no_merge_log():
                   2)
     with pytest.raises(ValueError):
         trace_merges(traj)
+    for kwargs in ({"particle": 0}, {"site": 4}):
+        with pytest.raises(ValueError, match="carry no merge log"):
+            lineage(traj, **kwargs)
 
 
 def test_ancestry_covers_every_merged_leaf():
@@ -109,37 +118,50 @@ def test_ancestry_covers_every_merged_leaf():
 
 @st.composite
 def particle_runs(draw):
-    """A model ``c`` or ``d`` trajectory from a random window and seed."""
+    """A model ``c`` or ``d`` run of the bit-plane stepper, on a window of
+    2 to 90 cells at an offset off block edges."""
     model = draw(st.sampled_from([Model.C, Model.D]))
     boundary = draw(st.sampled_from(["line", "cycle"]))
-    width = draw(st.integers(2, 24))
+    width = draw(st.integers(2, 90))
     cells = draw(st.lists(st.sampled_from(model.alphabet), min_size=width,
                           max_size=width))
-    init = Configuration(draw(st.integers(-40, 40)), tuple(cells))
-    steps = draw(st.integers(0, width - 1 if boundary == "line" else 16))
-    return evolve(model, init, UpdateStream(draw(st.integers(0, 2 ** 32))),
-                  steps, boundary=boundary)
+    init = Configuration(draw(st.integers(-70, 70)), tuple(cells))
+    steps = draw(st.integers(0, min(width - 1 if boundary == "line" else 40,
+                                    40)))
+    return pcalab.evolve(model, init,
+                         UpdateStream(draw(st.integers(0, 2 ** 32))), steps,
+                         boundary=boundary)
+
+
+def _outcome(call, *args, **kwargs):
+    """The call's result, or the message of the ``ValueError`` it raised."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as err:
+        return f"ValueError: {err}"
 
 
 @settings(max_examples=200, deadline=None)
 @given(particle_runs())
-def test_trace_merges_equals_the_chained_index_walk(traj):
-    ids, next_id = _initial_ids(traj.configs[0])
-    id_rows, merges = [ids], []
-    for n, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
-        ids, next_id, events = scalar_walk.advance_ids(
-            cfg, ids, row, n + 1, next_id, traj.boundary == "cycle")
-        id_rows.append(ids)
-        merges += events
+def test_the_walk_equals_the_replayed_forest(traj):
     forest = trace_merges(traj)
-    assert forest.id_rows == tuple(id_rows)
-    assert forest.merges == tuple(merges)
     initial = particle_count(traj.configs[0])
     final = particle_count(traj.final)
-    assert _live(forest.id_rows[0]) == list(range(initial))
-    assert len(set(_live(forest.id_rows[-1]))) == final
+    assert [pid for pid in forest.id_rows[0] if pid >= 0] == \
+        list(range(initial))
+    assert len({pid for pid in forest.id_rows[-1] if pid >= 0}) == final
     if traj.boundary == "cycle":  # a line window sheds particles on the left
         assert initial - len(forest.merges) == final
+    # every id, and -1 and one past the last id, which name no particle
+    last = initial + len(forest.merges)
+    for particle in range(-1, last + 1):
+        want = _outcome(forest.lineage, particle)
+        assert _outcome(lineage, traj, particle) == want
+        assert isinstance(want, str) == (particle in (-1, last))
+    # every site of the final window and one past each end
+    for site in range(traj.final.offset - 1, traj.final.end + 1):
+        want = _outcome(lambda: forest.lineage(forest.survivor(site)))
+        assert _outcome(lineage, traj, site=site) == want
 
 
 @pytest.mark.parametrize("particle", [-1, 3, 99])
@@ -149,4 +171,6 @@ def test_ancestors_of_an_id_naming_no_particle_raise(particle):
     forest = trace_merges(traj)  # leaves 0 and 1, merged child 2
     with pytest.raises(ValueError, match="no particle"):
         forest.ancestors(particle)
+    with pytest.raises(ValueError, match=f"^no particle has id {particle}$"):
+        lineage(traj, particle)
     assert forest.ancestors(2) == {0, 1, 2}

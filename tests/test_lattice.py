@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from pcalab import stream
 from pcalab.lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration,
-                            Model, _advance_ids, _initial_ids, _step, a_local,
-                            b_local, c_local, d_local, evolve, pair_cell,
+                            Model, Trajectory, _step, a_local, b_local,
+                            c_local, d_local, evolve, lineage, pair_cell,
                             particle_count)
 from pcalab.stream import RIGHT, UP, UpdateStream, bits_range
 
@@ -241,18 +241,18 @@ def model_window(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(model_window(), st.integers(1, 100))
-def test_mapped_walk_equals_the_index_walk(case, step_index):
+@given(model_window())
+def test_mapped_walk_equals_the_index_walk(case):
     model, cycle, cfg, row = case
     assert _step(model, cfg, row, cycle) == scalar_walk.step(model, cfg, row,
                                                              cycle)
     if model in (Model.C, Model.D):
-        ids, next_id = _initial_ids(cfg)
-        events = []
-        out, after = _advance_ids(cfg, ids, row, step_index, next_id, events,
-                                  cycle)
-        assert (out, after, events) == scalar_walk.advance_ids(
-            cfg, ids, row, step_index, next_id, cycle)
+        # the step's genealogy: each particle walked back one row
+        traj = Trajectory(model, "cycle" if cycle else "line",
+                          [cfg, _step(model, cfg, row, cycle)], [row])
+        forest = scalar_walk.trace_merges(traj)
+        for pid in range(particle_count(cfg) + len(forest.merges)):
+            assert lineage(traj, pid) == forest.lineage(pid)
 
 
 @pytest.mark.parametrize("bad, error", [(2, ValueError), (-1, ValueError),

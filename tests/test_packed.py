@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from pcalab import packed, stream as stream_module
 from pcalab.density import _run_batch
 from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
-                            Model, _step, evolve, trace_merges)
+                            Model, _step, evolve)
 from pcalab.packed import (evolve_final, evolve_trajectory, pack_bits,
                            step_planes, unpack_bits, words_for)
 from pcalab.stream import DOMAIN_COLOR, UpdateStream, block_bits_vec
+
+import scalar_walk
 
 
 @settings(max_examples=60, deadline=None)
@@ -265,7 +267,7 @@ def test_bit_plane_trajectory_equals_the_scalar_trajectory(
                                 boundary=boundary)
     assert got == want  # model, boundary, configurations and arrow rows
     if model in (Model.C, Model.D):
-        assert trace_merges(got) == trace_merges(want)
+        assert scalar_walk.trace_merges(got) == scalar_walk.trace_merges(want)
 
 
 def test_one_trial_steps_one_dimensional_planes(monkeypatch):

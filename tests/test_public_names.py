@@ -19,8 +19,8 @@ import pcalab.cli
 PUBLIC = {
     # lattice and stream
     "BLUE", "EMPTY", "GREEN", "PARTICLE", "RIGHT", "UP", "Configuration",
-    "MergeEvent", "MergeForest", "Model", "Trajectory", "UpdateStream",
-    "evolve", "particle_count", "trace_merges",
+    "Model", "Trajectory", "UpdateStream", "evolve", "lineage",
+    "particle_count",
     "render",
     # cylinder
     "CylinderMeasure", "TransitionFunction", "alternating_pair_measure",

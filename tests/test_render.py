@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
-                            evolve, trace_merges)
+                            evolve)
 from pcalab.render import HIGHLIGHT_COLOR, render
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import render_reference
-from scalar_walk import FixedRows
+from scalar_walk import FixedRows, trace_merges
 
 
 def test_alternating_run_renders_shifted_rows():
