@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import pcalab
-from pcalab import cli, cylinder, density, packed, verify
+from pcalab import cli, cylinder, density, lattice, packed, verify
 from pcalab.cli import main
 from pcalab.density import mc_density
 from pcalab.verify import CaseReport
@@ -387,6 +387,23 @@ class TestSimulateAndRender:
         captured = capsys.readouterr()
         assert_one_error_line(status, captured)
         assert "no particle" in captured.err
+
+    @pytest.mark.parametrize("highlight", [["--highlight-site", "18"],
+                                           ["--highlight-particle", "35"]])
+    def test_highlight_replays_the_ids_once(self, capsys, monkeypatch,
+                                            highlight):
+        # one pass over the births of the run: a row a step at most
+        calls, rows = [], []
+        births = lattice._births
+
+        def counted(traj):
+            calls.append(traj)
+            return (rows.append(born) or born for born in births(traj))
+
+        monkeypatch.setattr(lattice, "_births", counted)
+        status, _ = run(capsys, "render", "--model", "c", "--width", "30",
+                        "--steps", "12", *highlight)
+        assert status == 0 and len(calls) == 1 and len(rows) <= 13
 
     @pytest.mark.parametrize("argv, message", [
         (["--model", model, highlight, "4"], "carry no merge log")
