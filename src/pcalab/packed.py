@@ -87,11 +87,13 @@ def kernel_a(x: np.ndarray, u: np.ndarray, cycle: int = 0) -> np.ndarray:
 
 
 def kernel_b(x: np.ndarray, u: np.ndarray, cycle: int = 0) -> np.ndarray:
-    return from_left(x & u, cycle) ^ (x & ~u)
+    out = from_left(hop := x & u, cycle)  # x & ~u is x ^ hop, formed in hop
+    return np.bitwise_xor(out, np.bitwise_xor(x, hop, out=hop), out=out)
 
 
 def kernel_c(x: np.ndarray, u: np.ndarray, cycle: int = 0) -> np.ndarray:
-    return from_left(x & u, cycle) | (x & ~u)
+    out = from_left(hop := x & u, cycle)  # x & ~u is x ^ hop, formed in hop
+    return np.bitwise_or(out, np.bitwise_xor(x, hop, out=hop), out=out)
 
 
 def step_planes(model: Model, planes: tuple[np.ndarray, ...],

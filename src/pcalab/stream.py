@@ -6,7 +6,8 @@ in blocks of 64 consecutive sites by one avalanche mixer over the packed
 coordinates, :func:`block_bits_vec`; :func:`bits_range` slices a site
 window out of the blocks that cover it.  A site therefore reads the same
 bit alone, in an assembled row or inside a vectorized batch, with no
-dependence on evaluation order or threading.
+dependence on evaluation order or threading.  Draws over one trial array
+(a Monte Carlo chunk's steps) hash its ``(seed, trial)`` prefix once.
 
 Arrows take two values: ``UP`` ("stay" for a particle, "switch" for a
 binary cell) and ``RIGHT`` ("hop right" / "keep"), each with probability
@@ -39,6 +40,7 @@ _C_TRIAL = 0xD1B54A32D192ED03
 _C_STEP = 0x8CB92BA72F3D8DD7
 _C_BLOCK = 0xABCC5167CCAD925F
 _C_DOMAIN = 0xFF51AFD7ED558CCD
+_memo = [None, None, None]  # seed, trial words and prefix of the last array
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -46,6 +48,14 @@ def _mix(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> None:
+    """:func:`_mix` written over the array ``z``, with ``tmp`` as scratch."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(factor)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
 
 
 def _u64(x) -> np.ndarray:
@@ -62,15 +72,23 @@ def block_bits_vec(seed: int, trial, step, block,
     ``trial``, ``step`` and ``block`` may be ints or broadcastable integer
     arrays; the result is a uint64 array of the broadcast shape.  Every
     coordinate is read modulo 2^64, so negative steps and blocks wrap in
-    two's complement.
+    two's complement.  An array of trials reuses the last one's prefix only
+    at an equal seed and equal values, so it never reads a stale prefix.
     """
-    t, s, b = map(_u64, (trial, step, block))
+    t, s, b, d = map(_u64, (trial, step, block, domain * _C_DOMAIN))
     with np.errstate(over="ignore"):  # uint64 products wrap by design
-        h = _mix(np.uint64((seed & _MASK) ^ _C_SEED))
-        h = _mix(h ^ (t * np.uint64(_C_TRIAL)))
-        h = _mix(h ^ (s * np.uint64(_C_STEP)))
-        h = _mix(h ^ (b * np.uint64(_C_BLOCK)))
-        h = _mix(h ^ np.uint64((domain * _C_DOMAIN) & _MASK))
+        seed0, t0, h = _memo  # one read: a consistent entry
+        if not (np.ndim(t) and seed0 == seed and np.array_equal(t0, t)):
+            h = _mix(np.uint64((seed & _MASK) ^ _C_SEED))
+            h = _mix(h ^ (t * np.uint64(_C_TRIAL)))
+            if np.ndim(t):  # t is _u64's copy; no stage writes t or h
+                _memo[:] = seed, t, h
+        h = _mix(h ^ (s * np.uint64(_C_STEP))) ^ (b * np.uint64(_C_BLOCK))
+        if not isinstance(h, np.ndarray):  # all-scalar coordinates
+            return _mix(_mix(h) ^ d)
+        _mix_in_place(h, tmp := np.empty_like(h))  # h is a fresh array
+        h ^= d
+        _mix_in_place(h, tmp)
     return h
 
 

@@ -11,9 +11,11 @@ keeps for the tests alone: every run steps bit planes.
 import ast
 import pathlib
 
+import numpy as np
 import pytest
 
 import pcalab
+from pcalab import density, packed, stream
 
 DRAWERS = {"stream.bits_range", "packed.batch_arrow_words",
            "packed.batch_cell_words", "density._iid_plane"}
@@ -99,3 +101,25 @@ def test_the_guard_sees_a_scalar_fallback(fallback):
     sources = _package_sources()
     sources["cli"] += "\n\n" + fallback
     assert scalar_evolve_callers(sources) == {"cli.twin"}
+
+
+def test_a_chunk_hashes_its_trial_prefix_once(monkeypatch):
+    # two chunks, of 32 and 8 trials, drawing 10 and 3 times; the trial
+    # stage is the only mix of a one-dimensional array
+    want = density.mc_density("c", "full", 10, 40, 3)
+    monkeypatch.setattr(packed, "CHUNK_WORDS", 64)
+    monkeypatch.setattr(stream, "_memo", [None, None, None])
+    mix, prefixes = stream._mix, []
+
+    def spy(z):
+        if np.ndim(z) == 1:
+            prefixes.append(z.shape)
+        return mix(z)
+
+    monkeypatch.setattr(stream, "_mix", spy)
+    assert density.mc_density("c", "full", 10, 40, 3) == want
+    assert prefixes == [(32,), (8,)]
+    # the draw stays in block_bits_vec, which the benchmark wraps by name
+    assert DRAWERS == {"stream.bits_range", "packed.batch_arrow_words",
+                       "packed.batch_cell_words", "density._iid_plane"}
+    assert STEPPERS == {"packed.run_planes"}

@@ -158,6 +158,22 @@ def test_kernels_equal_every_rule_around_a_cycle(model, width):
     assert misses.size == 0
 
 
+@pytest.mark.parametrize("cycle", [0, 130])
+@pytest.mark.parametrize("model", list(Model))
+def test_kernels_never_write_their_inputs(model, cycle):
+    # _trajectory keeps the planes it is yielded, and the pair statistic
+    # steps read-only broadcast planes: a write into either raises here
+    rng = np.random.default_rng(11)
+    occ, u = rng.integers(0, 2 ** 63, (2, 3, 5), dtype=np.uint64)
+    planes = ((occ, occ & u) if model is Model.D
+              else (np.broadcast_to(occ[:, :1], occ.shape),))
+    kept = [a.copy() for a in (*planes, u)]
+    for a in (*planes, u):
+        a.flags.writeable = False
+    step_planes(model, planes, u, cycle)
+    assert all(np.array_equal(a, b) for a, b in zip(kept, (*planes, u)))
+
+
 _kernel_a = packed.kernel_a
 
 

@@ -124,3 +124,46 @@ def test_one_call_draw_equals_the_per_row_draws(offset, width, steps, shed,
         tuple(bits_range(23, trial, n, offset + shed * n,
                          width - shed * n).tolist())
         for n in range(steps)]
+
+
+def _reference_words(seed, trial, step, block, domain):
+    """``ref.block_bits`` at every cell of the broadcast coordinates."""
+    cells = np.broadcast(np.asarray(trial), np.asarray(step),
+                         np.asarray(block))
+    return np.array([ref.block_bits(seed, int(t), int(s), int(b), domain)
+                     for t, s, b in cells], dtype=np.uint64).reshape(
+                         cells.shape)
+
+
+_INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+_CALLS = ("same", "mutated", "equal copy", "column", "int", "all scalar")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_INT64, min_size=1, max_size=4), st.data())
+def test_prefix_memo_hits_and_misses_equal_the_reference(ids, data):
+    # one array object, reused, mutated in place, copied and reshaped,
+    # between int and all-scalar calls, seeds, domains and scribbled results
+    arr = np.array(ids, dtype=np.int64)
+    blocks = np.array([-1, 7])
+    for _ in range(data.draw(st.integers(1, 10))):
+        call = data.draw(st.sampled_from(_CALLS))
+        seed = data.draw(st.sampled_from([5, 6]))
+        domain = data.draw(st.sampled_from([0, DOMAIN_CELL]))
+        step = data.draw(st.integers(-2, 3))
+        block = blocks[:, None]
+        if call == "mutated":
+            arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(_INT64)
+        trial = {"equal copy": arr.copy(), "column": arr[:, None],
+                 "int": data.draw(st.integers(-2 ** 63, 2 ** 64 - 1)),
+                 "all scalar": data.draw(_INT64)}.get(call, arr)
+        if call == "column":
+            block = blocks
+        elif call == "all scalar":
+            block = int(blocks[data.draw(st.integers(0, 1))])
+        got = block_bits_vec(seed, trial, step, block, domain)
+        want = _reference_words(seed, trial, step, block, domain)
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
+        if isinstance(got, np.ndarray) and data.draw(st.booleans()):
+            got ^= np.uint64(0xFFFF)  # the caller owns its result
