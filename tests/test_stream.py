@@ -151,16 +151,17 @@ def test_prefix_memo_hits_and_misses_equal_the_reference(ids, data):
         seed = data.draw(st.sampled_from([5, 6]))
         domain = data.draw(st.sampled_from([0, DOMAIN_CELL]))
         step = data.draw(st.integers(-2, 3))
-        block = blocks[:, None]
+        trial, block = arr, blocks[:, None]
         if call == "mutated":
             arr[data.draw(st.integers(0, arr.size - 1))] = data.draw(_INT64)
-        trial = {"equal copy": arr.copy(), "column": arr[:, None],
-                 "int": data.draw(st.integers(-2 ** 63, 2 ** 64 - 1)),
-                 "all scalar": data.draw(_INT64)}.get(call, arr)
-        if call == "column":
-            block = blocks
+        elif call == "equal copy":
+            trial = arr.copy()
+        elif call == "column":
+            trial, block = arr[:, None], blocks
+        elif call == "int":
+            trial = data.draw(st.integers(-2 ** 63, 2 ** 64 - 1))
         elif call == "all scalar":
-            block = int(blocks[data.draw(st.integers(0, 1))])
+            trial, block = data.draw(_INT64), int(blocks[1])
         got = block_bits_vec(seed, trial, step, block, domain)
         want = _reference_words(seed, trial, step, block, domain)
         assert np.shape(got) == want.shape
