@@ -43,19 +43,16 @@ _C_DOMAIN = 0xFF51AFD7ED558CCD
 _memo = [None, None, None]  # seed, trial words and prefix of the last array
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """64-bit finalizer (xor-shift/multiply) with full avalanche."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _mix_in_place(z: np.ndarray, tmp: np.ndarray) -> None:
-    """:func:`_mix` written over the array ``z``, with ``tmp`` as scratch."""
+def _mix(z) -> np.ndarray:
+    """64-bit finalizer (xor-shift/multiply) with full avalanche, written
+    over ``z``: every caller hands it a fresh array or a scalar."""
+    z = np.asarray(z)
+    tmp = np.empty_like(z)
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         z ^= np.right_shift(z, np.uint64(shift), out=tmp)
         z *= np.uint64(factor)
     z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z[()]
 
 
 def _u64(x) -> np.ndarray:
@@ -83,12 +80,8 @@ def block_bits_vec(seed: int, trial, step, block,
             h = _mix(h ^ (t * np.uint64(_C_TRIAL)))
             if np.ndim(t):  # t is _u64's copy; no stage writes t or h
                 _memo[:] = seed, t, h
-        h = _mix(h ^ (s * np.uint64(_C_STEP))) ^ (b * np.uint64(_C_BLOCK))
-        if not isinstance(h, np.ndarray):  # all-scalar coordinates
-            return _mix(_mix(h) ^ d)
-        _mix_in_place(h, tmp := np.empty_like(h))  # h is a fresh array
-        h ^= d
-        _mix_in_place(h, tmp)
+        h = _mix(h ^ (s * np.uint64(_C_STEP)))
+        h = _mix(_mix(h ^ (b * np.uint64(_C_BLOCK))) ^ d)
     return h
 
 

@@ -119,7 +119,3 @@ def test_a_chunk_hashes_its_trial_prefix_once(monkeypatch):
     monkeypatch.setattr(stream, "_mix", spy)
     assert density.mc_density("c", "full", 10, 40, 3) == want
     assert prefixes == [(32,), (8,)]
-    # the draw stays in block_bits_vec, which the benchmark wraps by name
-    assert DRAWERS == {"stream.bits_range", "packed.batch_arrow_words",
-                       "packed.batch_cell_words", "density._iid_plane"}
-    assert STEPPERS == {"packed.run_planes"}
