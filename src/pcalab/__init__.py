@@ -12,7 +12,7 @@ from .density import (DensityReport, asymptotic_ratio, density_log,
                       interface_walk_oracle, mc_density, mc_pair_statistic_A)
 from .lattice import (BLUE, EMPTY, GREEN, PARTICLE, Configuration, Model,
                       Trajectory, lineage, particle_count)
-from .packed import evolve_trajectory as evolve
+from .packed import evolve_run as evolve
 from .render import render
 from .stream import RIGHT, UP, UpdateStream
 from .verify import (CaseReport, run_all, verify_color_uniformity,

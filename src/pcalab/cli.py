@@ -22,7 +22,7 @@ from collections.abc import Iterable
 from . import cylinder, density, packed, verify
 from .lattice import (BLUE, GLYPHS, GREEN, Configuration, Model, lineage,
                       particle_count)
-from .packed import evolve_trajectory as evolve  # traced as cli.evolve
+from .packed import evolve_run as evolve  # traced as cli.evolve
 from .render import render
 from .stream import DOMAIN_COLOR, UpdateStream
 

@@ -210,7 +210,7 @@ def _births(traj: Trajectory):
     onto one that stays.  Cell ``j`` of a row is byte ``j`` of an int, so
     a step is a few C-level operations."""
     yield bytes(traj.configs[0].cells).translate(_OCCUPIED)
-    for cfg, row, nxt in zip(traj.configs, traj.rows, traj.configs[1:]):
+    for (cfg, nxt), row in zip(itertools.pairwise(traj.configs), traj.rows):
         occupied = int.from_bytes(bytes(cfg.cells).translate(_OCCUPIED),
                                   "little")
         hop = occupied & int.from_bytes(bytes(row), "little")  # RIGHT is 1
@@ -252,7 +252,8 @@ def lineage(traj: Trajectory, particle: int | None = None,
             rank -= born.count(1)
         else:
             raise ValueError(f"no particle has id {particle}")
-        for born, nxt in zip(births, traj.configs[step + 1:]):
+        for born, nxt in zip(births,
+                             itertools.islice(traj.configs, step + 1, None)):
             on = x + traj.rows[step][index(traj.configs[step], x)]
             k = index(nxt, on)
             if not (cycle or 0 <= k < len(nxt)) or born[k]:  # gone or merged
@@ -263,11 +264,11 @@ def lineage(traj: Trajectory, particle: int | None = None,
         raise ValueError(f"no surviving particle at site {site}")
     out, lo, hi = set(), x, x
     for t in reversed(range(step + 1)):  # its ancestors, one run a row
-        cfg, w = traj.configs[t], len(traj.configs[t])
+        cfg = traj.configs[t]
         if t < step:  # the sites whose arrows step into [lo, hi]
-            lo -= traj.rows[t][index(cfg, lo - 1)]
-            hi -= traj.rows[t][index(cfg, hi)]
-        a, n = index(cfg, lo), hi - lo + 1
+            row = traj.rows[t]
+            lo, hi = lo - row[index(cfg, lo - 1)], hi - row[index(cfg, hi)]
+        a, n, w = index(cfg, lo), hi - lo + 1, len(cfg)
         for start, stop in ((a, min(a + n, w)), (0, a + n - w)):
             out.update(zip(itertools.repeat(t), itertools.compress(
                 range(start, stop), cfg.cells[start:stop])))

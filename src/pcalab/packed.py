@@ -13,9 +13,8 @@ cycle of ``w`` cells, kernels take ``cycle=w`` and cell 0 reads cell ``w-1``.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -143,53 +142,66 @@ def run_planes(model: Model, planes: tuple[np.ndarray, ...], seed: int,
     yield planes, None, base
 
 
-def _trajectory(model: Model, init: Configuration,
-                stream: _stream.UpdateStream, steps: int, boundary: str,
-                keep) -> Trajectory:
-    """``lattice.evolve``'s checks, then the steps ``keep`` takes of the
-    numbered :func:`run_planes` on the one trial of ``stream``, unpacked a
-    block of steps at one ``base`` and of about ``CHUNK_WORDS`` cells at a
-    time."""
+def _run(model: Model, init: Configuration, stream: _stream.UpdateStream,
+         steps: int, boundary: str) -> tuple[Model, bool, Iterator[tuple]]:
+    """``check_run``, then :func:`run_planes` on ``stream``'s one trial."""
     model, cycle = check_run(model, init, steps, boundary)
     cells = np.asarray(init.cells, dtype=np.uint8)
     # an occupancy plane, and model d's blue plane, each (words,)
     planes = (pack_bits(cells != EMPTY),
               pack_bits(cells == BLUE))[:2 if model is Model.D else 1]
-    run = run_planes(model, planes, stream.seed, stream.trial, steps,
-                     init.offset, len(init) if cycle else 0)
-    traj = Trajectory(model, boundary, [])
-    per_block = CHUNK_WORDS // len(init) + 1  # steps, at least one
-    for (base, _), block in itertools.groupby(
-            keep(enumerate(run)), lambda y: (y[1][2], y[0] // per_block)):
-        ns, yields = zip(*block)
-        planes, u, _ = zip(*yields)
-        width = len(init) - 64 * base
-        occ, *blue = (unpack_bits(np.array(pl), width) for pl in zip(*planes))
-        cells = occ * (GREEN - blue[0]) if blue else occ  # BLUE on a blue bit
-        # the run's last yield, after its last step, has no arrows
-        arrows = unpack_bits(np.array(u[:steps - ns[0]], np.uint64), width)
-        lo = [(0 if cycle else n) - 64 * base for n in ns]
-        # tuples from one list per block, whose release leaves render's row
-        # joins room low in the heap (per-row copies: 7 MB more peak RSS)
-        traj.configs += (Configuration(init.offset + i + 64 * base, tuple(
-            row[i:])) for i, row in zip(lo, cells.tolist()))
-        traj.rows += (tuple(row[i:]) for i, row in zip(lo, arrows.tolist()))
-    return traj
+    return model, cycle, run_planes(model, planes, stream.seed, stream.trial,
+                                    steps, init.offset, cycle and len(init))
+
+
+def _window(init: Configuration, cycle: bool, n: int,
+            planes: tuple[np.ndarray, ...], base: int) -> Configuration:
+    """Step ``n``'s window of ``planes`` (word 0 is block ``base``), a byte
+    a cell: one plane's bits, or occupancy and blue as model d's symbols."""
+    occ, *blue = (unpack_bits(pl, len(init) - 64 * base) for pl in planes)
+    cells = occ * (GREEN - blue[0]) if blue else occ  # BLUE on a blue bit
+    return Configuration(init.offset + (0 if cycle else n),
+                         cells[(0 if cycle else n) - 64 * base:].tobytes())
+
+
+class PlaneRows(Sequence):
+    """``n`` read-only rows of a kept run, ``row(i)`` unpacked per access."""
+
+    def __init__(self, n: int, row):
+        self._range, self._row = range(n), row
+
+    def __len__(self) -> int:
+        return len(self._range)
+
+    def __getitem__(self, i):
+        i = self._range[i]  # an int, or a range for a slice
+        return [*map(self._row, i)] if isinstance(i, range) else self._row(i)
+
+
+def evolve_run(model: Model, init: Configuration,
+               stream: _stream.UpdateStream, steps: int, *,
+               boundary: str = "line") -> Trajectory:
+    """``lattice.evolve(...)`` kept as each ``(planes, u, base)`` that one
+    :func:`run_planes` pass yields, 2 or 3 bits a cell and step.  Its rows
+    are :class:`PlaneRows` of bytes, valid as built: the init passed
+    ``check_run``, and bit planes hold only alphabet symbols and arrows.
+    (Tuple rows took the C heap between ``render``'s rows: +6.4 MB peak.)"""
+    model, cycle, run = _run(model, init, stream, steps, boundary)
+    planes, arrows, bases = zip(*run)
+    return Trajectory(model, boundary, PlaneRows(
+        steps + 1, lambda n: _window(init, cycle, n, planes[n], bases[n])),
+        PlaneRows(steps, lambda n: _window(init, cycle, n, (arrows[n],),
+                                           bases[n]).cells))
 
 
 def evolve_final(model: Model, init: Configuration,
                  stream: _stream.UpdateStream, steps: int, *,
                  boundary: str = "line") -> Configuration:
     """``lattice.evolve(...).final``: the run's last planes unpacked."""
-    return _trajectory(model, init, stream, steps, boundary,
-                       lambda run: deque(run, maxlen=1)).final
-
-
-def evolve_trajectory(model: Model, init: Configuration,
-                      stream: _stream.UpdateStream, steps: int, *,
-                      boundary: str = "line") -> Trajectory:
-    """``lattice.evolve(...)``: every step of the run unpacked."""
-    return _trajectory(model, init, stream, steps, boundary, iter)
+    model, cycle, run = _run(model, init, stream, steps, boundary)
+    (planes, _, base), = deque(run, maxlen=1)
+    final = _window(init, cycle, steps, planes, base)
+    return Configuration(final.offset, tuple(final.cells))
 
 
 def batch_arrow_words(seed: int, trials: int | np.ndarray,

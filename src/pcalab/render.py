@@ -13,6 +13,7 @@ import operator
 from collections.abc import Iterator
 
 from .lattice import GLYPHS, Model, Trajectory
+from .packed import PlaneRows
 from .stream import RIGHT, UP
 
 CELL = 14  # pixel pitch of one lattice cell in SVG output
@@ -25,8 +26,8 @@ COLORS = {Model.A: _GREYS, Model.B: _GREYS, Model.C: _GREYS,
           Model.D: ("#f4f4f4", "#1f5fd6", "#2e9e4f")}
 
 
-def _codes(traj: Trajectory, marked) -> Iterator[tuple[int, ...] | list[int]]:
-    """Per step, its cell values, each marked cell set to the highlight
+def _codes(traj: Trajectory, marked) -> Iterator[tuple]:
+    """Per step, its offset and cells, each marked cell set to the highlight
     code, one past the last symbol; pairs naming no cell are ignored."""
     steps = {}
     for step, j in marked:
@@ -39,15 +40,15 @@ def _codes(traj: Trajectory, marked) -> Iterator[tuple[int, ...] | list[int]]:
             for j in steps[step]:
                 if 0 <= j < len(codes):
                     codes[j] = mark
-        yield codes
+        yield cfg.offset, codes
 
 
 def _text(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
     # one byte per cell, its code, translated to its glyph in one call
     table = (GLYPHS[traj.model] + HIGHLIGHT_GLYPH).encode("ascii").ljust(256)
     base = traj.configs[0].offset
-    for step, codes in enumerate(_codes(traj, marked)):
-        pad = " " * (traj.configs[step].offset - base)
+    for step, (offset, codes) in enumerate(_codes(traj, marked)):
+        pad = " " * (offset - base)
         yield pad + bytes(codes).translate(table).decode("ascii") + "\n"
         if arrows and step < len(traj.rows):
             yield (pad + bytes(traj.rows[step]).decode("latin-1")
@@ -55,9 +56,11 @@ def _text(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
 
 
 def _svg(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
+    # a bit-plane run's first window spans every later one
+    spans = traj.configs[:1 if isinstance(traj.configs, PlaneRows) else None]
     base = traj.configs[0].offset
-    lo = min(cfg.offset for cfg in traj.configs)  # columns from lo - base
-    width = max(cfg.end for cfg in traj.configs) - base
+    lo = min(cfg.offset for cfg in spans)  # columns from lo - base
+    width = max(cfg.end for cfg in spans) - base
     height = len(traj.configs)
     yield (f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{width * CELL}" height="{height * CELL}" '
@@ -71,11 +74,12 @@ def _svg(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
     # does, such lists left glibc's heap pinned 4-7 MB higher.
     heads = [f'<rect x="{x * CELL}' for x in range(lo - base, width)]
     fills = (*COLORS[traj.model], HIGHLIGHT_COLOR)
-    for step, codes in enumerate(_codes(traj, marked)):
+    x0s = []  # each row's first column, kept for its arrows
+    for step, (offset, codes) in enumerate(_codes(traj, marked)):
         tails = [f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
                  f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>\n'
                  for fill in fills]
-        x0 = traj.configs[step].offset - lo
+        x0s.append(x0 := offset - lo)
         yield "".join(map(operator.add, itertools.islice(heads, x0, None),
                           map(tails.__getitem__, codes)))
     if arrows:
@@ -83,9 +87,8 @@ def _svg(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
         heads = [f'<line x1="{x}" y1="' for x in xs]
         # each column's x2 for an UP (0) and for a RIGHT (1) arrow
         pairs = [(f"{x}", f"{x + CELL // 3}") for x in xs]
-        for step, (cfg, row) in enumerate(zip(traj.configs, traj.rows)):
+        for step, (x0, row) in enumerate(zip(x0s, traj.rows)):
             y = step * CELL + CELL // 2
-            x0 = cfg.offset - lo
             yield "".join(map("".join, zip(
                 itertools.islice(heads, x0, None),
                 itertools.repeat(f'{y}" x2="'),
@@ -100,20 +103,24 @@ def render(traj: Trajectory, fmt: str = "text", arrows: bool = False,
     """Render a trajectory as ``text`` or ``svg``, with its update arrows
     if ``arrows``, drawing each ``(step, index)`` cell in ``marked`` in the
     highlight glyph or colour; ``index`` counts from the left end of the
-    step's window.  The checks run at the call; the result is an iterator
-    of text chunks, each ending in a newline, drawn as they are taken."""
+    step's window.  The result is an iterator of text chunks, each ending
+    in a newline, drawn as they are taken.  The checks run at the call: a
+    hand-built trajectory is refused a symbol outside its model's alphabet
+    and, with ``arrows``, a row that is not one ``UP`` or ``RIGHT`` a cell;
+    :class:`~pcalab.packed.PlaneRows` hold a bit-plane run, valid as built."""
     if not traj.configs:
         raise ValueError("cannot render an empty trajectory")
     if fmt not in ("text", "svg"):
         raise ValueError(f"unknown render format {fmt!r}")
-    model = Model(traj.model)
-    cells = set().union(*(cfg.cells for cfg in traj.configs))
-    if not cells <= set(range(len(model.alphabet))):
-        raise ValueError(f"trajectory holds symbols outside the alphabet "
-                         f"of model {model.value}")
-    if arrows and (any(len(row) != len(cfg)
-                       for cfg, row in zip(traj.configs, traj.rows))
-                   or not set().union(*traj.rows) <= {UP, RIGHT}):
-        raise ValueError("each arrow row must hold one UP or RIGHT arrow "
-                         "per cell of its step's window")
+    if not isinstance(traj.configs, PlaneRows):
+        model = Model(traj.model)
+        cells = set().union(*(cfg.cells for cfg in traj.configs))
+        if not cells <= set(range(len(model.alphabet))):
+            raise ValueError(f"trajectory holds symbols outside the "
+                             f"alphabet of model {model.value}")
+        if arrows and (any(len(row) != len(cfg)
+                           for cfg, row in zip(traj.configs, traj.rows))
+                       or not set().union(*traj.rows) <= {UP, RIGHT}):
+            raise ValueError("each arrow row must hold one UP or RIGHT "
+                             "arrow per cell of its step's window")
     return (_text if fmt == "text" else _svg)(traj, arrows, marked)

@@ -6,13 +6,15 @@ at a time, and the tests require the two forms to agree exactly.
 :func:`trace_merges` replays every particle id of every cell with that
 walk: the merge forest that ``lattice.lineage``'s backward walk over runs
 of sites is checked against.  :class:`FixedRows` stands in for the stream
-where a test fixes the arrows.
+where a test fixes the arrows, and :func:`evolve_trajectory` lists a kept
+bit-plane run out as ``lattice.evolve`` builds its trajectory.
 """
 
 from dataclasses import dataclass
 
 from pcalab.lattice import (EMPTY, Configuration, Model, Trajectory, _moves,
                             a_local, b_local, c_local, d_local)
+from pcalab.packed import evolve_run
 
 LOCALS = {
     Model.A: lambda left, cell, left_arrow, arrow: a_local(left, cell, arrow),
@@ -158,3 +160,14 @@ class FixedRows:
     def rows(self, steps, offset, width, shed):
         assert steps == len(self._rows)
         return self._rows
+
+
+def evolve_trajectory(model, init, stream, steps, *,
+                      boundary="line") -> Trajectory:
+    """``packed.evolve_run`` listed out: every configuration and arrow row
+    unpacked to tuples, which must equal ``lattice.evolve``'s."""
+    run = evolve_run(model, init, stream, steps, boundary=boundary)
+    return Trajectory(run.model, boundary,
+                      [Configuration(cfg.offset, tuple(cfg.cells))
+                       for cfg in run.configs],
+                      [tuple(row) for row in run.rows])

@@ -426,6 +426,29 @@ class TestSimulateAndRender:
         assert_one_error_line(status, captured)
         assert message in captured.err
 
+    @pytest.mark.parametrize("argv, site", [
+        (["--model", "c", "--init", "zeros"], 4064),  # an empty cell
+        (["--model", "c"], 2),  # left of the final window
+        (["--model", "d"], 4065),  # past its right end
+    ])
+    def test_a_site_with_no_survivor_unpacks_only_the_final_row(
+            self, capsys, monkeypatch, argv, site):
+        # the run keeps its bit planes, so the refusal reads one row, a
+        # call for each of its planes, and walks nothing
+        widths, unpack = [], packed.unpack_bits
+
+        def spied(words, width):
+            widths.append(width)
+            return unpack(words, width)
+
+        monkeypatch.setattr(packed, "unpack_bits", spied)
+        status = main(["render", *argv, "--steps", "4000",
+                       "--highlight-site", str(site)])
+        captured = capsys.readouterr()
+        assert_one_error_line(status, captured)
+        assert f"no surviving particle at site {site}" in captured.err
+        assert len(widths) == (2 if "d" in argv else 1)
+
     def test_highlight_site_and_particle_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["render", "--model", "c", "--width", "12", "--steps", "3",
@@ -675,20 +698,20 @@ class TestStreamedOutput:
         assert as_json <= text + 4
 
     def test_a_long_render_holds_its_run_and_no_more(self):
-        # a render keeps every configuration and arrow row of its run, 4000
-        # steps of a 4065-cell window here: about 130 MB of tuples.  The
-        # scalar run peaked at 156.8 MB (text) and 158.4 MB (SVG); the bit
-        # planes, unpacked a block of steps at a time, add the 0.3 MB the
-        # bit-plane path adds to any run, and unpacked all at once, 38 MB
+        # a render keeps the bit planes of its run, 4000 steps of a
+        # 4065-cell window here: 2 bits a cell and step, about 5 MB, and
+        # unpacks one row as it is drawn.  It peaked at 33 MB (text) and
+        # 34.5 MB (SVG); tuples of every configuration and arrow row, about
+        # 130 MB, peaked at 156.8 and 158.4 MB
         argv = ["render", "--model", "c", "--steps", "4000"]
         text, svg = self.fresh_peaks(argv, [*argv, "--format", "svg"])
-        assert text < 158.5 and svg < 160
+        assert text < 45 and svg < 45
         # the last survivor's ancestry walked back one run of sites a row
-        # adds its 16,274 marked cells, about 3 MB; a replay of every
-        # particle id of every cell peaked at 224 MB
+        # adds its 16,274 marked cells, about 3 MB (35.6 and 37.4 MB); a
+        # replay of every particle id of every cell peaked at 224 MB
         argv += ["--highlight-site", "4064"]
         text, svg = self.fresh_peaks(argv, [*argv, "--format", "svg"])
-        assert text < 165 and svg < 165
+        assert text < 45 and svg < 45
 
 
 class TestDeterminism:

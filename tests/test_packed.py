@@ -12,11 +12,12 @@ from pcalab import packed, stream as stream_module
 from pcalab.density import _run_batch
 from pcalab.lattice import (_LOCALS, BLUE, EMPTY, GREEN, Configuration,
                             Model, _step, evolve)
-from pcalab.packed import (evolve_final, evolve_trajectory, pack_bits,
-                           step_planes, unpack_bits, words_for)
+from pcalab.packed import (evolve_final, pack_bits, step_planes, unpack_bits,
+                           words_for)
 from pcalab.stream import DOMAIN_COLOR, UpdateStream, block_bits_vec
 
 import scalar_walk
+from scalar_walk import evolve_trajectory
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,7 +162,7 @@ def test_kernels_equal_every_rule_around_a_cycle(model, width):
 @pytest.mark.parametrize("cycle", [0, 130])
 @pytest.mark.parametrize("model", list(Model))
 def test_kernels_never_write_their_inputs(model, cycle):
-    # _trajectory keeps the planes it is yielded, and the pair statistic
+    # evolve_run keeps the planes it is yielded, and the pair statistic
     # steps read-only broadcast planes: a write into either raises here
     rng = np.random.default_rng(11)
     occ, u = rng.integers(0, 2 ** 63, (2, 3, 5), dtype=np.uint64)

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
-                            evolve)
+                            evolve, lineage, particle_count)
+from pcalab.packed import evolve_run
 from pcalab.render import HIGHLIGHT_COLOR, render
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import render_reference
-from scalar_walk import FixedRows, trace_merges
+from scalar_walk import FixedRows, evolve_trajectory, trace_merges
 
 
 def test_alternating_run_renders_shifted_rows():
@@ -189,3 +190,58 @@ def test_a_window_left_of_the_first_is_drawn_as_before():
             render_reference.svg(traj, arrows, marked))
         assert "".join(render(traj, "text", arrows, marked)) == "".join(
             render_reference.text(traj, arrows, marked))
+
+
+@st.composite
+def plane_runs(draw):
+    """The arguments of a bit-plane run of any model and boundary, on a
+    window whose width straddles a word edge, at an offset off block
+    edges, with arrows on or off and marks, some naming no cell."""
+    model = draw(st.sampled_from(list(Model)))
+    boundary = draw(st.sampled_from(["line", "cycle"]))
+    width = draw(st.sampled_from((2, 3, 63, 64, 65, 127, 128, 129)))
+    steps = draw(st.integers(0, 30 if boundary == "cycle"
+                             else min(30, width - 1)))
+    cells = draw(st.lists(st.sampled_from(model.alphabet), min_size=width,
+                          max_size=width))
+    init = Configuration(draw(st.integers(-200, 200)), tuple(cells))
+    stream = UpdateStream(draw(st.integers(0, 2 ** 64 - 1)),
+                          draw(st.integers(0, 2 ** 64 - 1)))
+    marked = draw(st.frozensets(st.tuples(st.integers(-1, steps + 1),
+                                          st.integers(-2, width + 1)),
+                                max_size=40))
+    return (model, init, stream, steps, boundary), draw(st.booleans()), \
+        marked
+
+
+def _outcome(call, *args, **kwargs):
+    """The call's result, or the message of the ``ValueError`` it raised."""
+    try:
+        return call(*args, **kwargs)
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(plane_runs(), st.data())
+def test_a_bit_plane_run_draws_as_its_checked_trajectory(case, data):
+    # the run's rows skip render's checks, valid as built; listed out as a
+    # Trajectory they pass them and must draw the same bytes
+    (model, init, stream, steps, boundary), arrows, marked = case
+    run = evolve_run(model, init, stream, steps, boundary=boundary)
+    listed = evolve_trajectory(model, init, stream, steps, boundary=boundary)
+    for fmt in ("text", "svg"):
+        assert "".join(render(run, fmt, arrows, marked)) == "".join(
+            render(listed, fmt, arrows, marked))
+    if model not in (Model.C, Model.D):
+        return
+    # ids from -1 to one past the last, and sites one past each final end
+    last = particle_count(init) + len(trace_merges(listed).merges)
+    final = listed.final
+    for particle in data.draw(st.lists(st.integers(-1, last), max_size=4)):
+        assert _outcome(lineage, run, particle) == \
+            _outcome(lineage, listed, particle)
+    for site in data.draw(st.lists(st.integers(final.offset - 1, final.end),
+                                   max_size=4)):
+        assert _outcome(lineage, run, site=site) == \
+            _outcome(lineage, listed, site=site)
