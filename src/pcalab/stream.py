@@ -40,7 +40,18 @@ _C_TRIAL = 0xD1B54A32D192ED03
 _C_STEP = 0x8CB92BA72F3D8DD7
 _C_BLOCK = 0xABCC5167CCAD925F
 _C_DOMAIN = 0xFF51AFD7ED558CCD
+# The finalizer's shifts and multipliers (SplitMix64's), built once.
+_S30, _S27, _S31 = map(np.uint64, (30, 27, 31))
+_M1, _M2 = map(np.uint64, (0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
 _memo = [None, None, None]  # seed, trial words and prefix of the last array
+
+
+def _tail(z, tmp) -> np.ndarray:
+    """The mixer after its first xor-shift, over ``z``; ``tmp`` is scratch."""
+    for factor, shift in ((_M1, _S27), (_M2, _S31)):
+        z *= factor
+        z ^= np.right_shift(z, shift, out=tmp)
+    return z
 
 
 def _mix(z) -> np.ndarray:
@@ -48,11 +59,8 @@ def _mix(z) -> np.ndarray:
     over ``z``: every caller hands it a fresh array or a scalar."""
     z = np.asarray(z)
     tmp = np.empty_like(z)
-    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
-        z *= np.uint64(factor)
-    z ^= np.right_shift(z, np.uint64(31), out=tmp)
-    return z[()]
+    z ^= np.right_shift(z, _S30, out=tmp)
+    return _tail(z, tmp)[()]
 
 
 def _u64(x) -> np.ndarray:
@@ -72,7 +80,7 @@ def block_bits_vec(seed: int, trial, step, block,
     two's complement.  An array of trials reuses the last one's prefix only
     at an equal seed and equal values, so it never reads a stale prefix.
     """
-    t, s, b, d = map(_u64, (trial, step, block, domain * _C_DOMAIN))
+    t, s, b = map(_u64, (trial, step, block))
     with np.errstate(over="ignore"):  # uint64 products wrap by design
         seed0, t0, h = _memo  # one read: a consistent entry
         if not (np.ndim(t) and seed0 == seed and np.array_equal(t0, t)):
@@ -81,8 +89,15 @@ def block_bits_vec(seed: int, trial, step, block,
             if np.ndim(t):  # t is _u64's copy; no stage writes t or h
                 _memo[:] = seed, t, h
         h = _mix(h ^ (s * np.uint64(_C_STEP)))
-        h = _mix(_mix(h ^ (b * np.uint64(_C_BLOCK))) ^ d)
-    return h
+        # xor-shift 30 is linear over GF(2): shift the two small terms and
+        # broadcast once, after the scratch array (fewer first-call faults)
+        h, k = (x ^ (x >> _S30) for x in (h, b * np.uint64(_C_BLOCK)))
+        tmp = np.empty(np.broadcast(h, k).shape, np.uint64)
+        z = _tail(np.asarray(h ^ k), tmp)
+        if domain:  # every arrow draw is domain 0
+            z ^= _u64(domain * _C_DOMAIN)
+        z ^= np.right_shift(z, _S30, out=tmp)
+        return _tail(z, tmp)[()]
 
 
 def bits_range(seed: int, trial: int, step, start: int, count: int,

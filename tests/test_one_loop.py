@@ -5,7 +5,8 @@ the functions that turn its words into rows or planes, and
 ``packed.step_planes`` only by ``packed.run_planes``.  A second draw path
 or a second stepping loop fails this test, so it is seen in review.  So
 does a call of the scalar reference ``lattice.evolve``, which the package
-keeps for the tests alone: every run steps bit planes.
+keeps for the tests alone: every run steps bit planes.  The counter RNG's
+mixer is one finalizer too: each of its two multipliers is written once.
 """
 
 import ast
@@ -119,3 +120,10 @@ def test_a_chunk_hashes_its_trial_prefix_once(monkeypatch):
     monkeypatch.setattr(stream, "_mix", spy)
     assert density.mc_density("c", "full", 10, 40, 3) == want
     assert prefixes == [(32,), (8,)]
+
+
+@pytest.mark.parametrize("factor", ["0xBF58476D1CE4E5B9", "0x94D049BB133111EB"])
+def test_the_mixer_multipliers_are_written_once(factor):
+    # one finalizer: a second copy of the mixer would repeat its multipliers
+    text = "\n".join(_package_sources().values()).upper()
+    assert text.count(factor[2:].upper()) == 1

@@ -1,6 +1,7 @@
 """Bit-plane kernels against the scalar reference, bit for bit."""
 
 import itertools
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -453,6 +454,21 @@ def test_broadcast_arrow_words_equal_per_word_draws(first):
     for k in range(n_words):
         assert np.array_equal(cells[k],
                               block_bits_vec(seed, trials, 0, k, DOMAIN_COLOR))
+
+
+def test_an_arrow_draw_holds_one_scratch_array(monkeypatch):
+    # mc-deep's shape, a chunk's first draw: at peak the result, one
+    # full-size scratch array and the trial-sized terms, nothing more
+    args = (587, np.arange(6553), np.arange(1), np.arange(5))
+    monkeypatch.setattr(stream_module, "_memo", [None, None, None])
+    tracemalloc.start()
+    try:
+        words = packed.batch_arrow_words(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (1, 5, 6553)
+    assert peak < 3 * words.nbytes
 
 
 @pytest.mark.parametrize("model", list(Model))

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcalab.stream import (DOMAIN_CELL, RIGHT, UP, UpdateStream, bits_range,
-                           block_bits_vec)
+from pcalab.stream import (DOMAIN_ARROW, DOMAIN_CELL, DOMAIN_COLOR,
+                           DOMAIN_UNIFORM, RIGHT, UP, UpdateStream,
+                           bits_range, block_bits_vec)
 
 import stream_reference as ref
 
@@ -168,3 +169,27 @@ def test_prefix_memo_hits_and_misses_equal_the_reference(ids, data):
         assert np.array_equal(got, want)
         if isinstance(got, np.ndarray) and data.draw(st.booleans()):
             got ^= np.uint64(0xFFFF)  # the caller owns its result
+
+
+_DOMAINS = st.sampled_from([DOMAIN_ARROW, DOMAIN_CELL, DOMAIN_COLOR,
+                            DOMAIN_UNIFORM])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 64 - 1), st.integers(-3, 400),
+       st.integers(2, 5), st.integers(-4, -1), st.integers(1, 4),
+       st.one_of(st.lists(_INT64, min_size=1, max_size=4),
+                 st.integers(-2 ** 63, 2 ** 64 - 1)), _DOMAINS)
+def test_run_shaped_draws_equal_the_reference(seed, step0, steps, lo, hi,
+                                              trial, domain):
+    # the shapes run_planes draws: (steps, 1, 1) steps, (blocks, 1) blocks
+    # across zero, (T,) trials or one int trial; every domain, so the
+    # broadcast xor-shift and the domain xor are each checked at full size
+    step = np.arange(step0, step0 + steps)[:, None, None]
+    block = np.arange(lo, hi)[:, None]
+    if isinstance(trial, list):
+        trial = np.array(trial, dtype=np.int64)
+    got = block_bits_vec(seed, trial, step, block, domain)
+    want = _reference_words(seed, trial, step, block, domain)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
