@@ -37,6 +37,15 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+def _word(init: str, glyphs: str) -> str:
+    """A ``word:`` init's word, refused if empty or outside ``glyphs``."""
+    word = init[5:]
+    if not word or any(ch not in glyphs for ch in word):
+        raise ValueError(f"custom word {word!r} uses glyphs outside "
+                         f"{glyphs!r}")
+    return word
+
+
 def _build_init(model: Model, init: str, width: int,
                 stream: UpdateStream) -> Configuration:
     if width < 1:
@@ -52,11 +61,8 @@ def _build_init(model: Model, init: str, width: int,
     if model is Model.D:
         tiles["blue"] = (BLUE,)
     if init.startswith("word:"):
-        glyphs, word = GLYPHS[model], init[5:]
-        if not word or any(ch not in glyphs for ch in word):
-            raise ValueError(f"custom word {word!r} uses glyphs outside "
-                             f"model {model.value}'s alphabet")
-        tiles[init] = tuple(map(glyphs.index, word))
+        glyphs = GLYPHS[model]
+        tiles[init] = tuple(map(glyphs.index, _word(init, glyphs)))
     if init not in tiles:
         raise ValueError(f"unknown init {init!r} for model {model.value}")
     tile = tiles[init]
@@ -108,7 +114,7 @@ def _cmd_density(args) -> tuple[Iterable[str], int]:
     if model is Model.A:
         init = {"full": "ones", "alternating": "01"}.get(args.init, args.init)
         if init.startswith("word:"):
-            init = init[5:]
+            init = _word(init, GLYPHS[model])
         rep = density.mc_pair_statistic_A(init, args.n, args.trials, seed,
                                           args.sites)
     else:
@@ -127,19 +133,17 @@ def _cmd_density(args) -> tuple[Iterable[str], int]:
             f"trials={rep.trials} seed={rep.seed}\n",), 0
 
 
+#: ``oracle --which`` names and the ``density`` function each prints, looked
+#: up at call time so that a wrapper set on it there is what runs.
+_ORACLES = {"closed-form": "exact_density",
+            "hitting-time": "hitting_time_oracle",
+            "interface-walk": "interface_walk_oracle",
+            "log-density": "density_log",
+            "asymptotic-ratio": "asymptotic_ratio"}
+
+
 def _cmd_oracle(args) -> tuple[Iterable[str], int]:
-    which, n = args.which, args.n
-    if which == "closed-form":
-        return (f"{density.exact_density(n)}\n",), 0
-    if which == "hitting-time":
-        return (f"{density.hitting_time_oracle(n)}\n",), 0
-    if which == "interface-walk":
-        return (f"{density.interface_walk_oracle(n)}\n",), 0
-    if which == "log-density":
-        return (f"{density.density_log(n)!r}\n",), 0
-    if which == "asymptotic-ratio":
-        return (f"{density.asymptotic_ratio(n)!r}\n",), 0
-    raise ValueError(f"unknown oracle {which!r}")
+    return (f"{getattr(density, _ORACLES[args.which])(args.n)}\n",), 0
 
 
 #: The statistical suites' options and the values they take when not given.
@@ -162,11 +166,9 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
         opts = {**_STATISTICAL_DEFAULTS, **given}
         results = [run(opts["n"], opts["trials"], _resolve_seed(args.seed),
                        opts["sites"])]
-    elif suite == "periodic-orbit":
-        width = args.width if args.width is not None else 6
-        results = [verify.verify_periodic_orbit(width)]
-    else:
-        results = [verify.SUITES[suite]()]
+    else:  # only periodic-orbit takes --width; its default is its own
+        results = [verify.SUITES[suite](
+            *(() if args.width is None else (args.width,)))]
     ok = all(r.passed for r in results)
     if args.format == "json":
         text = json.dumps([r.to_dict() for r in results], indent=2) + "\n"
@@ -190,14 +192,11 @@ def _parse_cylinder_init(args, table: cylinder.TransitionFunction):
         if args.length is not None:
             raise ValueError("--length does not apply to a word: init, "
                              "which spans its own window")
-        word = args.init[5:]
         # a glyph fixes a symbol's first character: the whole symbol of a
         # plain or rule-file alphabet, the occupancy of a lifted one, whose
         # two arrows then share the site evenly
         glyphs = "".join(dict.fromkeys(s[0] for s in table.alphabet))
-        if not word or any(ch not in glyphs for ch in word):
-            raise ValueError(f"custom word {word!r} uses glyphs outside "
-                             f"{glyphs!r}")
+        word = _word(args.init, glyphs)
         return cylinder.CylinderMeasure.product(
             table.alphabet, start,
             [[int(s[0] == ch) for s in table.alphabet] for ch in word])
@@ -290,9 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, ("text", "csv", "json"))
 
     p = sub.add_parser("oracle")
-    p.add_argument("--which", required=True,
-                   choices=("closed-form", "hitting-time", "interface-walk",
-                            "log-density", "asymptotic-ratio"))
+    p.add_argument("--which", required=True, choices=_ORACLES)
     p.add_argument("--n", type=int, required=True)
     add_common(p, seed=False)
 

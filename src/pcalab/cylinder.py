@@ -40,14 +40,6 @@ _ITEMS_BLOCK = 2 ** 16  # numerators items() turns into ints at a time
 _ARROWS = "ur"  # a lifted symbol's arrow glyph, by value: UP = 0, RIGHT = 1
 
 
-def _encode(alphabet: tuple, word: tuple) -> int:
-    """Mixed-radix code of a word; the leftmost site is least significant."""
-    base, idx = len(alphabet), 0
-    for j in reversed(range(len(word))):
-        idx = idx * base + alphabet.index(word[j])
-    return idx
-
-
 def _check_cap(alphabet: tuple, length: int) -> int:
     if length < 1:
         raise ValueError("window must contain at least one site")
@@ -206,8 +198,7 @@ def alternating_pair_measure(start: int, length: int) -> CylinderMeasure:
     alphabet = ("0", "1")
     num = np.zeros(_check_cap(alphabet, length), dtype=np.int64)
     for s in (0, 1):
-        num[_encode(alphabet, ["01"[(start + j + s) % 2]
-                               for j in range(length)])] = 1
+        num[sum((start + j + s) % 2 << j for j in range(length))] = 1
     return CylinderMeasure(alphabet, start, length, num, 2)
 
 
@@ -259,17 +250,15 @@ def evolve_measure(mu: CylinderMeasure,
                          "alphabet")
     start, length = output_window(mu, f)
     base = len(f.alphabet)
-    span = f.neighborhood[-1] - f.neighborhood[0]
-    table, row_den = _transfer(f)
+    table, row_den = _transfer(f)  # one [y, x] block per span code
     # After k sites the numerators sum to mu.den * row_den**k, and every
     # entry is a sum of nonnegative terms, so none exceeds the final den.
     den = mu.den * row_den ** length
     dtype = _dtype(den)
     table, state = table.astype(dtype), mu.numerators.astype(dtype)
     for k in range(length):
-        state = np.matmul(table, state.reshape(
-            base ** (mu.length - k - 1 - span), base ** span, base, base ** k))
-    state = state.reshape(base ** span, base ** length).sum(axis=0)
+        state = np.matmul(table, state.reshape(-1, len(table), base, base ** k))
+    state = state.reshape(len(table), base ** length).sum(axis=0)
     return CylinderMeasure(f.alphabet, start, length, state, den)
 
 

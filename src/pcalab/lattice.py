@@ -19,6 +19,7 @@ for the word-parallel kernels in :mod:`pcalab.packed`.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -49,12 +50,12 @@ GLYPHS = {Model.A: "01", Model.B: ".#", Model.C: ".#", Model.D: ".BG"}
 class Configuration:
     """A finite window of lattice symbols with an absolute site offset.
 
-    ``cells[j]`` is the symbol at site ``offset + j``.  Symbols are small
-    ints; which values are legal depends on the model consuming them.
+    ``cells[j]`` is the symbol at site ``offset + j``, a small int that the
+    consuming model must accept; a tuple, or ``bytes`` in a bit-plane run.
     """
 
     offset: int
-    cells: tuple[int, ...]
+    cells: Sequence[int]
 
     def __post_init__(self):
         if len(self.cells) < 1:
@@ -145,13 +146,13 @@ def occupied_cell(c: int) -> int:
 
 @dataclass
 class Trajectory:
-    """``rows[k]`` holds one arrow per cell of ``configs[k]``, aligned
-    with its window, and drives the step to ``configs[k+1]``."""
+    """``rows[k]`` aligns an arrow with each cell of ``configs[k]`` for the
+    step to ``configs[k+1]``; lists, or a bit-plane run's ``PlaneRows``."""
 
     model: Model
     boundary: str
-    configs: list[Configuration]
-    rows: list[tuple[int, ...]] = field(default_factory=list)
+    configs: Sequence[Configuration]
+    rows: Sequence[Sequence[int]] = field(default_factory=list)
 
     @property
     def final(self) -> Configuration:
@@ -236,6 +237,8 @@ def lineage(traj: Trajectory, particle: int | None = None,
     if traj.model not in (Model.C, Model.D):
         raise ValueError(f"model {traj.model.value} trajectories carry no "
                          "merge log; use model c or d")
+    if (particle is None) == (site is None):
+        raise ValueError("lineage needs exactly one of particle and site")
     cycle = traj.boundary == "cycle"
 
     def index(cfg: Configuration, x: int) -> int:

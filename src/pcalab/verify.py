@@ -35,18 +35,19 @@ ORBIT_WIDTH_CAP = 16
 class CaseReport:
     suite: str
     cases_total: int = 0
-    cases_passed: int = 0
     failures: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
+    def cases_passed(self) -> int:
+        return self.cases_total - len(self.failures)
+
+    @property
     def passed(self) -> bool:
-        return not self.failures and self.cases_passed == self.cases_total
+        return not self.failures
 
     def record(self, case: str, expected, got) -> None:
         self.cases_total += 1
-        if expected == got:
-            self.cases_passed += 1
-        else:
+        if expected != got:
             self.failures.append((case, repr(expected), repr(got)))
 
     def to_dict(self) -> dict:

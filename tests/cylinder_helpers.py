@@ -9,11 +9,19 @@ writes a transition table in the plain-text format that
 
 from fractions import Fraction
 
-from pcalab.cylinder import CylinderMeasure, TransitionFunction, _encode
+from pcalab.cylinder import CylinderMeasure, TransitionFunction
+
+
+def _encode(alphabet: tuple, word: tuple) -> int:
+    """Mixed-radix code of a word; the leftmost site is least significant."""
+    base, idx = len(alphabet), 0
+    for j in reversed(range(len(word))):
+        idx = idx * base + alphabet.index(word[j])
+    return idx
 
 
 def _decode(alphabet: tuple, length: int, idx: int) -> tuple:
-    """Inverse of ``cylinder._encode``: the word of code ``idx``."""
+    """Inverse of :func:`_encode`: the word of code ``idx``."""
     base, out = len(alphabet), []
     for _ in range(length):
         idx, digit = divmod(idx, base)

@@ -138,7 +138,7 @@ class TestVerifyCommand:
         assert out == "domination: pass (16/16)\n"
 
     def test_failing_suite_exits_one(self, capsys, monkeypatch):
-        broken = CaseReport("domination", 16, 15, [("y=11 u=10", "1", "0")])
+        broken = CaseReport("domination", 16, [("y=11 u=10", "1", "0")])
         monkeypatch.setitem(verify.SUITES, "domination", lambda: broken)
         status, out = run(capsys, "verify", "--suite", "domination")
         assert status == 1
@@ -246,7 +246,7 @@ class TestVerifyCommand:
         calls = []
         monkeypatch.setattr(verify, verify.STATISTICAL[suite],
                             lambda *args: calls.append(args)
-                            or CaseReport(suite, 1, 1))
+                            or CaseReport(suite, 1))
         status, _ = run(capsys, "verify", "--suite", suite, "--seed", "7")
         assert status == 0 and calls == [(3, 100_000, 7, 64)]
 

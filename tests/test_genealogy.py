@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcalab
+from pcalab import packed
 from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model, evolve,
                             lineage, particle_count)
 from pcalab.stream import RIGHT, UP, UpdateStream
@@ -100,6 +101,19 @@ def test_wrong_model_has_no_merge_log():
     for kwargs in ({"particle": 0}, {"site": 4}):
         with pytest.raises(ValueError, match="carry no merge log"):
             lineage(traj, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"particle": 2, "site": 10}])
+def test_lineage_needs_exactly_one_of_particle_and_site(monkeypatch, kwargs):
+    traj = pcalab.evolve(Model.C, Configuration(0, (PARTICLE,) * 24),
+                         UpdateStream(4), 6)
+    unpacked = []
+    monkeypatch.setattr(packed, "unpack_bits",
+                        lambda *args: unpacked.append(args))
+    with pytest.raises(ValueError, match="^lineage needs exactly one of "
+                                         "particle and site$"):
+        lineage(traj, **kwargs)
+    assert unpacked == []  # refused before any row is read
 
 
 def test_ancestry_covers_every_merged_leaf():
