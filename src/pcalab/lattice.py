@@ -244,25 +244,26 @@ def lineage(traj: Trajectory, particle: int | None = None,
     def index(cfg: Configuration, x: int) -> int:
         return (x - cfg.offset) % len(cfg) if cycle else x - cfg.offset
 
-    step, x, births, final = len(traj.rows), site, _births(traj), traj.final
+    step, x, births = len(traj.rows), site, _births(traj)
     if site is None:  # its birth cell, then on until it merges or leaves
         rank = particle
         for step, born in enumerate(births if rank >= 0 else ()):
             if rank < born.count(1):
-                x = traj.configs[step].offset + next(itertools.islice(
+                cfg = traj.configs[step]
+                x = cfg.offset + next(itertools.islice(
                     itertools.compress(itertools.count(), born), rank, None))
                 break
             rank -= born.count(1)
         else:
             raise ValueError(f"no particle has id {particle}")
-        for born, nxt in zip(births,
-                             itertools.islice(traj.configs, step + 1, None)):
-            on = x + traj.rows[step][index(traj.configs[step], x)]
+        for born, nxt in zip(births, map(traj.configs.__getitem__,
+                                         range(step + 1, len(traj.configs)))):
+            on = x + traj.rows[step][index(cfg, x)]
             k = index(nxt, on)
             if not (cycle or 0 <= k < len(nxt)) or born[k]:  # gone or merged
                 break
-            step, x = step + 1, on
-    elif not (final.offset <= site < final.end
+            step, x, cfg = step + 1, on, nxt
+    elif not ((final := traj.final).offset <= site < final.end
               and final.cells[site - final.offset]):
         raise ValueError(f"no surviving particle at site {site}")
     out, lo, hi = set(), x, x

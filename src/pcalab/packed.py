@@ -80,9 +80,8 @@ def from_left(words: np.ndarray, cycle: int = 0) -> np.ndarray:
 # Arrow planes use bit 1 = RIGHT, matching the arrow codes in pcalab.stream.
 
 def kernel_a(x: np.ndarray, u: np.ndarray, cycle: int = 0) -> np.ndarray:
-    left = from_left(x, cycle)
-    diff = left ^ x
-    return (diff & left) | (~diff & ~(x ^ u))
+    # flip a cell unlike its left one (a copy), and one alike under UP (0)
+    return x ^ ((from_left(x, cycle) ^ x) | ~u)
 
 
 def kernel_b(x: np.ndarray, u: np.ndarray, cycle: int = 0) -> np.ndarray:

@@ -67,34 +67,38 @@ def _svg(traj: Trajectory, arrows: bool, marked) -> Iterator[str]:
            f'viewBox="0 0 {width * CELL} {height * CELL}">\n'
            f'<rect width="{width * CELL}" height="{height * CELL}" '
            f'fill="#ffffff"/>\n')
-    # a cell is its column's head, formatted once per diagram, plus its
-    # row's tail for its fill, formatted once per row (the last fill is the
-    # highlight).  A row is one join over a map, with no list of the row's
-    # exact length: under a caller that keeps every chunk, as io.StringIO
-    # does, such lists left glibc's heap pinned 4-7 MB higher.
-    heads = [f'<rect x="{x * CELL}' for x in range(lo - base, width)]
-    fills = (*COLORS[traj.model], HIGHLIGHT_COLOR)
+    # a row is one join on its y over per-diagram pieces: its first
+    # column's head, then per cell but the last the rest of its element,
+    # by its code, with the next column's head, then the last rest bare.
+    # Taken by islice and map, a row makes no string a cell and no list of
+    # the row's exact length: under a caller that keeps every chunk, as
+    # io.StringIO does, such lists left glibc's heap pinned 4-7 MB higher.
+    heads = [f'<rect x="{x * CELL}" y="' for x in range(lo - base, width)]
+    ends = [f'" width="{CELL}" height="{CELL}" fill="{fill}" '
+            f'stroke="#cccccc" stroke-width="1"/>\n'
+            for fill in (*COLORS[traj.model], HIGHLIGHT_COLOR)]
+    pieces = [[end + head for end in ends] for head in heads[1:]]
     x0s = []  # each row's first column, kept for its arrows
     for step, (offset, codes) in enumerate(_codes(traj, marked)):
-        tails = [f'" y="{step * CELL}" width="{CELL}" height="{CELL}" '
-                 f'fill="{fill}" stroke="#cccccc" stroke-width="1"/>\n'
-                 for fill in fills]
         x0s.append(x0 := offset - lo)
-        yield "".join(map(operator.add, itertools.islice(heads, x0, None),
-                          map(tails.__getitem__, codes)))
-    if arrows:
+        last = x0 + len(codes) - 1
+        yield f"{step * CELL}".join(itertools.chain((heads[x0],), map(
+            operator.getitem, itertools.islice(pieces, x0, last), codes),
+            (ends[codes[-1]],)))
+    if arrows:  # y2 put in by one replace a row, faster on bytes than str
         xs = [x * CELL + CELL // 2 for x in range(lo - base, width)]
-        heads = [f'<line x1="{x}" y1="' for x in xs]
-        # each column's x2 for an UP (0) and for a RIGHT (1) arrow
-        pairs = [(f"{x}", f"{x + CELL // 3}") for x in xs]
+        heads = [b'<line x1="%d" y1="' % x for x in xs]
+        # each column's rest of a line for an UP (0) and a RIGHT (1) arrow
+        ends = [[b'" x2="%d" y2="@" stroke="#d04030" stroke-width="1"/>\n'
+                 % (x + dx) for dx in (0, CELL // 3)] for x in xs]
+        pieces = [[end + head for end in pair]
+                  for pair, head in zip(ends, heads[1:])]
         for step, (x0, row) in enumerate(zip(x0s, traj.rows)):
-            y = step * CELL + CELL // 2
-            yield "".join(map("".join, zip(
-                itertools.islice(heads, x0, None),
-                itertools.repeat(f'{y}" x2="'),
-                map(operator.getitem, itertools.islice(pairs, x0, None), row),
-                itertools.repeat(f'" y2="{y - CELL // 3}" stroke="#d04030" '
-                                 f'stroke-width="1"/>\n'))))
+            y, last = step * CELL + CELL // 2, x0 + len(row) - 1
+            yield (b"%d" % y).join(itertools.chain((heads[x0],), map(
+                operator.getitem, itertools.islice(pieces, x0, last), row),
+                (ends[last][row[-1]],))).replace(
+                    b"@", b"%d" % (y - CELL // 3)).decode("ascii")
     yield "</svg>\n"
 
 

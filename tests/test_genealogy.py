@@ -14,7 +14,7 @@ from pcalab.lattice import (EMPTY, PARTICLE, Configuration, Model, evolve,
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import scalar_walk
-from scalar_walk import trace_merges
+from scalar_walk import evolve_trajectory, trace_merges
 
 
 def _live(ids):
@@ -114,6 +114,26 @@ def test_lineage_needs_exactly_one_of_particle_and_site(monkeypatch, kwargs):
                                          "particle and site$"):
         lineage(traj, **kwargs)
     assert unpacked == []  # refused before any row is read
+
+
+def test_a_particle_lineage_reads_each_row_fewer_times(monkeypatch):
+    # 81 rows of each plane; a particle's walk read the final window, which
+    # it never uses, and its forward walk each window twice: 161 unpacks
+    init = Configuration(0, (PARTICLE,) * 200)
+    run = pcalab.evolve(Model.C, init, UpdateStream(5), 40)
+    forest = trace_merges(evolve_trajectory(Model.C, init, UpdateStream(5),
+                                            40))
+    site = run.final.offset + run.final.cells.index(PARTICLE)
+    unpack, calls = packed.unpack_bits, []
+    monkeypatch.setattr(packed, "unpack_bits",
+                        lambda *args: calls.append(args) or unpack(*args))
+    ancestry = lineage(run, particle=322)
+    assert ancestry == forest.lineage(322) and len(ancestry) == 34
+    assert len(calls) <= 134
+    calls.clear()
+    ancestry = lineage(run, site=site)
+    assert ancestry == forest.lineage(forest.survivor(site))
+    assert len(ancestry) == 103 and len(calls) == 82
 
 
 def test_ancestry_covers_every_merged_leaf():

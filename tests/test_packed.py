@@ -176,6 +176,27 @@ def test_kernels_never_write_their_inputs(model, cycle):
     assert all(np.array_equal(a, b) for a, b in zip(kept, (*planes, u)))
 
 
+def _kernel_a_three_terms(x, u, cycle=0):
+    """The form ``kernel_a`` had: a cell unlike its left one takes it, one
+    like it keeps (RIGHT) or flips (UP)."""
+    left = packed.from_left(x, cycle)
+    diff = left ^ x
+    return (diff & left) | (~diff & ~(x ^ u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([None, 1, 7]), st.booleans(),
+       st.integers(0, 2 ** 32), st.data())
+def test_kernel_a_equals_its_three_term_form(words, trials, on_cycle, seed,
+                                             data):
+    cycle = data.draw(st.integers(2, 64 * words)) if on_cycle else 0
+    shape = (words,) if trials is None else (words, trials)
+    x, u = np.random.default_rng(seed).integers(0, 2 ** 64, (2, *shape),
+                                                dtype=np.uint64)
+    assert np.array_equal(packed.kernel_a(x, u, cycle),
+                          _kernel_a_three_terms(x, u, cycle))
+
+
 _kernel_a = packed.kernel_a
 
 

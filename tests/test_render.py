@@ -1,5 +1,6 @@
 """Diagram rendering: text alignment, overlays, SVG structure."""
 
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pcalab.lattice import (PARTICLE, Configuration, Model, Trajectory,
                             evolve, lineage, particle_count)
 from pcalab.packed import evolve_run
-from pcalab.render import HIGHLIGHT_COLOR, render
+from pcalab.render import CELL, HIGHLIGHT_COLOR, render
 from pcalab.stream import RIGHT, UP, UpdateStream
 
 import render_reference
@@ -190,6 +191,38 @@ def test_a_window_left_of_the_first_is_drawn_as_before():
             render_reference.svg(traj, arrows, marked))
         assert "".join(render(traj, "text", arrows, marked)) == "".join(
             render_reference.text(traj, arrows, marked))
+
+
+def test_a_diagram_past_ten_thousand_pixels_draws_as_the_reference():
+    # 720 rows over 740 columns, so x and y pass 10,000 px (715 cells):
+    # most rows one cell at a varying offset, some wide, the first window
+    # off the left column, the last two rows wide; marks on the first and
+    # last columns and on one-cell rows
+    rng = random.Random(36)
+    configs, marked = [], set()
+    for step in range(720):
+        if step % 90 == 45 or step >= 718:  # wide, first to last column
+            cfg = Configuration(0, tuple(rng.choices((0, 1, 2), k=740)))
+            marked |= {(step, 0), (step, 739)}
+        else:
+            cfg = Configuration(5 if step == 0 else rng.randrange(740),
+                                (rng.randrange(3),))
+            if step % 3 == 0:
+                marked.add((step, 0))
+        configs.append(cfg)
+    configs[1], configs[2] = Configuration(0, (1,)), Configuration(739, (2,))
+    marked |= {(1, 0), (2, 0), (3, 1), (800, 0)}  # and two naming no cell
+    traj = Trajectory(Model.D, "line", configs,
+                      [tuple(rng.choices((UP, RIGHT), k=len(cfg)))
+                       for cfg in configs[:-1]])
+    for arrows in (False, True):
+        chunks = list(render(traj, "svg", arrows, frozenset(marked)))
+        assert len(chunks) == 2 + 720 + 719 * arrows  # one chunk a row
+        svg = "".join(chunks)
+        assert svg == "".join(render_reference.svg(traj, arrows, marked))
+        assert f'x="{734 * CELL}" y="{719 * CELL}"' in svg
+        assert (f'x1="{734 * CELL + CELL // 2}" y1="{718 * CELL + CELL // 2}"'
+                in svg) == arrows
 
 
 @st.composite
