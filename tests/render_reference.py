@@ -1,10 +1,11 @@
 """Reference form of the diagram writers: one Python expression per cell.
 
-``pcalab.render`` builds each row from per-column text with one
-``str.join`` (SVG) or one ``bytes.translate`` (text).  These writers
-format every cell on its own and test ``(step, j) in marked`` per cell, as
-the renderer once did; the tests require the two forms to agree byte for
-byte.
+``pcalab.render`` builds each row with one ``bytes.translate`` (text)
+or one join on the row's y over per-column pieces formatted once per
+diagram (SVG, each ``<line>`` row's y2 put in by one replace).  These
+writers format every cell on its own and test ``(step, j) in marked`` per
+cell, as the renderer once did; the tests require the two forms to agree
+byte for byte.
 """
 
 from pcalab.render import (CELL, COLORS, GLYPHS, HIGHLIGHT_COLOR,

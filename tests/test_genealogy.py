@@ -117,8 +117,10 @@ def test_lineage_needs_exactly_one_of_particle_and_site(monkeypatch, kwargs):
 
 
 def test_a_particle_lineage_reads_each_row_fewer_times(monkeypatch):
-    # 81 rows of each plane; a particle's walk read the final window, which
-    # it never uses, and its forward walk each window twice: 161 unpacks
+    # 41 windows and 40 arrow rows, unpacked at each access.  A particle's
+    # walk read the final window, which it never uses, each window up to
+    # its birth again to skip it, and each window of its forward walk
+    # twice: 161 unpacks
     init = Configuration(0, (PARTICLE,) * 200)
     run = pcalab.evolve(Model.C, init, UpdateStream(5), 40)
     forest = trace_merges(evolve_trajectory(Model.C, init, UpdateStream(5),
