@@ -177,8 +177,8 @@ def test_kernels_never_write_their_inputs(model, cycle):
 
 
 def _kernel_a_three_terms(x, u, cycle=0):
-    """The form ``kernel_a`` had: a cell unlike its left one takes it, one
-    like it keeps (RIGHT) or flips (UP)."""
+    """``kernel_a``'s rule in three terms: a cell unlike its left one takes
+    it, one like it keeps (RIGHT) or flips (UP)."""
     left = packed.from_left(x, cycle)
     diff = left ^ x
     return (diff & left) | (~diff & ~(x ^ u))
